@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .core import CovarianceSeed, make_chain, make_params
-from .covariance import dtsim_cov, simple_bm_cov, simple_bm_seed
+from .covariance import cov_table, simple_bm_cov, simple_bm_seed
 from .errors import ConvergenceError, DomainError, GridError, PoleError
 from .multidim import q_cov
 from .simulate import empirical_cov, simulate_brownian, simulate_simple_bm
@@ -141,30 +141,30 @@ def cmd_cov(args) -> int:
         k_need = max(n_max, n_max + tau_max)
         rng_seed = int(_opt(args.mc_seed, cfg, ("mc", "rng_seed"), 0))
         ens = simulate_simple_bm(params, mc_paths, k_need, rng_seed)
+    n, tau = np.meshgrid(np.arange(n_min, n_max + 1), np.arange(tau_min, tau_max + 1), indexing="ij")
+    keep = n + tau >= 0
+    n, tau = n[keep], tau[keep]
     rows = []
-    for n in range(n_min, n_max + 1):
-        for tau in range(tau_min, tau_max + 1):
-            if n + tau < 0:
-                continue
-            oracle = (
-                simple_bm_cov(params.alpha ** (n + tau), params.alpha ** n, params.H, params.l)
-                if is_builtin
-                else None
-            )
-            mc_est = mc_se = None
-            if ens is not None:
-                est = empirical_cov(ens, n, tau)
-                mc_est, mc_se = est.value, est.std_error
-            rows.append(
-                {
-                    "n": n,
-                    "tau": tau,
-                    "closed_form": dtsim_cov(chain, n, tau),
-                    "oracle": oracle,
-                    "mc_estimate": mc_est,
-                    "mc_stderr": mc_se,
-                }
-            )
+    for n, tau, closed_form in zip(n.tolist(), tau.tolist(), cov_table(chain, n, tau).tolist()):
+        oracle = (
+            simple_bm_cov(params.alpha ** (n + tau), params.alpha ** n, params.H, params.l)
+            if is_builtin
+            else None
+        )
+        mc_est = mc_se = None
+        if ens is not None:
+            est = empirical_cov(ens, n, tau)
+            mc_est, mc_se = est.value, est.std_error
+        rows.append(
+            {
+                "n": n,
+                "tau": tau,
+                "closed_form": closed_form,
+                "oracle": oracle,
+                "mc_estimate": mc_est,
+                "mc_stderr": mc_se,
+            }
+        )
     _emit(rows, ["n", "tau", "closed_form", "oracle", "mc_estimate", "mc_stderr"], fmt, out)
     return 0
 
@@ -184,9 +184,8 @@ def cmd_spectra(args) -> int:
                           "it cannot be used with --seed-file")
     n_omega = int(_opt(args.n_omega, cfg, ("spectra", "n_omega"), 256))
     trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None)
-    grid = FrequencyGrid(n_omega)
-    omegas = grid.omegas
-    T = params.T
+    omegas = FrequencyGrid(n_omega).omegas
+    idx = np.arange(params.T)
     rows = []
     for method in methods:
         if method == "closed":
@@ -194,41 +193,16 @@ def cmd_spectra(args) -> int:
         elif method == "sum":
             vals = spectral_sum_grid(chain, omegas, None if trunc is None else int(trunc))
         elif method == "example":
-            vals = np.stack(
-                [
-                    np.array(
-                        [[simple_bm_spectral(params, j, r, w) for r in range(T)] for j in range(T)]
-                    )
-                    for w in omegas
-                ]
-            )
-        else:  # diag
-            for i, w in enumerate(omegas):
-                for k in range(T):
-                    rows.append(
-                        {
-                            "omega": float(w),
-                            "j": k,
-                            "r": k,
-                            "re": spectral_diag(chain, k, float(w)),
-                            "im": 0.0,
-                            "method": "diag",
-                        }
-                    )
-            continue
-        for i, w in enumerate(omegas):
-            for j in range(T):
-                for r in range(T):
-                    rows.append(
-                        {
-                            "omega": float(w),
-                            "j": j,
-                            "r": r,
-                            "re": float(vals[i, j, r].real),
-                            "im": float(vals[i, j, r].imag),
-                            "method": method,
-                        }
-                    )
+            vals = simple_bm_spectral(params, idx[:, np.newaxis], idx, omegas[:, np.newaxis, np.newaxis])
+        else:  # diag: real values, one row per component
+            vals = spectral_diag(chain, idx, omegas[:, np.newaxis])
+        js, rs = (idx, idx) if method == "diag" else np.divmod(np.arange(params.T ** 2), params.T)
+        js, rs = js.tolist(), rs.tolist()
+        rows.extend(
+            {"omega": w, "j": a, "r": b, "re": v.real, "im": v.imag, "method": method}
+            for w, row in zip(omegas.tolist(), vals.reshape(len(omegas), -1).tolist())
+            for a, b, v in zip(js, rs, row)
+        )
     _emit(rows, ["omega", "j", "r", "re", "im", "method"], fmt, out)
     return 0
 

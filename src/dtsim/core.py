@@ -45,8 +45,13 @@ __all__ = [
 #: sitting exactly on the boundary (perfect correlation) survive rounding.
 _CS_SLACK = 1e-12
 
+#: Relative tolerance for snapping a log-scale coordinate onto an integer
+#: grid index, shared by every grid-membership test in the package.
+_GRID_RTOL = 1e-9
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+
+def _readonly(a) -> np.ndarray:
+    """Read-only float copy of ``a``."""
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -178,7 +183,8 @@ class HChain:
     htilde_base: np.ndarray = field(init=False)
     htilde_period: float = field(init=False)
     all_positive: bool = field(init=False)
-    _log_base: np.ndarray | None = field(init=False, repr=False)
+    _prefix: np.ndarray = field(init=False, repr=False)
+    _log_prefix: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.params.T != self.seed.T:
@@ -192,7 +198,10 @@ class HChain:
         object.__setattr__(self, "htilde_base", _readonly(base))
         object.__setattr__(self, "htilde_period", float(base[-1]))
         object.__setattr__(self, "all_positive", pos)
-        object.__setattr__(self, "_log_base", _readonly(np.cumsum(np.log(h))) if pos else None)
+        # htilde(n - 1) for n = 0..T, and its logarithm for positive chains
+        object.__setattr__(self, "_prefix", _readonly(np.concatenate(([1.0], base))))
+        log_prefix = _readonly(np.concatenate(([0.0], np.cumsum(np.log(h))))) if pos else None
+        object.__setattr__(self, "_log_prefix", log_prefix)
 
     @property
     def T(self) -> int:
@@ -212,11 +221,8 @@ def make_chain(params: DsiParams, seed: CovarianceSeed) -> HChain:
     DomainError
         On period mismatch or a bound violation.
     """
+    chain = HChain(params=params, seed=seed)
     T = params.T
-    if seed.T != T:
-        raise DomainError(
-            f"seed period {seed.T} does not match params period {T}"
-        )
     ext = np.ones(T)
     ext[T - 1] = params.alpha ** (2 * T * params.H)
     bound = np.sqrt(seed.r0 * np.roll(seed.r0, -1) * ext)
@@ -226,7 +232,7 @@ def make_chain(params: DsiParams, seed: CovarianceSeed) -> HChain:
         raise DomainError(
             f"|r1[{j}]| = {abs(seed.r1[j])!r} exceeds the Cauchy-Schwarz bound {bound[j]!r}"
         )
-    return HChain(params=params, seed=seed)
+    return chain
 
 
 def h_ratio(chain: HChain, j: int) -> float:
@@ -234,30 +240,30 @@ def h_ratio(chain: HChain, j: int) -> float:
     return float(chain.h[j % chain.T])
 
 
-def h_tilde(chain: HChain, r: int) -> float:
+def h_tilde(chain: HChain, r):
     """Cumulative ratio product ``h[0] * ... * h[r]`` with ``h_tilde(chain, -1) == 1``.
 
-    Lags at or beyond one period decompose as
-    ``htilde(kT + n - 1) = htilde_period**k * htilde_base[n - 1]``; positive
+    ``r`` is an integer or an integer array; the result is a float or an
+    array of the same shape.  Lags at or beyond one period decompose as
+    ``htilde(kT + n - 1) = htilde_period**k * htilde(n - 1)``; positive
     chains evaluate that in log space.
 
     Raises
     ------
     DomainError
-        If ``r < -1`` (the empty product is the earliest defined value).
+        If any ``r < -1`` (the empty product is the earliest defined value).
     """
-    if r < -1:
-        raise DomainError(f"h_tilde is defined for r >= -1, got {r}")
-    if r == -1:
-        return 1.0
+    if np.min(r) < -1:
+        raise DomainError(f"h_tilde is defined for r >= -1, got {np.min(r)}")
+    return _h_tilde(chain, r)
+
+
+def _h_tilde(chain: HChain, r):
+    """:func:`h_tilde` without the domain check, for lags ``r >= -1`` by construction."""
     k, n = divmod(r + 1, chain.T)
-    if k == 0:
-        return float(chain.htilde_base[n - 1])
     if chain.all_positive:
-        log_b = 0.0 if n == 0 else float(chain._log_base[n - 1])
-        return math.exp(k * float(chain._log_base[-1]) + log_b)
-    b = 1.0 if n == 0 else float(chain.htilde_base[n - 1])
-    return chain.htilde_period ** k * b
+        return np.exp(k * chain._log_prefix[-1] + chain._log_prefix[n])
+    return chain.htilde_period ** k * chain._prefix[n]
 
 
 def convergence_ratio(chain: HChain) -> float:

@@ -1,19 +1,34 @@
 """Closed-form covariances for Markov processes on geometric grids.
 
-The central object is ``dtsim_cov(chain, n, tau) = Cov(X(alpha^(n+tau)), X(alpha^n))``
-for a scale-invariant Markov process pinned down by a one-period seed.  For
-``tau = kT + v`` (``k >= 0``, ``0 <= v < T``) the value is
+The central object is ``R_n(tau) = Cov(X(alpha^(n+tau)), X(alpha^n))`` for a
+scale-invariant Markov process pinned down by a one-period seed.  It has one
+implementation, :func:`cov_table`, which takes broadcast integer arrays
+``n`` and ``tau``; :func:`dtsim_cov` and :func:`kernel_cov` are length-1
+calls into it and into the one-sided kernel it applies.  With
+``n = qT + n0`` (``0 <= n0 < T``) and ``tau >= 0`` that kernel is
 
-    R_n(kT + v) = htilde_period**k * htilde(v + n - 1) / htilde(n - 1) * R_n(0)
+    R_n(tau) = alpha**(2 T H q) * htilde(n0 + tau - 1) / htilde(n0 - 1) * r0[n0]
 
-with the base index reduced one period at a time through the variance
-extension ``R_(n+T)(tau) = alpha**(2 T H) * R_n(tau)``.  Negative lags go
-through the reflection
+where the variance extension ``R_(n+T)(tau) = alpha**(2 T H) * R_n(tau)``
+moves the base index by whole periods and ``htilde`` is evaluated over
+arrays by :func:`dtsim.core.h_tilde`.  Negative lags are first reflected,
 
     R_n(-kT + v) = alpha**(-2 k T H) * R_(n+v)(kT - v)
 
 which is exactly covariance symmetry in disguise; it is the only negative-lag
 rule compatible with Cov(X(t), X(s)) = Cov(X(s), X(t)).
+
+The stationarized counterpart ``alpha**(-(2n + tau) H) * R_n(tau)`` is
+formed as one power of the per-period ratio
+``rho = alpha**(-H T) * htilde_period``:
+
+    rho**s * alpha**(-(j + r) H) * C[j, r] * r0[r]
+
+with ``r`` and ``j`` the phases of the earlier and later grid point, ``s``
+the number of periods between them, and ``C``, ``r0`` the embedding
+structure of :func:`dtsim.multidim.build_qcov`.  The split factors
+``alpha**(-tau H)`` and ``htilde_period**s`` under- and overflow at long lags
+near ``|rho| = 1``; their product ``rho**s`` does not.
 
 The independent oracle for all of this is the piecewise-rescaled Brownian
 motion ("simple BM"): Brownian motion whose amplitude is multiplied by
@@ -30,24 +45,21 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CovarianceSeed, DsiParams, HChain, h_tilde
+from .core import _GRID_RTOL, CovarianceSeed, DsiParams, HChain, _h_tilde, convergence_ratio
 from .errors import DomainError
+from .multidim import build_qcov
 
 __all__ = [
     "annulus_index",
     "simple_bm_seed",
     "simple_bm_cov",
+    "cov_table",
     "dtsim_cov",
     "kernel_cov",
     "pc_counterpart_cov",
     "markov_triangle_residual",
     "dsi_cov_check",
 ]
-
-#: Relative tolerance used to snap a log-scale coordinate onto an integer
-#: annulus boundary; matches the grid-membership tolerance used elsewhere.
-_GRID_RTOL = 1e-9
-
 
 def annulus_index(t: float, lam: float, rtol: float = _GRID_RTOL) -> int:
     """Index ``n`` with ``lam**(n-1) <= t < lam**n`` (half-open on the right).
@@ -100,43 +112,42 @@ def simple_bm_cov(t: float, s: float, H: float, lam: float) -> float:
     return lam ** ((n + m) * (H - 0.5)) * min(t, s)
 
 
-def _base_cov(chain: HChain, n0: int, tau: int) -> float:
-    """R_n0(tau) for 0 <= n0 < T and tau >= 0, log-space when possible."""
+def _kernel(chain: HChain, n, tau):
+    """One-sided kernel ``alpha**(2 T H q) * htilde(n0+tau-1)/htilde(n0-1) * r0[n0]``, ``n = qT + n0``."""
     p = chain.params
-    k, v = divmod(tau, p.T)
-    num = h_tilde(chain, v + n0 - 1)
-    den = h_tilde(chain, n0 - 1)
-    if den == 0.0:
+    q, n0 = divmod(n, p.T)
+    den = _h_tilde(chain, n0 - 1)
+    if not den.all():
         raise DomainError(
-            f"h-chain vanishes before index {n0}; covariance at this base index "
-            "is not determined by the factorization (a zero one-step covariance "
-            "splits the chain)"
+            f"h-chain vanishes before index {np.min(np.where(den == 0.0, n0, p.T))}; covariance "
+            "at this base index is not determined by the factorization (a zero one-step "
+            "covariance splits the chain)"
         )
-    if chain.all_positive:
-        log_p = float(chain._log_base[-1])
-        return math.exp(
-            k * log_p + math.log(num) - math.log(den) + math.log(chain.seed.r0[n0])
-        )
-    return chain.htilde_period ** k * num / den * float(chain.seed.r0[n0])
+    return p.alpha ** (2 * p.T * p.H * q) * _h_tilde(chain, n0 + tau - 1) / den * chain.seed.r0[n0]
+
+
+def cov_table(chain: HChain, n, tau):
+    """Covariances ``Cov(X(alpha^(n+tau)), X(alpha^n))`` over broadcast integer arrays.
+
+    Negative lags ``tau = -kT + v`` (``k >= 1``, ``0 <= v < T``) are reflected
+    onto ``alpha**(-2 k T H) * R_(n+v)(-tau)``; the one-sided kernel then
+    evaluates every entry at a nonnegative lag.  The base index may sit
+    anywhere on the two-sided integer grid.  ``n`` and ``tau`` are integers or
+    integer numpy arrays; plain integers give a scalar.
+    """
+    p = chain.params
+    neg = tau < 0
+    k, v = neg * -(tau // p.T), neg * (tau % p.T)
+    return p.alpha ** (-2 * k * p.T * p.H) * _kernel(chain, n + v, abs(tau))
 
 
 def dtsim_cov(chain: HChain, n: int, tau: int) -> float:
-    """Covariance ``Cov(X(alpha^(n+tau)), X(alpha^n))`` of the chain's process.
+    """Covariance ``Cov(X(alpha^(n+tau)), X(alpha^n))``: one entry of :func:`cov_table`.
 
     Symmetric by construction: ``dtsim_cov(chain, n, tau) ==
-    dtsim_cov(chain, n + tau, -tau)`` up to rounding.  The base index may sit
-    anywhere on the two-sided integer grid; indices one or more periods up or
-    down pick up powers of the variance extension ``alpha**(2 T H)``.
+    dtsim_cov(chain, n + tau, -tau)`` up to rounding.
     """
-    p = chain.params
-    if tau < 0:
-        # tau = -kT + v with k >= 1, 0 <= v < T; reflect onto a nonnegative lag.
-        k = -(tau // p.T)
-        v = tau % p.T
-        return p.alpha ** (-2 * k * p.T * p.H) * dtsim_cov(chain, n + v, k * p.T - v)
-    q, n0 = divmod(n, p.T)
-    scale = p.alpha ** (2 * p.T * p.H * q)
-    return scale * _base_cov(chain, n0, tau)
+    return float(cov_table(chain, n, tau))
 
 
 def kernel_cov(chain: HChain, n: int, tau: int) -> float:
@@ -145,29 +156,32 @@ def kernel_cov(chain: HChain, n: int, tau: int) -> float:
     For ``tau >= 0`` this equals :func:`dtsim_cov`.  For ``tau < 0`` it
     continues the same ratio recursion instead of reflecting, which is the
     convention the embedding matrix identities use; it is *not* the symmetric
-    covariance there.  Requires ``n + tau >= 0`` so the ratio stays defined.
+    covariance there.  Requires ``n + tau >= 0`` and ``(n mod T) + tau >= 0``
+    so the ratio stays defined.
     """
-    p = chain.params
-    if n + tau < 0:
-        raise DomainError(f"kernel_cov needs n + tau >= 0, got n={n}, tau={tau}")
-    q, n0 = divmod(n, p.T)
-    num = h_tilde(chain, n0 + tau - 1)
-    den = h_tilde(chain, n0 - 1)
-    if den == 0.0:
-        raise DomainError(f"h-chain vanishes before index {n0}")
-    return p.alpha ** (2 * p.T * p.H * q) * num / den * float(chain.seed.r0[n0])
+    if min(n, n % chain.T) + tau < 0:
+        raise DomainError(
+            f"kernel_cov needs n + tau >= 0 and (n mod T) + tau >= 0, got n={n}, tau={tau}"
+        )
+    return float(_kernel(chain, n, tau))
 
 
-def pc_counterpart_cov(chain: HChain, n: int, tau: int) -> float:
+def pc_counterpart_cov(chain: HChain, n, tau):
     """Covariance of the stationarized (periodically correlated) counterpart.
 
-    ``alpha**(-(2n + tau) H) * dtsim_cov(chain, n, tau)``; periodic in ``n``
-    with period T.  The base index is reduced mod T before evaluation, which
-    makes the periodicity hold exactly, not merely up to rounding.
+    ``alpha**(-(2n + tau) H) * dtsim_cov(chain, n, tau)``, periodic in ``n``
+    with period T, evaluated as ``rho**s * alpha**(-(j + r) H) * C[j, r] * r0[r]``
+    where ``r`` and ``j`` are the phases of the earlier and later grid point
+    and ``s`` counts the periods between them.  ``n`` and ``tau`` may be
+    broadcast integer arrays; scalars give a float.
     """
     p = chain.params
-    n0 = n % p.T
-    return p.alpha ** (-(2 * n0 + tau) * p.H) * dtsim_cov(chain, n0, tau)
+    n, tau = np.asarray(n), np.asarray(tau)
+    qc = build_qcov(chain)
+    r = np.minimum(n, n + tau) % p.T
+    s, j = np.divmod(r + np.abs(tau), p.T)
+    out = convergence_ratio(chain) ** s * p.alpha ** (-(j + r) * p.H) * qc.C[j, r] * qc.r0[r]
+    return float(out) if out.ndim == 0 else out
 
 
 def markov_triangle_residual(
@@ -176,9 +190,10 @@ def markov_triangle_residual(
     """Residual ``cov(t1,t3) cov(t2,t2) - cov(t1,t2) cov(t2,t3)`` for t1 <= t2 <= t3.
 
     Zero exactly when the covariance factors as G(min) K(max), the defining
-    property of wide-sense Markov processes.
+    property of wide-sense Markov processes.  The points may be broadcast
+    arrays when ``cov`` accepts them.
     """
-    if not (t1 <= t2 <= t3):
+    if not np.all((np.asarray(t1) <= t2) & (np.asarray(t2) <= t3)):
         raise DomainError(f"need t1 <= t2 <= t3, got {t1}, {t2}, {t3}")
     return cov(t1, t3) * cov(t2, t2) - cov(t1, t2) * cov(t2, t3)
 

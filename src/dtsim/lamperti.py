@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _GRID_RTOL, _readonly
 from .errors import DomainError, GridError
 
 __all__ = [
@@ -29,15 +30,6 @@ __all__ = [
     "lamperti_inverse",
     "verify_commutation",
 ]
-
-_GRID_RTOL = 1e-9
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
 
 @dataclass(frozen=True)
 class SampledFunction:

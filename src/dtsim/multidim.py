@@ -86,8 +86,8 @@ def build_qcov(chain: HChain) -> QCov:
     ``C`` is a ratio matrix, so it is rank one with unit diagonal and
     satisfies the cocycle relation C[j,k] C[k,m] = C[j,m].
     """
-    u = np.concatenate(([1.0], chain.htilde_base[:-1]))  # htilde(j-1), j = 0..T-1
-    if np.any(u == 0.0):
+    u = chain._prefix[:-1]  # htilde(j-1), j = 0..T-1
+    if not u.all():
         raise DomainError("h-chain vanishes inside the period; ratio matrix undefined")
     C = u[:, np.newaxis] / u[np.newaxis, :]
     return QCov(
@@ -104,7 +104,7 @@ def q_cov(chain: HChain, n: int, tau: int) -> np.ndarray:
 
 
 def gamma_k(chain: HChain, k: int, n: int, tau: int) -> float:
-    """Diagonal entry: Cov(W^k(l**(n+tau)), W^k(l**n)) for tau >= 0.
+    """Diagonal entry ``q_cov(chain, n, tau)[k, k]`` for tau >= 0.
 
     Equals ``alpha**(2 n H T) * htilde_period**tau * r0[k]``; as a function on
     the l-grid it is again a scale-invariant Markov covariance.
@@ -113,9 +113,4 @@ def gamma_k(chain: HChain, k: int, n: int, tau: int) -> float:
         raise DomainError(f"gamma_k is defined for tau >= 0, got {tau}")
     if not 0 <= k < chain.T:
         raise IndexError(f"component index {k} outside 0..{chain.T - 1}")
-    p = chain.params
-    return (
-        p.alpha ** (2 * n * p.H * p.T)
-        * chain.htilde_period ** tau
-        * float(chain.seed.r0[k])
-    )
+    return float(q_cov(chain, n, tau)[k, k])

@@ -12,18 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DsiParams
+from .core import DsiParams, _readonly
 from .errors import DomainError
 
 __all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm", "empirical_cov"]
 
 #: Paths per generation batch; fixed so batch boundaries never move.
 BATCH_SIZE = 4096
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class Ensemble:
                 f"paths shape {self.paths.shape} does not match "
                 f"(n_paths, k_max + 1) = ({self.n_paths}, {self.k_max + 1})"
             )
-        object.__setattr__(self, "paths", _readonly(np.array(self.paths, dtype=float)))
+        object.__setattr__(self, "paths", _readonly(self.paths))
 
     @property
     def times(self) -> np.ndarray:

@@ -1,42 +1,55 @@
 """Spectral densities: periodically correlated pipeline and embedding closed forms.
 
-Two complementary routes live here.
+Every quantity here has one array implementation; the scalar entry points
+are length-1 calls into it.
 
 * The stationarized route: the covariance of the periodically correlated
-  counterpart is expanded in its periodic components ``B_k(tau)`` (a discrete
-  Fourier transform over the phase index), each component is transformed to a
-  frequency function ``f_k``, and the T x T density matrix entries follow as
-  ``f_jk(omega) = f_(k-j)((omega - 2 pi j) / T) / T``.  These matrices are
-  Hermitian term by term.
+  counterpart is expanded in its periodic components ``B_k(tau)`` (one
+  discrete Fourier transform over the phase index, :func:`bk_from_pc_cov`),
+  each component is transformed to a frequency function
+
+      f_k(w) = (1/2 pi) [B_k(0) + sum_{tau=1..S} (B_k(tau) z**tau + B_k(-tau) conj(z)**tau)],
+
+  ``z = exp(-i w)``, and the T x T density matrix entries follow as
+  ``f_jk(omega) = f_(k-j)((omega - 2 pi j) / T) / T``.  The lag sums are
+  evaluated by a two-sided Horner recurrence over ``tau``, vectorized over
+  component indices and arguments, so no lags-by-frequencies array is ever
+  formed.  These matrices are Hermitian term by term.
 
 * The embedding route: the T-dimensional self-similar embedding has a
   two-term closed-form density obtained by summing the geometric matrix
   covariance series
 
-      d_jr(omega) = sum_s l**(-H s) exp(-i omega s T) Q_jr(l**s) / (2 pi),
+      d_jr(omega) = sum_s l**(-H s) exp(-i omega s T) Q_jr(l**s) / (2 pi).
 
-  which converges exactly when the per-period ratio
-  ``rho = alpha**(-H T) * htilde_period`` satisfies ``|rho| < 1``.
+  With ``A = Q(0)`` (``C * r0`` of :func:`dtsim.multidim.build_qcov`),
+  ``z = exp(-i omega T)`` and the per-period ratio
+  ``rho = alpha**(-H T) * htilde_period``, the term at lag ``s`` is
+  ``(rho z)**s A`` for ``s >= 0`` and ``(rho conj(z))**|s| A^T`` for
+  ``s < 0``.  The powers of ``l`` and of ``htilde_period`` are never formed
+  apart, so long truncations near ``|rho| = 1`` neither overflow nor
+  underflow.  The series converges exactly when ``|rho| < 1`` and sums to
+  ``[A / (1 - z rho) + A^T conj(z) rho / (1 - conj(z) rho)] / (2 pi)``.
 
 The closed form inherits the one-sided factorization kernel of the matrix
 covariance, whose lag-0 value below the diagonal is not the symmetric
 covariance; consequently the raw two-term form is Hermitian only on and above
 the diagonal's side (j >= r paired against conjugation picks up a constant
-offset otherwise).  ``spectral_matrix`` therefore evaluates the closed form on
-the half where it agrees with the symmetric covariance series and completes
-the other half by conjugation, which is the density of the actual process.
+offset otherwise).  ``spectral_matrix`` therefore takes the lower triangle
+of the closed form, where it agrees with the symmetric covariance series,
+and conjugates it across the diagonal, which is the density of the actual
+process.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DsiParams, HChain, convergence_ratio, h_tilde
+from .core import DsiParams, HChain, convergence_ratio
 from .covariance import pc_counterpart_cov
 from .errors import ConvergenceError, DomainError, PoleError
 from .multidim import build_qcov
@@ -59,7 +72,6 @@ __all__ = [
     "spectral_sum_grid",
     "spectral_closed",
     "spectral_closed_grid",
-    "second_term_forms",
     "spectral_diag",
     "simple_bm_spectral",
     "spectral_matrix",
@@ -117,19 +129,22 @@ def auto_truncation(rho: float, tol: float = 1e-12) -> int:
     return max(1, math.ceil(math.log(tol) / math.log(a)))
 
 
-def bk_from_pc_cov(pc_values: Sequence[float], k: int) -> complex:
+def bk_from_pc_cov(pc_values, k):
     """Periodic component ``B_k(tau) = (1/T) sum_n R_n(tau) exp(-2 pi i k n / T)``.
 
-    ``pc_values`` holds the periodically correlated covariance at one lag for
-    phases n = 0..T-1.  Discrete orthogonality makes this the exact inverse of
-    the phase expansion ``R_n(tau) = sum_k B_k(tau) exp(2 pi i k n / T)``.
+    ``pc_values`` holds the periodically correlated covariance for phases
+    n = 0..T-1 along its first axis (further axes, such as lags, are kept);
+    ``k`` is a component index or an integer array of them.  Discrete
+    orthogonality makes this the exact inverse of the phase expansion
+    ``R_n(tau) = sum_k B_k(tau) exp(2 pi i k n / T)``.
     """
     vals = np.asarray(pc_values, dtype=float)
     T = len(vals)
     if T == 0:
         raise DomainError("need at least one phase value")
-    n = np.arange(T)
-    return complex(np.sum(vals * np.exp(-2j * math.pi * (k % T) * n / T)) / T)
+    phases = np.exp(-2j * math.pi * np.multiply.outer(np.asarray(k) % T, np.arange(T)) / T)
+    out = np.tensordot(phases, vals, axes=1) / T
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -162,14 +177,9 @@ def build_bk_table(chain: HChain, tau_window: int | None = None) -> BkTable:
         tau_window = auto_truncation(rho) + chain.T
     if tau_window < 0:
         raise DomainError(f"tau_window must be >= 0, got {tau_window}")
-    T = chain.T
-    taus = np.arange(-tau_window, tau_window + 1)
-    pc = np.empty((T, len(taus)))
-    for n in range(T):
-        pc[n] = [pc_counterpart_cov(chain, n, int(t)) for t in taus]
-    phases = np.exp(-2j * math.pi * np.outer(np.arange(T), np.arange(T)) / T)
-    values = phases @ pc / T  # values[k, i] = (1/T) sum_n pc[n, i] e^{-2pi i k n / T}
-    return BkTable(values=values, tau_window=tau_window, rho=rho)
+    phases = np.arange(chain.T)
+    pc = pc_counterpart_cov(chain, phases[:, np.newaxis], np.arange(-tau_window, tau_window + 1))
+    return BkTable(values=bk_from_pc_cov(pc, phases), tau_window=tau_window, rho=rho)
 
 
 def _effective_truncation(table: BkTable, s_trunc: int | None) -> int:
@@ -189,30 +199,40 @@ def _effective_truncation(table: BkTable, s_trunc: int | None) -> int:
     return s_trunc
 
 
-def fk_from_bk(table: BkTable, k: int, omega: float, s_trunc: int | None = None) -> FkValue:
-    """Frequency component ``f_k(omega) ~ (1/2 pi) sum_{|tau|<=S} B_k(tau) e^{-i tau omega}``.
+def _fk(table: BkTable, k, arg, s_trunc: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``f_k(arg)`` and tail bounds over broadcast component indices and arguments.
 
     The tail bound exploits that |B_k| decays by |rho| per period: the first
     untabulated period is summed and the geometric remainder closed.
-
-    Raises
-    ------
-    ConvergenceError
-        If ``|rho| >= 1``.
     """
     if abs(table.rho) >= 1:
         raise ConvergenceError(
             f"series ratio |rho| = {abs(table.rho)} >= 1; f_k does not exist"
         )
     S = _effective_truncation(table, s_trunc)
-    taus = np.arange(-S, S + 1)
-    row = table.values[k % table.T, table.tau_window - S : table.tau_window + S + 1]
-    value = complex(np.sum(row * np.exp(-1j * omega * taus)) / (2 * math.pi))
-    edge = sum(
-        abs(table.value(k, t)) for t in range(S + 1, S + table.T + 1)
-    )
-    tail = edge / ((1 - abs(table.rho)) * math.pi)  # both lag signs, |B_k(-t)| = |B_k(t)|
-    return FkValue(value=value, tail_bound=float(tail))
+    W = table.tau_window
+    lags = np.moveaxis(table.values[np.asarray(k) % table.T], -1, 0)  # lags[W + tau] = B_k(tau)
+    z = np.exp(-1j * np.asarray(arg, dtype=float))
+    zbar = np.conj(z)
+    pos = neg = np.zeros_like(z)
+    for tau in range(S, 0, -1):
+        pos = (pos + lags[W + tau]) * z
+        neg = (neg + lags[W - tau]) * zbar
+    value = (lags[W] + pos + neg) / (2 * math.pi)
+    edge = np.sum(np.abs(lags[W + S + 1 : W + S + table.T + 1]), axis=0)
+    return value, edge / ((1 - abs(table.rho)) * math.pi)  # both lag signs, |B_k(-t)| = |B_k(t)|
+
+
+def fk_from_bk(table: BkTable, k: int, omega: float, s_trunc: int | None = None) -> FkValue:
+    """Frequency component ``f_k(omega) ~ (1/2 pi) sum_{|tau|<=S} B_k(tau) e^{-i tau omega}``.
+
+    Raises
+    ------
+    ConvergenceError
+        If ``|rho| >= 1``.
+    """
+    value, tail = _fk(table, k, omega, s_trunc)
+    return FkValue(value=complex(value), tail_bound=float(tail))
 
 
 def fjk(table: BkTable, j: int, k: int, omega: float, s_trunc: int | None = None) -> complex:
@@ -221,125 +241,103 @@ def fjk(table: BkTable, j: int, k: int, omega: float, s_trunc: int | None = None
     Component indices reduce mod T and the frequency argument mod 2 pi; both
     reductions are exact symmetries of the underlying sums.
     """
+    return complex(f_matrix(table, omega, s_trunc)[j % table.T, k % table.T])
+
+
+def f_matrix(table: BkTable, omega, s_trunc: int | None = None) -> np.ndarray:
+    """T x T density matrix of the stationarized counterpart at ``omega``.
+
+    An array of frequencies gives one matrix per frequency, shape
+    ``omega.shape + (T, T)``.
+    """
     T = table.T
-    arg = ((omega - 2 * math.pi * j) / T) % (2 * math.pi)
-    return fk_from_bk(table, (k - j) % T, arg, s_trunc).value / T
+    idx = np.arange(T)
+    arg = ((np.asarray(omega, dtype=float)[..., np.newaxis] - 2 * math.pi * idx) / T) % (2 * math.pi)
+    f = _fk(table, idx, arg[..., np.newaxis], s_trunc)[0]  # f[..., j, c] = f_c(arg_j)
+    return f[..., idx[:, np.newaxis], (idx - idx[:, np.newaxis]) % T] / T
 
 
-def f_matrix(table: BkTable, omega: float, s_trunc: int | None = None) -> np.ndarray:
-    """Full T x T density matrix of the stationarized counterpart at ``omega``."""
-    T = table.T
-    out = np.empty((T, T), dtype=complex)
-    for j in range(T):
-        for k in range(T):
-            out[j, k] = fjk(table, j, k, omega, s_trunc)
-    return out
-
-
-def dsi_cov_from_spectra(chain: HChain, n: int, tau: int, table: BkTable) -> float:
+def dsi_cov_from_spectra(chain: HChain, n, tau, table: BkTable):
     """Reassemble ``dtsim_cov`` from the periodic components.
 
     ``alpha**((2n + tau) H) * sum_k B_k(tau) exp(2 pi i k n / T)``; the
-    imaginary part of the phase sum vanishes and is dropped.
+    imaginary part of the phase sum vanishes and is dropped.  ``n`` and
+    ``tau`` may be broadcast integer arrays; scalars give a float.
     """
     p = chain.params
-    ks = np.arange(chain.T)
-    phase_sum = np.sum(
-        table.values[:, tau + table.tau_window] * np.exp(2j * math.pi * ks * n / chain.T)
-    )
-    return float(p.alpha ** ((2 * n + tau) * p.H) * phase_sum.real)
+    phases = np.arange(chain.T)
+    # phase_sums[n, W + tau] = sum_k B_k(tau) exp(2 pi i k n / T) for each phase n
+    phase_sums = np.exp(2j * math.pi * np.multiply.outer(phases, phases) / chain.T) @ table.values
+    n, tau = np.asarray(n), np.asarray(tau)
+    out = p.alpha ** ((2 * n + tau) * p.H) * phase_sums[n % chain.T, tau + table.tau_window].real
+    return float(out) if out.ndim == 0 else out
 
 
-def _series_prefactors(chain: HChain, j: int, r: int) -> tuple[float, float]:
+def _convergent_ratio(chain: HChain) -> float:
+    rho = convergence_ratio(chain)
+    if abs(rho) >= 1:
+        raise ConvergenceError(
+            f"series ratio |rho| = {abs(rho)} >= 1; the spectral series diverges"
+        )
+    return rho
+
+
+def _lag0(chain: HChain) -> np.ndarray:
+    """Embedding covariance ``A = Q(0) = C * r0`` that every series term scales."""
     qc = build_qcov(chain)
-    a = qc.C[j, r] * qc.r0[r]  # coefficient on the s >= 0 side
-    b = qc.C[r, j] * qc.r0[j]  # coefficient on the s <= -1 side
-    return float(a), float(b)
+    return qc.C * qc.r0[np.newaxis, :]
 
 
-def spectral_sum(
-    chain: HChain, j: int, r: int, omega: float, s_trunc: int | None = None
-) -> SeriesValue:
-    """Embedding density entry by direct series truncation at ``|s| <= S``.
+def spectral_sum_grid(
+    chain: HChain, omegas: np.ndarray, s_trunc: int | None = None
+) -> np.ndarray:
+    """Embedding density by direct series truncation at ``|s| <= S``, shape (len(omegas), T, T).
 
-    Terms are taken from the matrix covariance of module multidim (negative
-    matrix lags through its reflection), so this is an independent check on
-    the closed form.
+    The term at lag ``s`` is ``(rho e^{-i omega T})**s A`` for ``s >= 0`` and
+    the conjugate power times ``A^T`` for ``s < 0``; the truncated power sum
+    is accumulated by Horner's rule rather than summed in closed form, so
+    this is an independent check on :func:`spectral_closed_grid`.
 
     Raises
     ------
     ConvergenceError
         If ``|rho| >= 1``.
     """
-    p = chain.params
-    rho = convergence_ratio(chain)
-    if abs(rho) >= 1:
-        raise ConvergenceError(
-            f"series ratio |rho| = {abs(rho)} >= 1; the spectral series diverges"
-        )
+    rho = _convergent_ratio(chain)
     S = auto_truncation(rho) if s_trunc is None else s_trunc
     if S < 0:
         raise DomainError(f"truncation must be >= 0, got {S}")
-    qc = build_qcov(chain)
-    total = 0j
-    for s in range(-S, S + 1):
-        q = qc.matrix(0, s)[j, r]
-        total += p.l ** (-p.H * s) * cmath.exp(-1j * omega * s * p.T) * q
-    a, b = _series_prefactors(chain, j, r)
-    tail = abs(rho) ** (S + 1) * (abs(a) + abs(b)) / ((1 - abs(rho)) * 2 * math.pi)
-    return SeriesValue(value=total / (2 * math.pi), tail_bound=float(tail))
+    zr = rho * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
+    powers = np.zeros_like(zr)  # sum_{s=1..S} zr**s
+    for _ in range(S):
+        powers = (powers + 1) * zr
+    A = _lag0(chain)
+    # (1 + powers) A + conj(powers) A^T as one product: no second grid-sized temporary
+    coef = np.stack([1 + powers, np.conj(powers)], axis=-1)
+    out = (coef @ np.stack([A, A.T]).reshape(2, -1)).reshape(len(zr), chain.T, chain.T)
+    out /= 2 * math.pi
+    return out
 
 
-def spectral_sum_grid(
-    chain: HChain, omegas: np.ndarray, s_trunc: int | None = None
-) -> np.ndarray:
-    """Vectorized :func:`spectral_sum` values, shape (len(omegas), T, T)."""
-    p = chain.params
-    rho = convergence_ratio(chain)
-    if abs(rho) >= 1:
-        raise ConvergenceError(
-            f"series ratio |rho| = {abs(rho)} >= 1; the spectral series diverges"
-        )
+def spectral_sum(
+    chain: HChain, j: int, r: int, omega: float, s_trunc: int | None = None
+) -> SeriesValue:
+    """Entry (j, r) of :func:`spectral_sum_grid` at ``omega``, with its geometric tail bound."""
+    value = spectral_sum_grid(chain, [omega], s_trunc)[0, j, r]
+    rho = abs(convergence_ratio(chain))
     S = auto_truncation(rho) if s_trunc is None else s_trunc
-    qc = build_qcov(chain)
-    omegas = np.asarray(omegas, dtype=float)
-    out = np.zeros((len(omegas), chain.T, chain.T), dtype=complex)
-    for s in range(-S, S + 1):
-        q = qc.matrix(0, s)
-        phase = p.l ** (-p.H * s) * np.exp(-1j * omegas * s * p.T)
-        out += phase[:, np.newaxis, np.newaxis] * q[np.newaxis, :, :]
-    return out / (2 * math.pi)
+    A = _lag0(chain)
+    tail = rho ** (S + 1) * (abs(A[j, r]) + abs(A[r, j])) / ((1 - rho) * 2 * math.pi)
+    return SeriesValue(value=complex(value), tail_bound=float(tail))
 
 
-def second_term_forms(chain: HChain, j: int, r: int, omega: float) -> tuple[complex, complex]:
-    """The closed form's second term, two algebraically identical ways.
+def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
+    """Two-term closed form of the embedding density, shape (len(omegas), T, T).
 
-    Direct: ``-b / (1 - e^{-i omega T} alpha**(H T) / htilde_period)``.
-    Geometric: ``b * e^{i omega T} rho / (1 - e^{i omega T} rho)``, the summed
-    negative-lag geometric series.  Both are divided by 2 pi.  The direct form
-    has a removable breakdown when the ratio chain vanishes; use the geometric
-    form there.
-    """
-    p = chain.params
-    rho = convergence_ratio(chain)
-    _, b = _series_prefactors(chain, j, r)
-    zbar = cmath.exp(1j * omega * p.T)
-    geometric = b * zbar * rho / (1 - zbar * rho) / (2 * math.pi)
-    if chain.htilde_period == 0.0:
-        raise PoleError("ratio chain vanishes over a period; direct form undefined")
-    z = cmath.exp(-1j * omega * p.T)
-    denom = 1 - z * p.alpha ** (p.H * p.T) / chain.htilde_period
-    if abs(denom) < _POLE_TOL:
-        raise PoleError(f"denominator {abs(denom)} within {_POLE_TOL} of a pole")
-    direct = -b / denom / (2 * math.pi)
-    return direct, geometric
-
-
-def spectral_closed(chain: HChain, j: int, r: int, omega: float) -> complex:
-    """Two-term closed form of the embedding density entry (j, r).
-
-    ``(1/2 pi) [ a / (1 - e^{-i omega T} rho) + second term ]`` with
-    ``a = htilde(j-1) r0[r] / htilde(r-1)`` and ``rho`` the convergence ratio.
+    ``(1/2 pi) [A / (1 - z rho) + A^T conj(z) rho / (1 - conj(z) rho)]`` with
+    ``z = e^{-i omega T}``, ``A[j, r] = htilde(j-1) r0[r] / htilde(r-1)`` and
+    ``rho`` the convergence ratio.  The second term is exactly zero when the
+    ratio chain vanishes over a period (``rho = 0``).
 
     Raises
     ------
@@ -348,79 +346,61 @@ def spectral_closed(chain: HChain, j: int, r: int, omega: float) -> complex:
     PoleError
         If a denominator comes within 1e-14 of zero.
     """
-    p = chain.params
-    rho = convergence_ratio(chain)
-    if abs(rho) >= 1:
-        raise ConvergenceError(
-            f"series ratio |rho| = {abs(rho)} >= 1; no spectral density exists"
-        )
-    a, b = _series_prefactors(chain, j, r)
-    z = cmath.exp(-1j * omega * p.T)
-    denom1 = 1 - z * rho
-    if abs(denom1) < _POLE_TOL:
-        raise PoleError(f"denominator {abs(denom1)} within {_POLE_TOL} of a pole")
-    term1 = a / denom1 / (2 * math.pi)
-    if chain.htilde_period == 0.0:
-        # negative-lag side vanishes with the chain; its sum is exactly zero
-        return complex(term1)
-    term2, _ = second_term_forms(chain, j, r, omega)
-    return complex(term1 + term2)
+    rho = _convergent_ratio(chain)
+    zr = rho * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
+    denom = 1 - zr
+    if np.any(np.abs(denom) < _POLE_TOL):
+        raise PoleError(f"denominator {np.min(np.abs(denom))} within {_POLE_TOL} of a pole")
+    A = _lag0(chain)
+    out = A / denom[:, np.newaxis, np.newaxis]
+    out += A.T * (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
+    out /= 2 * math.pi
+    return out
 
 
-def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
-    """Closed-form values on a frequency grid, shape (len(omegas), T, T)."""
-    p = chain.params
-    rho = convergence_ratio(chain)
-    if abs(rho) >= 1:
-        raise ConvergenceError(
-            f"series ratio |rho| = {abs(rho)} >= 1; no spectral density exists"
-        )
-    qc = build_qcov(chain)
-    omegas = np.asarray(omegas, dtype=float)
-    z = np.exp(-1j * omegas * p.T)
-    A = qc.C * qc.r0[np.newaxis, :]
-    B = (qc.C * qc.r0[np.newaxis, :]).T
-    t1 = A[np.newaxis, :, :] / (1 - z * rho)[:, np.newaxis, np.newaxis]
-    if chain.htilde_period == 0.0:
-        return t1 / (2 * math.pi)
-    zbar = np.exp(1j * omegas * p.T)
-    t2 = B[np.newaxis, :, :] * (zbar * rho / (1 - zbar * rho))[:, np.newaxis, np.newaxis]
-    return (t1 + t2) / (2 * math.pi)
+def spectral_closed(chain: HChain, j: int, r: int, omega: float) -> complex:
+    """Entry (j, r) of :func:`spectral_closed_grid` at ``omega``."""
+    return complex(spectral_closed_grid(chain, [omega])[0, j, r])
 
 
-def spectral_diag(chain: HChain, k: int, omega: float) -> float:
+def spectral_diag(chain: HChain, k, omega):
     """Diagonal density ``r0[k] (1 - rho^2) / (2 pi (1 - 2 cos(omega T) rho + rho^2))``.
 
     Strictly positive for every valid chain with ``|rho| < 1``; equals the real
-    part of the (k, k) closed form.
+    part of the (k, k) closed form.  ``k`` and ``omega`` may be broadcast
+    arrays; scalars give a float.
     """
-    p = chain.params
-    rho = convergence_ratio(chain)
-    if abs(rho) >= 1:
-        raise ConvergenceError(
-            f"series ratio |rho| = {abs(rho)} >= 1; no spectral density exists"
-        )
-    denom = 1 - 2 * math.cos(omega * p.T) * rho + rho * rho
-    if abs(denom) < _POLE_TOL:
-        raise PoleError(f"denominator {abs(denom)} within {_POLE_TOL} of a pole")
-    return float(chain.seed.r0[k % chain.T]) * (1 - rho * rho) / (2 * math.pi * denom)
+    rho = _convergent_ratio(chain)
+    denom = 1 - 2 * np.cos(np.asarray(omega, dtype=float) * chain.T) * rho + rho * rho
+    if np.any(np.abs(denom) < _POLE_TOL):
+        raise PoleError(f"denominator {np.min(np.abs(denom))} within {_POLE_TOL} of a pole")
+    out = chain.seed.r0[np.asarray(k) % chain.T] * (1 - rho * rho) / (2 * math.pi * denom)
+    return float(out) if out.ndim == 0 else out
 
 
-def simple_bm_spectral(params: DsiParams, j: int, r: int, omega: float) -> complex:
+def simple_bm_spectral(params: DsiParams, j, r, omega):
     """Embedding density of simple BM in its fully explicit form.
 
     ``(alpha**(2 T (H - 1/2)) / 2 pi) * [alpha**r / (1 - e^{-i omega T} alpha**(-T/2))
-    - alpha**j / (1 - e^{-i omega T} alpha**(T/2))]``.
+    - alpha**j / (1 - e^{-i omega T} alpha**(T/2))]``.  ``j``, ``r`` and
+    ``omega`` may be broadcast arrays; scalars give a complex.
     """
     T = params.T
-    if not (0 <= j < T and 0 <= r < T):
+    j, r = np.asarray(j), np.asarray(r)
+    if np.any((j < 0) | (j >= T) | (r < 0) | (r >= T)):
         raise IndexError(f"component indices must lie in 0..{T - 1}, got ({j}, {r})")
-    z = cmath.exp(-1j * omega * T)
+    z = np.exp(-1j * np.asarray(omega, dtype=float) * T)
     lead = params.alpha ** (2 * T * (params.H - 0.5)) / (2 * math.pi)
-    return lead * (
+    out = lead * (
         params.alpha ** r / (1 - z * params.alpha ** (-T / 2))
         - params.alpha ** j / (1 - z * params.alpha ** (T / 2))
     )
+    return complex(out) if out.ndim == 0 else out
+
+
+def _hermitian(closed: np.ndarray) -> np.ndarray:
+    """Lower triangle of ``closed`` (last two axes), conjugated across the diagonal."""
+    return np.tril(closed) + np.conj(np.swapaxes(np.tril(closed, -1), -1, -2))
 
 
 def spectral_matrix(chain: HChain, omega: float) -> np.ndarray:
@@ -430,15 +410,7 @@ def spectral_matrix(chain: HChain, omega: float) -> np.ndarray:
     symmetric covariance series); entries above the diagonal are their
     conjugates.  The diagonal is real up to rounding.
     """
-    T = chain.T
-    out = np.empty((T, T), dtype=complex)
-    for j in range(T):
-        for r in range(j + 1):
-            v = spectral_closed(chain, j, r, omega)
-            out[j, r] = v
-            if j != r:
-                out[r, j] = v.conjugate()
-    return out
+    return _hermitian(spectral_closed_grid(chain, [omega])[0])
 
 
 @dataclass(frozen=True)
@@ -465,13 +437,11 @@ class SpectralMatrix:
 
 def spectral_matrix_grid(chain: HChain, grid: FrequencyGrid) -> SpectralMatrix:
     """Hermitian embedding density matrices over a frequency grid."""
-    entries = np.stack([spectral_matrix(chain, w) for w in grid.omegas])
-    return SpectralMatrix(grid=grid, entries=entries)
+    return SpectralMatrix(grid=grid, entries=_hermitian(spectral_closed_grid(chain, grid.omegas)))
 
 
 def f_matrix_grid(
     table: BkTable, grid: FrequencyGrid, s_trunc: int | None = None
 ) -> SpectralMatrix:
     """Stationarized-counterpart density matrices over a frequency grid."""
-    entries = np.stack([f_matrix(table, w, s_trunc) for w in grid.omegas])
-    return SpectralMatrix(grid=grid, entries=entries)
+    return SpectralMatrix(grid=grid, entries=f_matrix(table, grid.omegas, s_trunc))

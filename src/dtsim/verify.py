@@ -8,12 +8,11 @@ just a boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .core import CovarianceSeed, DsiParams, HChain, make_chain
-from .covariance import dtsim_cov, markov_triangle_residual, simple_bm_cov
+from .covariance import cov_table, markov_triangle_residual, pc_counterpart_cov, simple_bm_cov
 from .lamperti import SampledFunction, lamperti_forward, lamperti_inverse, verify_commutation
 from .spectral import (
     FrequencyGrid,
@@ -21,7 +20,6 @@ from .spectral import (
     build_bk_table,
     dsi_cov_from_spectra,
     f_matrix_grid,
-    pc_counterpart_cov,
     spectral_closed_grid,
     spectral_matrix_grid,
     spectral_sum_grid,
@@ -73,29 +71,28 @@ def _check_roundtrip(params: DsiParams) -> CheckResult:
 
 def _check_oracle(chain: HChain) -> CheckResult:
     p = chain.params
-    worst = 0.0
-    for n in range(2 * p.T):
-        for tau in range(-2 * p.T, 2 * p.T + 1):
-            if n + tau < 0:
-                continue
-            closed = dtsim_cov(chain, n, tau)
-            oracle = simple_bm_cov(p.alpha ** (n + tau), p.alpha ** n, p.H, p.l)
-            worst = max(worst, abs(closed - oracle) / max(abs(closed), abs(oracle)))
-    return CheckResult("oracle_equivalence", worst, 1e-12)
+    n, tau = np.meshgrid(np.arange(2 * p.T), np.arange(-2 * p.T, 2 * p.T + 1), indexing="ij")
+    keep = n + tau >= 0
+    n, tau = n[keep], tau[keep]
+    closed = cov_table(chain, n, tau)
+    oracle = np.array([
+        simple_bm_cov(p.alpha ** (a + b), p.alpha ** a, p.H, p.l)
+        for a, b in zip(n.tolist(), tau.tolist())
+    ])
+    worst = np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), np.abs(oracle)))
+    return CheckResult("oracle_equivalence", float(worst), 1e-12)
 
 
 def _check_triangle(chain: HChain) -> CheckResult:
-    p = chain.params
-    idx = range(4 * p.T + 1)
-    table = {
-        (a, b): dtsim_cov(chain, a, b - a) for a in idx for b in idx if a <= b
-    }
-    cov = lambda t, s: table[(min(t, s), max(t, s))]
+    idx = np.arange(4 * chain.T + 1)
+    table = cov_table(chain, np.minimum.outer(idx, idx), np.abs(np.subtract.outer(idx, idx)))
+    cov = lambda t, s: table[t, s]
     worst = 0.0
-    for a, b, c in combinations_with_replacement(idx, 3):
+    for b in idx:  # all ordered triples a <= b <= c, one middle index at a time
+        a, c = idx[: b + 1, np.newaxis], idx[np.newaxis, b:]
         res = markov_triangle_residual(cov, a, b, c)
-        scale = max(abs(cov(a, c) * cov(b, b)), abs(cov(a, b) * cov(b, c)), 1e-300)
-        worst = max(worst, abs(res) / scale)
+        scale = np.maximum(np.abs(cov(a, c) * cov(b, b)), np.abs(cov(a, b) * cov(b, c)))
+        worst = max(worst, float(np.max(np.abs(res) / np.maximum(scale, 1e-300))))
     return CheckResult("markov_triangle", worst, 1e-12)
 
 
@@ -119,22 +116,17 @@ def _check_series_vs_closed(chain: HChain) -> CheckResult:
 
 
 def _check_phase_roundtrip(chain: HChain) -> CheckResult:
-    p = chain.params
-    table = build_bk_table(chain, tau_window=2 * p.T)
-    worst = 0.0
-    for tau in range(-2 * p.T, 2 * p.T + 1):
-        pc = [pc_counterpart_cov(chain, n, tau) for n in range(p.T)]
-        bks = [bk_from_pc_cov(pc, k) for k in range(p.T)]
-        for n in range(p.T):
-            recon = float(
-                sum(bks[k] * np.exp(2j * np.pi * k * n / p.T) for k in range(p.T)).real
-            )
-            worst = max(worst, abs(recon - pc[n]) / max(1.0, abs(pc[n])))
-    for n in range(2 * p.T):
-        for tau in range(-p.T, p.T + 1):
-            recon = dsi_cov_from_spectra(chain, n, tau, table)
-            want = dtsim_cov(chain, n, tau)
-            worst = max(worst, abs(recon - want) / max(1.0, abs(want)))
+    T = chain.T
+    table = build_bk_table(chain, tau_window=2 * T)
+    phases = np.arange(T)
+    pc = pc_counterpart_cov(chain, phases[:, np.newaxis], np.arange(-2 * T, 2 * T + 1))
+    bks = bk_from_pc_cov(pc, phases)
+    recon = np.tensordot(np.exp(2j * np.pi * np.multiply.outer(phases, phases) / T), bks, axes=1).real
+    worst = float(np.max(np.abs(recon - pc) / np.maximum(1.0, np.abs(pc))))
+    n, tau = np.arange(2 * T)[:, np.newaxis], np.arange(-T, T + 1)
+    recon = dsi_cov_from_spectra(chain, n, tau, table)
+    want = cov_table(chain, n, tau)
+    worst = max(worst, float(np.max(np.abs(recon - want) / np.maximum(1.0, np.abs(want)))))
     return CheckResult("phase_expansion_roundtrip", worst, 1e-10)
 
 

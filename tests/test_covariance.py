@@ -18,6 +18,7 @@ from dtsim import (
     CovarianceSeed,
     DomainError,
     annulus_index,
+    cov_table,
     dsi_cov_check,
     dtsim_cov,
     kernel_cov,
@@ -249,3 +250,34 @@ def test_cauchy_schwarz_property(case):
     lhs = abs(dtsim_cov(chain, n, tau))
     bound = math.sqrt(dtsim_cov(chain, n + tau, 0) * dtsim_cov(chain, n, 0))
     assert lhs <= bound * (1 + 1e-9)
+
+
+@st.composite
+def cov_table_cases(draw):
+    """A chain at T in {1, 2, 8, 32} (simple BM, non-BM, negative ratio) and index arrays."""
+    T = draw(st.sampled_from([1, 2, 8, 32]))
+    p = make_params(0.75, 2.0, T)
+    kind = draw(st.sampled_from(["bm", "nonbm", "neg"]))
+    seed = {
+        "bm": lambda: simple_bm_seed(p),
+        "nonbm": lambda: correlated_seed(p, (0.6, 0.35, 0.8, 0.5)),
+        "neg": lambda: correlated_seed(p, (-0.4, 0.7, -0.25, 0.55)),
+    }[kind]()
+    size = draw(st.integers(min_value=1, max_value=12))
+    ints = st.lists(st.integers(min_value=-3 * T, max_value=3 * T), min_size=size, max_size=size)
+    return make_chain(p, seed), np.array(draw(ints)), np.array(draw(ints))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cov_table_cases())
+def test_cov_table_matches_scalar_and_is_symmetric(case):
+    chain, n, tau = case
+    table = cov_table(chain, n, tau)
+    assert table.shape == n.shape
+    scalar = np.array([dtsim_cov(chain, int(a), int(b)) for a, b in zip(n, tau)])
+    assert np.array_equal(table, scalar)
+    mirrored = cov_table(chain, n + tau, -tau)
+    assert np.all(np.abs(table - mirrored) <= 1e-12 * np.maximum(1.0, np.abs(table)))
+    # broadcasting: a column of base indices against a row of lags
+    grid = cov_table(chain, n[:, np.newaxis], tau)
+    assert np.array_equal(np.diagonal(grid), table)

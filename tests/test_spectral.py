@@ -20,6 +20,8 @@ import math
 import numpy as np
 import pytest
 
+from dtsim.cli import main as cli_main
+
 from dtsim import (
     BkTable,
     ConvergenceError,
@@ -31,6 +33,7 @@ from dtsim import (
     auto_truncation,
     bk_from_pc_cov,
     build_bk_table,
+    build_qcov,
     convergence_ratio,
     dsi_cov_from_spectra,
     dtsim_cov,
@@ -41,7 +44,6 @@ from dtsim import (
     make_chain,
     make_params,
     pc_counterpart_cov,
-    second_term_forms,
     simple_bm_seed,
     simple_bm_spectral,
     spectral_closed,
@@ -52,7 +54,6 @@ from dtsim import (
     spectral_sum,
     spectral_sum_grid,
 )
-from dtsim.spectral import _series_prefactors
 
 from conftest import chain_variants
 
@@ -61,6 +62,35 @@ OMEGAS = (0.0, 0.7, 2.1, math.pi, 5.0)
 
 def _scaled(diff: float, *refs: float) -> float:
     return diff / max(1.0, *map(abs, refs))
+
+
+def _series_prefactors(chain, j: int, r: int) -> tuple[float, float]:
+    """Coefficients of the closed form's s >= 0 side (a) and s <= -1 side (b)."""
+    qc = build_qcov(chain)
+    return float(qc.C[j, r] * qc.r0[r]), float(qc.C[r, j] * qc.r0[j])
+
+
+def second_term_forms(chain, j: int, r: int, omega: float) -> tuple[complex, complex]:
+    """Reference: the closed form's second term, two algebraically identical ways.
+
+    Direct: ``-b / (1 - e^{-i omega T} alpha**(H T) / htilde_period)``.
+    Geometric: ``b * e^{i omega T} rho / (1 - e^{i omega T} rho)``, the summed
+    negative-lag geometric series.  Both are divided by 2 pi.  The direct form
+    has a removable breakdown when the ratio chain vanishes.
+    """
+    p = chain.params
+    rho = convergence_ratio(chain)
+    _, b = _series_prefactors(chain, j, r)
+    zbar = cmath.exp(1j * omega * p.T)
+    geometric = b * zbar * rho / (1 - zbar * rho) / (2 * math.pi)
+    if chain.htilde_period == 0.0:
+        raise PoleError("ratio chain vanishes over a period; direct form undefined")
+    z = cmath.exp(-1j * omega * p.T)
+    denom = 1 - z * p.alpha ** (p.H * p.T) / chain.htilde_period
+    if abs(denom) < 1e-14:
+        raise PoleError(f"denominator {abs(denom)} within 1e-14 of a pole")
+    direct = -b / denom / (2 * math.pi)
+    return direct, geometric
 
 
 def test_frequency_grid():
@@ -381,11 +411,17 @@ def test_simple_bm_explicit_form(lattice_params):
 
 
 def test_second_term_forms_agree(lattice_params):
+    T = lattice_params.T
     for chain in chain_variants(lattice_params):
+        rho = convergence_ratio(chain)
         for w in OMEGAS:
-            for j in range(lattice_params.T):
+            for j in range(T):
                 direct, geometric = second_term_forms(chain, j, 0, w)
                 assert _scaled(abs(direct - geometric), abs(direct)) <= 1e-12
+                a, _ = _series_prefactors(chain, j, 0)
+                first = a / (1 - cmath.exp(-1j * w * T) * rho) / (2 * math.pi)
+                full = spectral_closed(chain, j, 0, w)
+                assert _scaled(abs(first + direct - full), abs(full)) <= 1e-12
 
 
 def test_divergent_chain_raises():
@@ -415,3 +451,53 @@ def test_white_noise_chain():
         assert spectral_closed(chain, 0, 0, w) == pytest.approx(2.0 / (2 * math.pi))
     with pytest.raises(PoleError):
         second_term_forms(chain, 0, 0, 0.3)
+
+
+def _seed_shape(T: int, rho: float, alpha: float = 2.0, H: float = 0.75) -> CovarianceSeed:
+    """Unit variances with per-period ratio ``rho``: near ``rho = 1`` the series needs long lags."""
+    r1 = np.full(T, rho ** (1.0 / T))
+    r1[-1] *= alpha ** (H * T)
+    return CovarianceSeed(r0=np.ones(T), r1=r1)
+
+
+@pytest.mark.parametrize("T, rho", [(2, 0.95), (2, 0.98), (4, 0.95)])
+def test_long_series_seeds_stay_finite(T, rho, tmp_path, capsys):
+    """Period weights and chain powers enter as one power of rho, so nothing under- or overflows."""
+    p = make_params(0.75, 2.0, T)
+    seed = _seed_shape(T, rho)
+    chain = make_chain(p, seed)
+    assert convergence_ratio(chain) == pytest.approx(rho, rel=1e-12)
+    table = build_bk_table(chain)
+    assert np.all(np.isfinite(table.values))
+    e = f_matrix_grid(table, FrequencyGrid(16)).entries
+    assert np.max(np.abs(e - np.conj(np.swapaxes(e, 1, 2)))) <= 1e-12 * np.max(np.abs(e))
+    omegas = FrequencyGrid(16).omegas
+    closed = spectral_closed_grid(chain, omegas)
+    series = spectral_sum_grid(chain, omegas)
+    assert np.max(np.abs(series - closed)) <= 1e-10 * np.max(np.abs(closed))
+    seed_path = tmp_path / "seed.csv"
+    seed.to_csv(seed_path)
+    out = tmp_path / "spectra.csv"
+    code = cli_main(["spectra", "--T", str(T), "--seed-file", str(seed_path), "--methods",
+                     "closed,sum,diag", "--n-omega", "16", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 16 * (2 * T * T + T)
+
+
+def test_f_matrix_grid_matches_direct_sum():
+    """Horner evaluation against the plain exponential sum at long-series size (about 1079 lags)."""
+    p = make_params(0.75, 2.0, 2)
+    chain = make_chain(p, _seed_shape(2, 0.95))
+    table = build_bk_table(chain)
+    S = table.tau_window - p.T
+    grid = FrequencyGrid(512)
+    got = f_matrix_grid(table, grid).entries
+    taus = np.arange(-S, S + 1)
+    want = np.empty_like(got)
+    for j in range(p.T):
+        arg = ((grid.omegas - 2 * math.pi * j) / p.T) % (2 * math.pi)
+        waves = np.exp(-1j * np.outer(arg, taus))
+        for k in range(p.T):
+            row = table.values[(k - j) % p.T, table.tau_window - S : table.tau_window + S + 1]
+            want[:, j, k] = waves @ row / (2 * math.pi * p.T)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
