@@ -29,31 +29,10 @@ from .spectral import (
     spectral_diag,
     spectral_sum_grid,
 )
+from .table import write_table
 from .verify import perturb_seed, run_checks
 
 _METHODS = ("closed", "sum", "example", "diag")
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _emit(rows: list[dict], columns: list[str], fmt: str, out: str | None) -> None:
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_config(path: str | None) -> dict:
@@ -112,14 +91,21 @@ def cmd_simulate(args) -> int:
     out, fmt = _out_and_format(args, cfg)
     sim = simulate_brownian if args.process == "brownian" else simulate_simple_bm
     ens = sim(params, n_paths, k_max, rng_seed)
-    times = ens.times
-    rows = [
-        {"path": p, "k": k, "t": float(times[k]), "value": float(ens.paths[p, k])}
-        for p in range(n_paths)
-        for k in range(k_max + 1)
-    ]
-    _emit(rows, ["path", "k", "t", "value"], fmt, out)
+    write_table([ens.columns()], fmt, out)
     return 0
+
+
+def _ranges(args, n_max: int, tau_min: int, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices ``n`` and lags ``tau`` from the flags, with the given defaults."""
+    n_min = args.n_min
+    n_max = args.n_max if args.n_max is not None else n_max
+    tau_min = args.tau_min if args.tau_min is not None else tau_min
+    tau_max = args.tau_max if args.tau_max is not None else tau_max
+    if n_min < 0 or n_max < n_min or tau_max < tau_min:
+        raise DomainError(
+            f"bad ranges: n in [{n_min}, {n_max}], tau in [{tau_min}, {tau_max}]"
+        )
+    return np.arange(n_min, n_max + 1), np.arange(tau_min, tau_max + 1)
 
 
 def cmd_cov(args) -> int:
@@ -128,44 +114,36 @@ def cmd_cov(args) -> int:
     seed, is_builtin = _resolve_seed(args, cfg, params)
     chain = make_chain(params, seed)
     out, fmt = _out_and_format(args, cfg)
-    n_min, n_max = args.n_min, args.n_max if args.n_max is not None else 2 * params.T - 1
-    tau_min = args.tau_min if args.tau_min is not None else -params.T
-    tau_max = args.tau_max if args.tau_max is not None else 2 * params.T
-    if n_min < 0 or n_max < n_min or tau_max < tau_min:
-        raise DomainError(
-            f"bad ranges: n in [{n_min}, {n_max}], tau in [{tau_min}, {tau_max}]"
-        )
+    ns, taus = _ranges(args, 2 * params.T - 1, -params.T, 2 * params.T)
     mc_paths = int(_opt(args.mc_paths, cfg, ("mc", "n_paths"), 0))
     ens = None
     if mc_paths > 0:
-        k_need = max(n_max, n_max + tau_max)
+        k_need = int(max(ns[-1], ns[-1] + taus[-1]))
         rng_seed = int(_opt(args.mc_seed, cfg, ("mc", "rng_seed"), 0))
         ens = simulate_simple_bm(params, mc_paths, k_need, rng_seed)
-    n, tau = np.meshgrid(np.arange(n_min, n_max + 1), np.arange(tau_min, tau_max + 1), indexing="ij")
+    n, tau = np.meshgrid(ns, taus, indexing="ij")
     keep = n + tau >= 0
     n, tau = n[keep], tau[keep]
-    rows = []
-    for n, tau, closed_form in zip(n.tolist(), tau.tolist(), cov_table(chain, n, tau).tolist()):
-        oracle = (
-            simple_bm_cov(params.alpha ** (n + tau), params.alpha ** n, params.H, params.l)
-            if is_builtin
-            else None
+    oracle = mc_est = mc_se = None
+    if is_builtin:
+        alpha, H, lam = params.alpha, params.H, params.l
+        oracle = np.array(
+            [simple_bm_cov(alpha ** (a + b), alpha ** a, H, lam) for a, b in zip(n.tolist(), tau.tolist())],
+            dtype=float,
         )
-        mc_est = mc_se = None
-        if ens is not None:
-            est = empirical_cov(ens, n, tau)
-            mc_est, mc_se = est.value, est.std_error
-        rows.append(
-            {
-                "n": n,
-                "tau": tau,
-                "closed_form": closed_form,
-                "oracle": oracle,
-                "mc_estimate": mc_est,
-                "mc_stderr": mc_se,
-            }
-        )
-    _emit(rows, ["n", "tau", "closed_form", "oracle", "mc_estimate", "mc_stderr"], fmt, out)
+    if ens is not None:
+        est = [empirical_cov(ens, a, b) for a, b in zip(n.tolist(), tau.tolist())]
+        mc_est = np.array([e.value for e in est], dtype=float)
+        mc_se = np.array([e.std_error for e in est], dtype=float)
+    table = {
+        "n": n,
+        "tau": tau,
+        "closed_form": cov_table(chain, n, tau),
+        "oracle": oracle,
+        "mc_estimate": mc_est,
+        "mc_stderr": mc_se,
+    }
+    write_table([table], fmt, out)
     return 0
 
 
@@ -186,7 +164,7 @@ def cmd_spectra(args) -> int:
     trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None)
     omegas = FrequencyGrid(n_omega).omegas
     idx = np.arange(params.T)
-    rows = []
+    parts = []
     for method in methods:
         if method == "closed":
             vals = spectral_closed_grid(chain, omegas)
@@ -197,13 +175,12 @@ def cmd_spectra(args) -> int:
         else:  # diag: real values, one row per component
             vals = spectral_diag(chain, idx, omegas[:, np.newaxis])
         js, rs = (idx, idx) if method == "diag" else np.divmod(np.arange(params.T ** 2), params.T)
-        js, rs = js.tolist(), rs.tolist()
-        rows.extend(
-            {"omega": w, "j": a, "r": b, "re": v.real, "im": v.imag, "method": method}
-            for w, row in zip(omegas.tolist(), vals.reshape(len(omegas), -1).tolist())
-            for a, b, v in zip(js, rs, row)
-        )
-    _emit(rows, ["omega", "j", "r", "re", "im", "method"], fmt, out)
+        vals = vals.reshape(len(omegas), -1)
+        parts.append({
+            "omega": omegas[:, np.newaxis], "j": js, "r": rs,
+            "re": vals.real, "im": vals.imag, "method": np.array(method),
+        })
+    write_table(parts, fmt, out)
     return 0
 
 
@@ -213,19 +190,17 @@ def cmd_embed(args) -> int:
     seed, _ = _resolve_seed(args, cfg, params)
     chain = make_chain(params, seed)
     out, fmt = _out_and_format(args, cfg)
-    n_max = args.n_max if args.n_max is not None else 2
-    tau_max = args.tau_max if args.tau_max is not None else 3
-    tau_min = args.tau_min if args.tau_min is not None else 0
-    rows = []
-    for n in range(args.n_min, n_max + 1):
-        for tau in range(tau_min, tau_max + 1):
-            mat = q_cov(chain, n, tau)
-            for j in range(params.T):
-                for k in range(params.T):
-                    rows.append(
-                        {"n": n, "tau": tau, "j": j, "k": k, "value": float(mat[j, k])}
-                    )
-    _emit(rows, ["n", "tau", "j", "k", "value"], fmt, out)
+    ns, taus = _ranges(args, 2, 0, 3)
+    values = np.array([[q_cov(chain, n, tau) for tau in taus.tolist()] for n in ns.tolist()])
+    idx = np.arange(params.T)
+    table = {
+        "n": ns[:, np.newaxis, np.newaxis, np.newaxis],
+        "tau": taus[:, np.newaxis, np.newaxis],
+        "j": idx[:, np.newaxis],
+        "k": idx,
+        "value": values,
+    }
+    write_table([table], fmt, out)
     return 0
 
 
@@ -233,11 +208,12 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     params = _resolve_params(args, cfg)
     seed, _ = _resolve_seed(args, cfg, params)
+    out, fmt = _out_and_format(args, cfg)
     if args.perturb:
         seed = perturb_seed(seed, args.perturb, int(args.seed or 0))
     results = run_checks(params, seed)
     ok = all(r.passed for r in results)
-    if args.json:
+    if args.json or fmt == "json":
         payload = {
             "checks": [
                 {
@@ -261,8 +237,8 @@ def cmd_verify(args) -> int:
             )
         lines.append(f"overall: {'pass' if ok else 'FAIL'}")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

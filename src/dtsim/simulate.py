@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import DsiParams, _readonly
 from .errors import DomainError
+from .table import write_table
 
 __all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm", "empirical_cov"]
 
@@ -43,16 +44,18 @@ class Ensemble:
     def times(self) -> np.ndarray:
         return self.params.alpha ** np.arange(self.k_max + 1)
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """Table columns ``path, k, t, value``, one row per (path, k), as ``table.write_table`` takes them."""
+        return {
+            "path": np.arange(self.n_paths)[:, np.newaxis],
+            "k": np.arange(self.k_max + 1),
+            "t": self.times,
+            "value": self.paths,
+        }
+
     def to_csv(self, path) -> None:
-        """Write rows ``path,k,t,value`` with 17-significant-digit floats."""
-        times = self.times
-        with open(path, "w", newline="") as fh:
-            fh.write("path,k,t,value\n")
-            for p in range(self.n_paths):
-                row = self.paths[p]
-                fh.writelines(
-                    f"{p},{k},{times[k]:.17g},{row[k]:.17g}\n" for k in range(self.k_max + 1)
-                )
+        """Write rows ``path,k,t,value`` with 17-significant-digit floats, as ``dtsim simulate`` does."""
+        write_table([self.columns()], "csv", path)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,34 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dtsim import CovarianceSeed, make_params, simple_bm_seed
+from dtsim import (
+    CovarianceSeed,
+    FrequencyGrid,
+    cov_table,
+    empirical_cov,
+    make_chain,
+    make_params,
+    q_cov,
+    simple_bm_cov,
+    simple_bm_seed,
+    simple_bm_spectral,
+    simulate_brownian,
+    simulate_simple_bm,
+    spectral_closed_grid,
+    spectral_diag,
+    spectral_sum_grid,
+)
+import dtsim
+from dtsim import table
 from dtsim.cli import main
+from dtsim.table import write_table
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -63,6 +83,18 @@ def test_cov_monte_carlo_columns(capsys):
 def test_cov_bad_ranges(capsys):
     code, _ = run_cli(capsys, "cov", "--n-min", "3", "--n-max", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["cov", "embed"])
+@pytest.mark.parametrize("ranges", [
+    ("--n-min", "3", "--n-max", "1"),
+    ("--tau-min", "2", "--tau-max", "0"),
+    ("--n-min", "-2"),
+])
+def test_reversed_or_negative_ranges_exit_2(capsys, command, ranges):
+    code, out = run_cli(capsys, command, *ranges)
+    assert code == 2
+    assert out == ""
 
 
 def test_simulate_reproducible(tmp_path, capsys):
@@ -159,6 +191,26 @@ def test_verify_passes(capsys):
     assert all(c["observed"] <= c["tolerance"] for c in payload["checks"])
 
 
+def test_verify_format_and_output_config(capsys, tmp_path):
+    code, out = run_cli(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    report = tmp_path / "report.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": {"path": str(report), "format": "json"}}))
+    code, out = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert out == ""
+    assert json.loads(report.read_text())["passed"] is True
+    # flags beat the config file; csv, the default, selects the text report
+    text = tmp_path / "report.txt"
+    code, out = run_cli(capsys, "verify", "--config", str(cfg), "--format", "csv",
+                        "--out", str(text))
+    assert code == 0
+    assert out == ""
+    assert text.read_text().endswith("overall: pass\n")
+
+
 def test_verify_fault_injection(capsys):
     code, out = run_cli(capsys, "verify", "--perturb", "1e-3", "--json")
     assert code == 1
@@ -230,9 +282,196 @@ def test_argparse_errors_map_to_config_exit(capsys):
 
 
 def test_module_entry_point():
+    # the child imports dtsim from where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(dtsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "dtsim.cli", "verify", "--json"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+# -- byte identity against the row-dict writer the table writer replaced -----
+def _ref_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _ref_emit(rows: list[dict], columns: list[str], fmt: str) -> str:
+    """One dict per row, one ``_ref_fmt`` per cell: the reference text."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines.extend(",".join(_ref_fmt(row[c]) for c in columns) for row in rows)
+        return "\n".join(lines) + "\n"
+    return json.dumps(rows, indent=2) + "\n"
+
+
+_PARAMS = make_params(0.75, 2.0, 2)
+
+
+def _ref_simulate(tmp_path, fmt, process):
+    sim = simulate_brownian if process == "brownian" else simulate_simple_bm
+    ens = sim(_PARAMS, 600, 16, 5)
+    times = ens.times
+    rows = [
+        {"path": p, "k": k, "t": float(times[k]), "value": float(ens.paths[p, k])}
+        for p in range(ens.n_paths)
+        for k in range(ens.k_max + 1)
+    ]
+    argv = ["simulate", "--paths", "600", "--kmax", "16", "--seed", "5", "--process", process]
+    return argv, _ref_emit(rows, ["path", "k", "t", "value"], fmt)
+
+
+def _ref_cov(tmp_path, fmt, seed):
+    seed_file = seed == "seed-file"
+    argv = ["cov", "--n-max", "3", "--tau-min", "-3", "--tau-max", "5"]
+    if seed_file:
+        seed = CovarianceSeed(r0=np.array([1.0, 2.0]), r1=np.array([0.5, 1.0]))
+        seed.to_csv(tmp_path / "seed.csv")
+        argv += ["--seed-file", str(tmp_path / "seed.csv")]
+    else:
+        argv += ["--mc-paths", "300", "--mc-seed", "4"]
+        seed = simple_bm_seed(_PARAMS)
+        ens = simulate_simple_bm(_PARAMS, 300, 8, 4)
+    chain = make_chain(_PARAMS, seed)
+    p = _PARAMS
+    n, tau = np.meshgrid(np.arange(0, 4), np.arange(-3, 6), indexing="ij")
+    keep = n + tau >= 0
+    n, tau = n[keep], tau[keep]
+    rows = []
+    for n, tau, closed_form in zip(n.tolist(), tau.tolist(), cov_table(chain, n, tau).tolist()):
+        oracle = mc_est = mc_se = None
+        if not seed_file:
+            oracle = simple_bm_cov(p.alpha ** (n + tau), p.alpha ** n, p.H, p.l)
+            est = empirical_cov(ens, n, tau)
+            mc_est, mc_se = est.value, est.std_error
+        rows.append({"n": n, "tau": tau, "closed_form": closed_form, "oracle": oracle,
+                     "mc_estimate": mc_est, "mc_stderr": mc_se})
+    return argv, _ref_emit(rows, ["n", "tau", "closed_form", "oracle", "mc_estimate", "mc_stderr"], fmt)
+
+
+def _ref_spectra(tmp_path, fmt, _):
+    p = make_params(0.75, 2.0, 3)
+    chain = make_chain(p, simple_bm_seed(p))
+    omegas = FrequencyGrid(12).omegas
+    idx = np.arange(p.T)
+    rows = []
+    for method in ("closed", "sum", "example", "diag"):
+        if method == "closed":
+            vals = spectral_closed_grid(chain, omegas)
+        elif method == "sum":
+            vals = spectral_sum_grid(chain, omegas)
+        elif method == "example":
+            vals = simple_bm_spectral(p, idx[:, np.newaxis], idx, omegas[:, np.newaxis, np.newaxis])
+        else:
+            vals = spectral_diag(chain, idx, omegas[:, np.newaxis])
+        js, rs = (idx, idx) if method == "diag" else np.divmod(np.arange(p.T ** 2), p.T)
+        js, rs = js.tolist(), rs.tolist()
+        rows.extend(
+            {"omega": w, "j": a, "r": b, "re": v.real, "im": v.imag, "method": method}
+            for w, row in zip(omegas.tolist(), vals.reshape(len(omegas), -1).tolist())
+            for a, b, v in zip(js, rs, row)
+        )
+    argv = ["spectra", "--T", "3", "--n-omega", "12", "--methods", "closed,sum,example,diag"]
+    return argv, _ref_emit(rows, ["omega", "j", "r", "re", "im", "method"], fmt)
+
+
+def _ref_embed(tmp_path, fmt, _):
+    p = make_params(0.75, 2.0, 3)
+    chain = make_chain(p, simple_bm_seed(p))
+    rows = []
+    for n in range(1, 4):
+        for tau in range(-2, 4):
+            mat = q_cov(chain, n, tau)
+            for j in range(p.T):
+                for k in range(p.T):
+                    rows.append({"n": n, "tau": tau, "j": j, "k": k, "value": float(mat[j, k])})
+    argv = ["embed", "--T", "3", "--n-min", "1", "--n-max", "3", "--tau-min", "-2"]
+    return argv, _ref_emit(rows, ["n", "tau", "j", "k", "value"], fmt)
+
+
+@pytest.mark.parametrize("dest", ["out", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("reference,variant", [
+    (_ref_simulate, "simple-bm"),
+    (_ref_simulate, "brownian"),
+    (_ref_cov, "builtin-mc"),
+    (_ref_cov, "seed-file"),
+    (_ref_spectra, None),
+    (_ref_embed, None),
+])
+def test_tables_match_row_dict_reference(capsys, tmp_path, monkeypatch, reference, variant, fmt, dest):
+    argv, want = reference(tmp_path, fmt, variant)
+    # small blocks, so every table spans several of them
+    monkeypatch.setattr(table, "BLOCK_ROWS", 50)
+    argv += ["--format", fmt]
+    if dest == "out":
+        path = tmp_path / f"table.{fmt}"
+        code, out = run_cli(capsys, *argv, "--out", str(path))
+        assert out == ""
+        got = path.read_bytes()
+    else:
+        code, out = run_cli(capsys, *argv)
+        got = out.encode()
+    assert code == 0
+    assert got == want.encode()
+
+
+def test_default_block_size_matches_reference(capsys, tmp_path):
+    argv, want = _ref_simulate(tmp_path, "csv", "simple-bm")
+    assert 600 * 17 > table.BLOCK_ROWS
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == want
+
+
+# -- the writer on special values and empty tables ---------------------------
+_SPECIAL = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, np.finfo(float).max, 0.1, -2.5e-310, 1e16, 123456789.0])
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 8192])
+def test_writer_special_values(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(table, "BLOCK_ROWS", block_rows)
+    parts = [
+        {"i": np.arange(len(_SPECIAL)), "x": _SPECIAL, "absent": None, "s": np.array("a")},
+        {"i": np.array(-7), "x": np.array([[1.5], [-np.inf]]), "absent": None, "s": np.array(["b", "c"])},
+    ]
+    rows = [{"i": int(i), "x": float(x), "absent": None, "s": "a"} for i, x in enumerate(_SPECIAL)]
+    rows += [{"i": -7, "x": x, "absent": None, "s": s} for x in (1.5, -math.inf) for s in "bc"]
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"t.{fmt}"
+        write_table(parts, fmt, str(path))
+        text = path.read_text()
+        assert text == _ref_emit(rows, ["i", "x", "absent", "s"], fmt)
+    csv_rows = (tmp_path / "t.csv").read_text().splitlines()[1:5]
+    assert csv_rows == ["0,inf,,a", "1,-inf,,a", "2,nan,,a", "3,-0,,a"]
+    objs = (tmp_path / "t.json").read_text()
+    assert '"x": Infinity' in objs and '"x": -Infinity' in objs and '"x": NaN' in objs
+    assert '"x": -0.0' in objs and '"absent": null' in objs
+    back = json.loads(objs)
+    assert math.isnan(back[2]["x"]) and math.copysign(1.0, back[3]["x"]) == -1.0
+
+
+def test_writer_zero_rows(tmp_path, capsys):
+    empty = {"a": np.arange(0)[:, np.newaxis], "b": np.zeros((0, 3)), "c": None}
+    write_table([empty], "csv", None)
+    assert capsys.readouterr().out == "a,b,c\n"
+    write_table([empty, empty], "json", None)
+    assert capsys.readouterr().out == "[]\n"
+    for fmt, want in (("csv", "n,tau,closed_form,oracle,mc_estimate,mc_stderr\n"), ("json", "[]\n")):
+        code, out = run_cli(capsys, "cov", "--n-max", "0", "--tau-min", "-3", "--tau-max", "-1",
+                            "--format", fmt)
+        assert code == 0
+        assert out == want == _ref_emit([], want.strip().split(","), fmt)
+
+
+def test_writer_rejects_mismatched_parts():
+    with pytest.raises(ValueError):
+        write_table([{"a": np.arange(2)}, {"b": np.arange(2)}], "csv", None)
+    with pytest.raises(ValueError):
+        write_table([{"a": np.arange(2)}], "xml", None)

@@ -14,6 +14,7 @@ from dtsim import (
     simulate_brownian,
     simulate_simple_bm,
 )
+from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 
 
@@ -117,3 +118,15 @@ def test_ensemble_csv(tmp_path):
     first = lines[1].split(",")
     assert first[:3] == ["0", "0", "1"]
     assert float(first[3]) == ens.paths[0, 0]
+
+
+@pytest.mark.parametrize("process,sim", [("simple-bm", simulate_simple_bm), ("brownian", simulate_brownian)])
+def test_ensemble_csv_is_the_cli_table(tmp_path, process, sim):
+    p = make_params(0.75, 1.5, 3)
+    ens = sim(p, n_paths=700, k_max=13, rng_seed=8)
+    lib, cli = tmp_path / "lib.csv", tmp_path / "cli.csv"
+    ens.to_csv(lib)
+    code = main(["simulate", "--alpha", "1.5", "--T", "3", "--H", "0.75", "--paths", "700",
+                 "--kmax", "13", "--seed", "8", "--process", process, "--out", str(cli)])
+    assert code == 0
+    assert lib.read_bytes() == cli.read_bytes()
