@@ -126,15 +126,11 @@ def cmd_cov(args) -> int:
     n, tau = n[keep], tau[keep]
     oracle = mc_est = mc_se = None
     if is_builtin:
-        alpha, H, lam = params.alpha, params.H, params.l
-        oracle = np.array(
-            [simple_bm_cov(alpha ** (a + b), alpha ** a, H, lam) for a, b in zip(n.tolist(), tau.tolist())],
-            dtype=float,
-        )
+        a = params.alpha
+        oracle = simple_bm_cov(np.float_power(a, n + tau), np.float_power(a, n), params.H, params.l)
     if ens is not None:
-        est = [empirical_cov(ens, a, b) for a, b in zip(n.tolist(), tau.tolist())]
-        mc_est = np.array([e.value for e in est], dtype=float)
-        mc_se = np.array([e.std_error for e in est], dtype=float)
+        est = empirical_cov(ens, n, tau)
+        mc_est, mc_se = est.value, est.std_error
     table = {
         "n": n,
         "tau": tau,
@@ -191,14 +187,13 @@ def cmd_embed(args) -> int:
     chain = make_chain(params, seed)
     out, fmt = _out_and_format(args, cfg)
     ns, taus = _ranges(args, 2, 0, 3)
-    values = np.array([[q_cov(chain, n, tau) for tau in taus.tolist()] for n in ns.tolist()])
     idx = np.arange(params.T)
     table = {
         "n": ns[:, np.newaxis, np.newaxis, np.newaxis],
         "tau": taus[:, np.newaxis, np.newaxis],
         "j": idx[:, np.newaxis],
         "k": idx,
-        "value": values,
+        "value": q_cov(chain, ns[:, np.newaxis], taus),
     }
     write_table([table], fmt, out)
     return 0

@@ -50,6 +50,13 @@ _CS_SLACK = 1e-12
 _GRID_RTOL = 1e-9
 
 
+def _snap_log(x, base: float, rtol: float = _GRID_RTOL):
+    """``log_base(x)`` snapped onto integers within ``rtol``, and the mask of snapped (grid) entries."""
+    u = np.log(x) / np.log(base)
+    on = np.abs(u - np.round(u)) <= rtol * np.maximum(1.0, np.abs(u))
+    return np.where(on, np.round(u), u), on
+
+
 def _readonly(a) -> np.ndarray:
     """Read-only float copy of ``a``."""
     out = np.array(a, dtype=float)

@@ -16,17 +16,18 @@ arrays by :func:`dtsim.core.h_tilde`.  Negative lags are first reflected,
     R_n(-kT + v) = alpha**(-2 k T H) * R_(n+v)(kT - v)
 
 which is exactly covariance symmetry in disguise; it is the only negative-lag
-rule compatible with Cov(X(t), X(s)) = Cov(X(s), X(t)).
+rule compatible with Cov(X(t), X(s)) = Cov(X(s), X(t)).  Both period
+weights enter the kernel as one power ``alpha**(2 T H (q - k))``.
 
 The stationarized counterpart ``alpha**(-(2n + tau) H) * R_n(tau)`` is
 formed as one power of the per-period ratio
 ``rho = alpha**(-H T) * htilde_period``:
 
-    rho**s * alpha**(-(j + r) H) * C[j, r] * r0[r]
+    rho**s * alpha**(-(j + r) H) * A[j, r]
 
 with ``r`` and ``j`` the phases of the earlier and later grid point, ``s``
-the number of periods between them, and ``C``, ``r0`` the embedding
-structure of :func:`dtsim.multidim.build_qcov`.  The split factors
+the number of periods between them, and ``A = C * r0`` the lag-0 embedding
+covariance ``dtsim.multidim.q_cov(chain, 0, 0)``.  The split factors
 ``alpha**(-tau H)`` and ``htilde_period**s`` under- and overflow at long lags
 near ``|rho| = 1``; their product ``rho**s`` does not.
 
@@ -45,9 +46,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _GRID_RTOL, CovarianceSeed, DsiParams, HChain, _h_tilde, convergence_ratio
+from .core import _GRID_RTOL, CovarianceSeed, DsiParams, HChain, _h_tilde, _snap_log, convergence_ratio
 from .errors import DomainError
-from .multidim import build_qcov
+from .multidim import q_cov
 
 __all__ = [
     "annulus_index",
@@ -61,22 +62,21 @@ __all__ = [
     "dsi_cov_check",
 ]
 
-def annulus_index(t: float, lam: float, rtol: float = _GRID_RTOL) -> int:
+def annulus_index(t, lam: float, rtol: float = _GRID_RTOL):
     """Index ``n`` with ``lam**(n-1) <= t < lam**n`` (half-open on the right).
 
     Grid points are snapped to exact powers within ``rtol`` on the log scale,
     so ``annulus_index(lam**k, lam) == k + 1`` even when ``lam**k`` carries
-    floating-point rounding.
+    floating-point rounding.  Arrays give integer-valued floats (``inf`` at ``t = inf``).
     """
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"annulus index needs t > 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise DomainError(f"annulus index needs t > 0, got {np.min(t)}")
     if not (lam > 1 and math.isfinite(lam)):
         raise DomainError(f"annulus scale must be > 1, got {lam}")
-    u = math.log(t) / math.log(lam)
-    r = round(u)
-    if abs(u - r) <= rtol * max(1.0, abs(u)):
-        u = r
-    return math.floor(u) + 1
+    with np.errstate(invalid="ignore"):  # inf - inf while snapping t = inf
+        u = _snap_log(t, lam, rtol)[0]
+    return np.floor(u) + 1
 
 
 def simple_bm_seed(params: DsiParams) -> CovarianceSeed:
@@ -93,27 +93,29 @@ def simple_bm_seed(params: DsiParams) -> CovarianceSeed:
     return CovarianceSeed(r0=r0, r1=r1)
 
 
-def simple_bm_cov(t: float, s: float, H: float, lam: float) -> float:
+def simple_bm_cov(t, s, H: float, lam: float):
     """Oracle covariance ``lam**((n+m)(H-1/2)) * min(t, s)`` of simple BM.
 
     ``n`` and ``m`` are the annulus indices of ``t`` and ``s`` with respect to
     ``lam``.  Defined on the grid's reach ``t, s >= 1`` (the process is built
-    from a Brownian motion started at time 1's annulus).
+    from a Brownian motion started at time 1's annulus).  ``t`` and ``s`` may
+    be broadcast arrays; ``float_power`` is the C ``pow`` of Python's ``**``.
 
     Raises
     ------
     DomainError
         If ``t`` or ``s`` is below 1, or ``lam <= 1``.
     """
-    if t < 1 or s < 1:
-        raise DomainError(f"simple_bm_cov needs t, s >= 1, got t={t}, s={s}")
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if np.any(t < 1) or np.any(s < 1):
+        raise DomainError(f"simple_bm_cov needs t, s >= 1, got t={np.min(t)}, s={np.min(s)}")
     n = annulus_index(t, lam)
     m = annulus_index(s, lam)
-    return lam ** ((n + m) * (H - 0.5)) * min(t, s)
+    return np.float_power(lam, (n + m) * (H - 0.5)) * np.minimum(t, s)
 
 
-def _kernel(chain: HChain, n, tau):
-    """One-sided kernel ``alpha**(2 T H q) * htilde(n0+tau-1)/htilde(n0-1) * r0[n0]``, ``n = qT + n0``."""
+def _kernel(chain: HChain, n, tau, k=0):
+    """Kernel ``alpha**(2TH(q-k)) htilde(n0+tau-1)/htilde(n0-1) r0[n0]``, ``n = qT + n0``, ``k`` reflections."""
     p = chain.params
     q, n0 = divmod(n, p.T)
     den = _h_tilde(chain, n0 - 1)
@@ -123,7 +125,7 @@ def _kernel(chain: HChain, n, tau):
             "at this base index is not determined by the factorization (a zero one-step "
             "covariance splits the chain)"
         )
-    return p.alpha ** (2 * p.T * p.H * q) * _h_tilde(chain, n0 + tau - 1) / den * chain.seed.r0[n0]
+    return p.alpha ** (2 * p.T * p.H * (q - k)) * _h_tilde(chain, n0 + tau - 1) / den * chain.seed.r0[n0]
 
 
 def cov_table(chain: HChain, n, tau):
@@ -138,7 +140,7 @@ def cov_table(chain: HChain, n, tau):
     p = chain.params
     neg = tau < 0
     k, v = neg * -(tau // p.T), neg * (tau % p.T)
-    return p.alpha ** (-2 * k * p.T * p.H) * _kernel(chain, n + v, abs(tau))
+    return _kernel(chain, n + v, abs(tau), k)
 
 
 def dtsim_cov(chain: HChain, n: int, tau: int) -> float:
@@ -170,17 +172,16 @@ def pc_counterpart_cov(chain: HChain, n, tau):
     """Covariance of the stationarized (periodically correlated) counterpart.
 
     ``alpha**(-(2n + tau) H) * dtsim_cov(chain, n, tau)``, periodic in ``n``
-    with period T, evaluated as ``rho**s * alpha**(-(j + r) H) * C[j, r] * r0[r]``
+    with period T, evaluated as ``rho**s * alpha**(-(j + r) H) * A[j, r]``
     where ``r`` and ``j`` are the phases of the earlier and later grid point
     and ``s`` counts the periods between them.  ``n`` and ``tau`` may be
     broadcast integer arrays; scalars give a float.
     """
     p = chain.params
     n, tau = np.asarray(n), np.asarray(tau)
-    qc = build_qcov(chain)
     r = np.minimum(n, n + tau) % p.T
     s, j = np.divmod(r + np.abs(tau), p.T)
-    out = convergence_ratio(chain) ** s * p.alpha ** (-(j + r) * p.H) * qc.C[j, r] * qc.r0[r]
+    out = convergence_ratio(chain) ** s * p.alpha ** (-(j + r) * p.H) * q_cov(chain, 0, 0)[j, r]
     return float(out) if out.ndim == 0 else out
 
 

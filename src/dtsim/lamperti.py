@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _GRID_RTOL, _readonly
+from .core import _GRID_RTOL, _readonly, _snap_log
 from .errors import DomainError, GridError
 
 __all__ = [
@@ -107,11 +107,9 @@ def lamperti_inverse(x: SampledFunction, H: float, alpha: float) -> SampledFunct
         raise DomainError(f"H must be > 0, got {H}")
     if np.any(x.domain <= 0):
         raise DomainError("inverse transform needs positive sample points")
-    u = np.log(x.domain) / math.log(alpha)
-    n = np.round(u)
-    off = np.abs(u - n) > _GRID_RTOL * np.maximum(1.0, np.abs(u))
-    if np.any(off):
-        bad = float(x.domain[int(np.nonzero(off)[0][0])])
+    n, on = _snap_log(x.domain, alpha)
+    if not on.all():
+        bad = float(x.domain[int(np.argmin(on))])
         raise DomainError(
             f"sample point {bad!r} is not an integer power of alpha={alpha} "
             f"within {_GRID_RTOL} relative"
@@ -128,9 +126,8 @@ def verify_commutation(y: SampledFunction, H: float, alpha: float, k: float) -> 
     """
     if not (k > 0 and math.isfinite(k)):
         raise GridError(f"dilation factor must be positive, got {k}")
-    m_real = math.log(k) / math.log(alpha)
-    m = round(m_real)
-    if abs(m_real - m) > _GRID_RTOL * max(1.0, abs(m_real)):
+    m, on = _snap_log(k, alpha)
+    if not on:
         raise GridError(f"k={k} is not an integer power of alpha={alpha}")
     lhs = lamperti_inverse(dilate(lamperti_forward(y, H, alpha), H, k), H, alpha)
     rhs = shift(y, float(m))

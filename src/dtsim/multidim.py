@@ -10,7 +10,8 @@ covariance has the rank-one structure
 where ``C[j, k] = htilde(j-1) / htilde(k-1)``.  Entrywise this is the
 one-sided factorization kernel of module covariance evaluated at lag
 ``tau*T + j - k``; negative matrix lags follow the reflection
-``Q(-s) = l**(-2 s H) * Q(s)^T``.
+``Q(n, -s) = l**(-2 s H) * Q(n, s)^T``, with ``l**(-2 H) * htilde_period``
+raised to the power ``s`` as one factor.
 """
 
 from __future__ import annotations
@@ -69,15 +70,14 @@ class QCov:
     r0: np.ndarray
     scale_base: float
 
-    def matrix(self, n: int, tau: int) -> np.ndarray:
+    def matrix(self, n, tau) -> np.ndarray:
+        """``Q(n, tau)`` over broadcast integer arrays; ``float_power`` is the C ``pow`` of ``**``."""
         p = self.params
-        if tau >= 0:
-            base = self.scale_base ** tau * self.C * self.r0[np.newaxis, :]
-        else:
-            s = -tau
-            pos = self.scale_base ** s * self.C * self.r0[np.newaxis, :]
-            base = p.l ** (-2 * s * p.H) * pos.T
-        return p.alpha ** (2 * n * p.H * p.T) * base
+        n, tau = np.asarray(n)[..., np.newaxis, np.newaxis], np.asarray(tau)[..., np.newaxis, np.newaxis]
+        ratio = np.where(tau >= 0, self.scale_base, self.scale_base * p.l ** (-2 * p.H))
+        base = np.float_power(ratio, np.abs(tau)) * self.C * self.r0[np.newaxis, :]
+        base = np.where(tau >= 0, base, np.swapaxes(base, -1, -2))
+        return np.float_power(p.alpha, 2 * n * p.H * p.T) * base
 
 
 def build_qcov(chain: HChain) -> QCov:
@@ -98,8 +98,8 @@ def build_qcov(chain: HChain) -> QCov:
     )
 
 
-def q_cov(chain: HChain, n: int, tau: int) -> np.ndarray:
-    """Embedding covariance matrix Cov(W(l**(n+tau)), W(l**n)), shape (T, T)."""
+def q_cov(chain: HChain, n, tau) -> np.ndarray:
+    """Embedding covariance matrices Cov(W(l**(n+tau)), W(l**n)), shape ``broadcast(n, tau) + (T, T)``."""
     return build_qcov(chain).matrix(n, tau)
 
 

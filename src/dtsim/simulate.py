@@ -7,7 +7,6 @@ byte-for-byte reproducible and do not depend on how many batches run at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +59,10 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class CovEstimate:
-    """Empirical covariance with its standard error."""
+    """Empirical covariance with its standard error: floats, or arrays of one shape."""
 
-    value: float
-    std_error: float
+    value: float | np.ndarray
+    std_error: float | np.ndarray
     n_paths: int
 
     @property
@@ -126,21 +125,29 @@ def simulate_simple_bm(
     return Ensemble(params=params, k_max=k_max, n_paths=n_paths, rng_seed=rng_seed, paths=paths)
 
 
-def empirical_cov(ensemble: Ensemble, n: int, tau: int) -> CovEstimate:
+def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:
     """Zero-mean covariance estimate mean(X[n+tau] * X[n]) across paths.
 
     The processes here have mean zero by construction, so no sample mean is
     subtracted.  The standard error is the sample standard deviation of the
     per-path products over sqrt(n_paths); it is reported as 0 for a single
-    path (see CovEstimate.degenerate).
+    path (see CovEstimate.degenerate).  ``n`` and ``tau`` may be broadcast
+    integer arrays.  Both come from path sums of ``X_a X_b`` and
+    ``X_a**2 X_b**2`` over all grid columns, so no entry depends on which
+    others were asked for; as ``Var(XY) >= E[XY]**2`` for zero-mean Gaussian
+    pairs, the one-pass variance loses at most about one bit.
     """
-    if not (0 <= n <= ensemble.k_max and 0 <= n + tau <= ensemble.k_max):
-        raise IndexError(
-            f"(n, n + tau) = ({n}, {n + tau}) outside grid indices 0..{ensemble.k_max}"
-        )
-    prod = ensemble.paths[:, n + tau] * ensemble.paths[:, n]
-    value = float(prod.mean())
-    if ensemble.n_paths < 2:
-        return CovEstimate(value=value, std_error=0.0, n_paths=ensemble.n_paths)
-    se = float(prod.std(ddof=1) / math.sqrt(ensemble.n_paths))
-    return CovEstimate(value=value, std_error=se, n_paths=ensemble.n_paths)
+    n, m = np.asarray(n), np.asarray(n) + tau
+    bad = (np.minimum(n, m) < 0) | (np.maximum(n, m) > ensemble.k_max)
+    if np.any(bad):
+        a, b = (int(x[bad].flat[0]) for x in np.broadcast_arrays(n, m))
+        raise IndexError(f"(n, n + tau) = ({a}, {b}) outside grid indices 0..{ensemble.k_max}")
+    sums = np.zeros((2, ensemble.k_max + 1, ensemble.k_max + 1))
+    for lo in range(0, ensemble.n_paths, BATCH_SIZE):
+        block = ensemble.paths[lo : lo + BATCH_SIZE]
+        sums += [block.T @ block, (block * block).T @ (block * block)]
+    count = ensemble.n_paths
+    value = sums[0, m, n] / count
+    var = np.maximum(sums[1, m, n] - count * value * value, 0.0) / max(count - 1, 1)
+    se = np.sqrt(var / count) * (count > 1)  # 0 for a single path
+    return CovEstimate(value=value, std_error=se, n_paths=count)

@@ -22,7 +22,7 @@ are length-1 calls into it.
 
       d_jr(omega) = sum_s l**(-H s) exp(-i omega s T) Q_jr(l**s) / (2 pi).
 
-  With ``A = Q(0)`` (``C * r0`` of :func:`dtsim.multidim.build_qcov`),
+  With ``A = Q(0)`` (``C * r0``, :func:`dtsim.multidim.q_cov` at ``n = tau = 0``),
   ``z = exp(-i omega T)`` and the per-period ratio
   ``rho = alpha**(-H T) * htilde_period``, the term at lag ``s`` is
   ``(rho z)**s A`` for ``s >= 0`` and ``(rho conj(z))**|s| A^T`` for
@@ -52,7 +52,7 @@ import numpy as np
 from .core import DsiParams, HChain, convergence_ratio
 from .covariance import pc_counterpart_cov
 from .errors import ConvergenceError, DomainError, PoleError
-from .multidim import build_qcov
+from .multidim import q_cov
 
 __all__ = [
     "FrequencyGrid",
@@ -282,12 +282,6 @@ def _convergent_ratio(chain: HChain) -> float:
     return rho
 
 
-def _lag0(chain: HChain) -> np.ndarray:
-    """Embedding covariance ``A = Q(0) = C * r0`` that every series term scales."""
-    qc = build_qcov(chain)
-    return qc.C * qc.r0[np.newaxis, :]
-
-
 def spectral_sum_grid(
     chain: HChain, omegas: np.ndarray, s_trunc: int | None = None
 ) -> np.ndarray:
@@ -311,7 +305,7 @@ def spectral_sum_grid(
     powers = np.zeros_like(zr)  # sum_{s=1..S} zr**s
     for _ in range(S):
         powers = (powers + 1) * zr
-    A = _lag0(chain)
+    A = q_cov(chain, 0, 0)
     # (1 + powers) A + conj(powers) A^T as one product: no second grid-sized temporary
     coef = np.stack([1 + powers, np.conj(powers)], axis=-1)
     out = (coef @ np.stack([A, A.T]).reshape(2, -1)).reshape(len(zr), chain.T, chain.T)
@@ -326,7 +320,7 @@ def spectral_sum(
     value = spectral_sum_grid(chain, [omega], s_trunc)[0, j, r]
     rho = abs(convergence_ratio(chain))
     S = auto_truncation(rho) if s_trunc is None else s_trunc
-    A = _lag0(chain)
+    A = q_cov(chain, 0, 0)
     tail = rho ** (S + 1) * (abs(A[j, r]) + abs(A[r, j])) / ((1 - rho) * 2 * math.pi)
     return SeriesValue(value=complex(value), tail_bound=float(tail))
 
@@ -351,7 +345,7 @@ def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
     denom = 1 - zr
     if np.any(np.abs(denom) < _POLE_TOL):
         raise PoleError(f"denominator {np.min(np.abs(denom))} within {_POLE_TOL} of a pole")
-    A = _lag0(chain)
+    A = q_cov(chain, 0, 0)
     out = A / denom[:, np.newaxis, np.newaxis]
     out += A.T * (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
     out /= 2 * math.pi

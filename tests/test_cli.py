@@ -179,6 +179,31 @@ def test_embed_json_format(capsys):
     assert isinstance(rows, list) and rows[0].keys() == {"n", "tau", "j", "k", "value"}
 
 
+def test_embed_long_negative_lag_is_finite(capsys, tmp_path):
+    """Near the Cauchy-Schwarz bound ``htilde_period**700`` alone overflows; the one-power form does not."""
+    seed = CovarianceSeed(r0=np.array([1.0, 1.0]), r1=np.array([0.98 ** 0.5, 0.98 ** 0.5 * 2 ** 1.5]))
+    seed.to_csv(tmp_path / "seed.csv")
+    code, out = run_cli(capsys, "embed", "--seed-file", str(tmp_path / "seed.csv"),
+                        "--n-max", "0", "--tau-min", "-700", "--tau-max", "-700")
+    assert code == 0
+    values = [float(row["value"]) for row in parse_csv(out)]
+    assert len(values) == 4 and all(math.isfinite(v) for v in values)
+
+
+def test_cov_overflow_gives_inf_cells(capsys):
+    """Covariances beyond float range are inf in the closed form and the oracle alike, exit 0."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out = run_cli(capsys, "cov", "--H", "3", "--alpha", "1e5", "--n-max", "30", "--tau-max", "40")
+    assert code == 0
+    rows = parse_csv(out)
+    closed = np.array([float(row["closed_form"]) for row in rows])
+    oracle = np.array([float(row["oracle"]) for row in rows])
+    assert np.isinf(closed).any()
+    assert np.array_equal(np.isinf(closed), np.isinf(oracle))
+    finite = np.isfinite(closed)
+    assert np.all(np.abs(closed[finite] - oracle[finite]) <= 1e-12 * np.abs(oracle[finite]))
+
+
 def test_verify_passes(capsys):
     code, out = run_cli(capsys, "verify")
     assert code == 0

@@ -21,14 +21,19 @@ from dtsim import (
     cov_table,
     dsi_cov_check,
     dtsim_cov,
+    empirical_cov,
     kernel_cov,
     make_chain,
     make_params,
     markov_triangle_residual,
     pc_counterpart_cov,
+    q_cov,
     simple_bm_cov,
     simple_bm_seed,
+    simulate_simple_bm,
 )
+
+from dtsim.simulate import BATCH_SIZE
 
 from conftest import chain_variants, correlated_seed
 
@@ -44,6 +49,9 @@ def test_annulus_index():
     assert annulus_index(16.0, 4.0) == 3
     # snapping: a grid point perturbed at the 1e-12 level still lands on it
     assert annulus_index(4.0 * (1 - 1e-12), 4.0) == 2
+    # arrays give the same indices; an overflowed time is beyond every annulus
+    t = np.array([1.0, 3.9, 4.0, 16.0, 4.0 * (1 - 1e-12), math.inf])
+    assert annulus_index(t, 4.0).tolist() == [1, 1, 2, 3, 2, math.inf]
 
 
 def test_oracle_frozen_values():
@@ -80,6 +88,16 @@ def test_oracle_equivalence_lattice(lattice_params):
             got = dtsim_cov(chain, n, tau)
             worst = max(worst, _rel(got, want))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("m", [800, 1000])
+def test_long_reflected_lags_match_mirror(m):
+    """R_m(-m) = R_0(m) where alpha**(-2kTH) alone underflows and the kernel's power overflows."""
+    p = make_params(0.75, 2.0, 2)
+    chain = make_chain(p, simple_bm_seed(p))
+    want = cov_table(chain, 0, m)
+    assert cov_table(chain, np.array([m]), np.array([-m]))[0] == pytest.approx(want, rel=1e-12)
+    assert dtsim_cov(chain, m, -m) == pytest.approx(want, rel=1e-12)
 
 
 def test_symmetry(lattice_params):
@@ -271,7 +289,23 @@ def cov_table_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(cov_table_cases())
 def test_cov_table_matches_scalar_and_is_symmetric(case):
+    """Array calls equal per-entry scalar calls bit for bit: ``cov_table``,
+    ``q_cov``, ``simple_bm_cov`` and ``empirical_cov`` (two path blocks)."""
     chain, n, tau = case
+    p = chain.params
+    q = q_cov(chain, n, tau)
+    scalar = np.array([q_cov(chain, int(a), int(b)) for a, b in zip(n, tau)])
+    assert np.array_equal(q, scalar, equal_nan=True)  # nan where alpha**(2nHT) overflows at n + tau < 0
+    t, s = np.float_power(p.alpha, np.abs(n + tau)), np.float_power(p.alpha, np.abs(n))
+    oracle = simple_bm_cov(t, s, p.H, p.l)
+    assert np.array_equal(oracle, [simple_bm_cov(p.alpha ** abs(int(a + b)), p.alpha ** abs(int(a)), p.H, p.l)
+                                   for a, b in zip(n, tau)])
+    ens = simulate_simple_bm(p, BATCH_SIZE + 7, 6 * p.T)
+    lo, hi = np.abs(n), np.abs(n + tau)
+    est = empirical_cov(ens, lo, hi - lo)
+    scalar = [empirical_cov(ens, int(a), int(b - a)) for a, b in zip(lo, hi)]
+    assert np.array_equal(est.value, [e.value for e in scalar])
+    assert np.array_equal(est.std_error, [e.std_error for e in scalar])
     table = cov_table(chain, n, tau)
     assert table.shape == n.shape
     scalar = np.array([dtsim_cov(chain, int(a), int(b)) for a, b in zip(n, tau)])

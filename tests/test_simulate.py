@@ -94,10 +94,15 @@ def test_empirical_cov_bounds_and_degenerate():
         empirical_cov(ens, 3, 1)
     with pytest.raises(IndexError):
         empirical_cov(ens, 0, -1)
+    with pytest.raises(IndexError):
+        empirical_cov(ens, np.array([0, 1, 2]), np.array([0, 2, 2]))
     single = simulate_brownian(p, n_paths=1, k_max=3, rng_seed=0)
     est = empirical_cov(single, 1, 1)
     assert est.degenerate
     assert est.std_error == 0.0
+    est = empirical_cov(single, np.arange(3), 1)
+    assert est.value.tolist() == [single.paths[0, k + 1] * single.paths[0, k] for k in range(3)]
+    assert est.std_error.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_paths_are_readonly():
