@@ -91,7 +91,7 @@ def cmd_simulate(args) -> int:
     out, fmt = _out_and_format(args, cfg)
     sim = simulate_brownian if args.process == "brownian" else simulate_simple_bm
     ens = sim(params, n_paths, k_max, rng_seed)
-    write_table([ens.columns()], fmt, out)
+    write_table(ens.columns(), fmt, out)
     return 0
 
 

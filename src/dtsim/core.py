@@ -270,7 +270,7 @@ def _h_tilde(chain: HChain, r):
     k, n = divmod(r + 1, chain.T)
     if chain.all_positive:
         return np.exp(k * chain._log_prefix[-1] + chain._log_prefix[n])
-    return chain.htilde_period ** k * chain._prefix[n]
+    return np.power(chain.htilde_period, k) * chain._prefix[n]
 
 
 def convergence_ratio(chain: HChain) -> float:

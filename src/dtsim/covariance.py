@@ -115,7 +115,11 @@ def simple_bm_cov(t, s, H: float, lam: float):
 
 
 def _kernel(chain: HChain, n, tau, k=0):
-    """Kernel ``alpha**(2TH(q-k)) htilde(n0+tau-1)/htilde(n0-1) r0[n0]``, ``n = qT + n0``, ``k`` reflections."""
+    """Kernel ``alpha**(2TH(q-k)) htilde(n0+tau-1)/htilde(n0-1) r0[n0]``, ``n = qT + n0``, ``k`` reflections.
+
+    Powers are ``np.power`` calls, which take one numpy loop for scalars and
+    arrays alike (Python's ``**`` on floats may differ in the last bit).
+    """
     p = chain.params
     q, n0 = divmod(n, p.T)
     den = _h_tilde(chain, n0 - 1)
@@ -125,7 +129,7 @@ def _kernel(chain: HChain, n, tau, k=0):
             "at this base index is not determined by the factorization (a zero one-step "
             "covariance splits the chain)"
         )
-    return p.alpha ** (2 * p.T * p.H * (q - k)) * _h_tilde(chain, n0 + tau - 1) / den * chain.seed.r0[n0]
+    return np.power(p.alpha, 2 * p.T * p.H * (q - k)) * _h_tilde(chain, n0 + tau - 1) / den * chain.seed.r0[n0]
 
 
 def cov_table(chain: HChain, n, tau):
@@ -135,7 +139,8 @@ def cov_table(chain: HChain, n, tau):
     onto ``alpha**(-2 k T H) * R_(n+v)(-tau)``; the one-sided kernel then
     evaluates every entry at a nonnegative lag.  The base index may sit
     anywhere on the two-sided integer grid.  ``n`` and ``tau`` are integers or
-    integer numpy arrays; plain integers give a scalar.
+    integer numpy arrays; plain integers give a scalar from the same numpy
+    evaluation, so an entry past float range is ``inf`` either way.
     """
     p = chain.params
     neg = tau < 0

@@ -9,9 +9,20 @@ covariance has the rank-one structure
 
 where ``C[j, k] = htilde(j-1) / htilde(k-1)``.  Entrywise this is the
 one-sided factorization kernel of module covariance evaluated at lag
-``tau*T + j - k``; negative matrix lags follow the reflection
-``Q(n, -s) = l**(-2 s H) * Q(n, s)^T``, with ``l**(-2 H) * htilde_period``
-raised to the power ``s`` as one factor.
+``tau*T + j - k``.  Negative matrix lags follow covariance symmetry,
+``Q(n, -s) = Q(b, s)^T`` with ``b = n - s``, whose weight
+
+    alpha**(2 b H T) * htilde_period**s
+        = alpha**(2 x H T) * htilde_period**(s - x + b) * (l**(-2 H) * htilde_period)**(x - b)
+
+is evaluated at the index ``x`` of ``[b, n]`` nearest 0: the positive-lag
+form when ``b >= 0``, the reflected form ``alpha**(2 n H T) * (l**(-2 H) *
+htilde_period)**s`` when ``n <= 0``, and ``htilde_period**n * (l**(-2 H) *
+htilde_period)**(-b)`` in between.  Neither a large base index nor a long
+lag then sets an overflowing factor against an underflowing one.  Where two
+factors still meet that way (a ``nan`` product, far from the origin at
+large T), the entry is one exponential of the summed logarithms of its
+factors instead, accurate to about ``|log(entry)|`` ulps.
 """
 
 from __future__ import annotations
@@ -74,10 +85,27 @@ class QCov:
         """``Q(n, tau)`` over broadcast integer arrays; ``float_power`` is the C ``pow`` of ``**``."""
         p = self.params
         n, tau = np.asarray(n)[..., np.newaxis, np.newaxis], np.asarray(tau)[..., np.newaxis, np.newaxis]
-        ratio = np.where(tau >= 0, self.scale_base, self.scale_base * p.l ** (-2 * p.H))
-        base = np.float_power(ratio, np.abs(tau)) * self.C * self.r0[np.newaxis, :]
-        base = np.where(tau >= 0, base, np.swapaxes(base, -1, -2))
-        return np.float_power(p.alpha, 2 * n * p.H * p.T) * base
+        neg = tau < 0
+        b = np.where(neg, n + tau, n)  # base index of the positive-lag matrix
+        x = np.clip(0, b, n)  # the index of [b, n] nearest 0 carries the period weight
+        k = x - b  # periods of the reflected ratio, nonzero only where a negative lag crosses 0
+        k = k if k.any() else 0  # when none does, one matrix per lag, broadcast over n
+        reflected = self.scale_base * p.l ** (-2 * p.H)
+        w = np.float_power(self.scale_base, np.abs(tau) - k) * np.float_power(reflected, k)
+        base = w * self.C * self.r0[np.newaxis, :]
+        base = np.where(neg, np.swapaxes(base, -1, -2), base)
+        out = np.float_power(p.alpha, 2 * x * p.H * p.T) * base
+        lost = np.isnan(out)  # an overflowing power met an underflowing one
+        if lost.any():  # those entries as one exponential of summed logarithms
+            at = np.nonzero(lost)
+            b, s, neg = (np.broadcast_to(v, out.shape)[at] for v in (b, np.abs(tau), neg))
+            m = self.C * self.r0[np.newaxis, :]
+            m = np.where(neg, m[at[-1], at[-2]], m[at[-2], at[-1]])
+            with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf gives a 0 entry
+                s_log = np.where(s > 0, s * np.log(np.abs(self.scale_base)), 0.0)
+            out[at] = np.sign(self.scale_base) ** s * np.sign(m) * np.exp(
+                2 * b * p.H * p.T * np.log(p.alpha) + s_log + np.log(np.abs(m)))
+        return out
 
 
 def build_qcov(chain: HChain) -> QCov:

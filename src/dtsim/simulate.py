@@ -1,17 +1,22 @@
 """Seeded Monte Carlo ensembles on the geometric grid.
 
-Paths are generated batch by batch with sub-seeds spawned deterministically
-from the master seed (numpy SeedSequence over PCG64), so results are
-byte-for-byte reproducible and do not depend on how many batches run at once.
+An :class:`Ensemble` is a seeded recipe, not a matrix.  Its paths are
+generated batch by batch with sub-seeds spawned deterministically from the
+master seed (numpy SeedSequence over PCG64), so results are byte-for-byte
+reproducible and do not depend on how many batches run at once.  The Monte
+Carlo estimator and the table writer consume the batches as they come, so
+their memory does not grow with the number of paths.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import DsiParams, _readonly
+from .core import DsiParams
 from .errors import DomainError
 from .table import write_table
 
@@ -20,41 +25,78 @@ __all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm",
 #: Paths per generation batch; fixed so batch boundaries never move.
 BATCH_SIZE = 4096
 
+_PROCESSES = ("simple-bm", "brownian")
+
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Sample paths on the grid alpha**k, one row per path."""
+    """Seeded recipe for sample paths on the grid alpha**k, one row per path.
+
+    ``process`` is ``"brownian"`` or ``"simple-bm"``.  Paths are generated on
+    demand by :meth:`blocks`, :data:`BATCH_SIZE` paths at a time, so a
+    consumer that reads them block by block holds one block, not the
+    ``n_paths x (k_max + 1)`` matrix.  :attr:`paths` builds that matrix on
+    first access.
+    """
 
     params: DsiParams
     k_max: int
     n_paths: int
     rng_seed: int
-    paths: np.ndarray
+    process: str
 
     def __post_init__(self) -> None:
-        if self.paths.shape != (self.n_paths, self.k_max + 1):
-            raise DomainError(
-                f"paths shape {self.paths.shape} does not match "
-                f"(n_paths, k_max + 1) = ({self.n_paths}, {self.k_max + 1})"
-            )
-        object.__setattr__(self, "paths", _readonly(self.paths))
+        if self.n_paths < 1:
+            raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.k_max < 0:
+            raise DomainError(f"k_max must be >= 0, got {self.k_max}")
+        if self.process not in _PROCESSES:
+            raise DomainError(f"process must be one of {', '.join(_PROCESSES)}, got {self.process!r}")
 
     @property
     def times(self) -> np.ndarray:
         return self.params.alpha ** np.arange(self.k_max + 1)
 
-    def columns(self) -> dict[str, np.ndarray]:
-        """Table columns ``path, k, t, value``, one row per (path, k), as ``table.write_table`` takes them."""
-        return {
-            "path": np.arange(self.n_paths)[:, np.newaxis],
-            "k": np.arange(self.k_max + 1),
-            "t": self.times,
-            "value": self.paths,
-        }
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Rows of the path matrix in blocks of ``BATCH_SIZE`` (the last may be shorter).
+
+        Block ``i`` is drawn from the ``i``-th child of ``SeedSequence(rng_seed)``,
+        so a path does not depend on ``n_paths``.  Each block is a new array.
+        """
+        p = self.params
+        ks = np.arange(self.k_max + 1)
+        # increment variances: Var B(1) = 1, then alpha**k - alpha**(k-1)
+        scale = np.sqrt(np.concatenate(([1.0], p.alpha ** ks[1:] - p.alpha ** (ks[1:] - 1))))
+        # simple BM: amplitude lam**(H - 1/2) per crossing of a power of lam = alpha**T
+        amp = p.l ** ((ks // p.T + 1) * (p.H - 0.5)) if self.process == "simple-bm" else None
+        n_batches = (self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
+        for i, child in enumerate(np.random.SeedSequence(self.rng_seed).spawn(n_batches)):
+            rows = min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
+            block = np.random.default_rng(child).standard_normal((rows, self.k_max + 1))
+            block *= scale
+            np.cumsum(block, axis=1, out=block)
+            if amp is not None:
+                block *= amp
+            yield block
+
+    @cached_property
+    def paths(self) -> np.ndarray:
+        """Read-only ``n_paths x (k_max + 1)`` matrix of :meth:`blocks`, built on first access."""
+        out = np.empty((self.n_paths, self.k_max + 1))
+        for lo, block in zip(range(0, self.n_paths, BATCH_SIZE), self.blocks()):
+            out[lo : lo + len(block)] = block
+        out.setflags(write=False)
+        return out
+
+    def columns(self) -> Iterator[dict[str, np.ndarray]]:
+        """Table parts ``path, k, t, value``, one per block, as ``table.write_table`` takes them."""
+        ks, times = np.arange(self.k_max + 1), self.times
+        for lo, block in zip(range(0, self.n_paths, BATCH_SIZE), self.blocks()):
+            yield {"path": np.arange(lo, lo + len(block))[:, np.newaxis], "k": ks, "t": times, "value": block}
 
     def to_csv(self, path) -> None:
         """Write rows ``path,k,t,value`` with 17-significant-digit floats, as ``dtsim simulate`` does."""
-        write_table([self.columns()], "csv", path)
+        write_table(self.columns(), "csv", path)
 
 
 @dataclass(frozen=True)
@@ -71,40 +113,11 @@ class CovEstimate:
         return self.n_paths < 2
 
 
-def _brownian_paths(alpha: float, n_paths: int, k_max: int, rng_seed: int) -> np.ndarray:
-    # increment variances: Var B(1) = 1, then alpha**k - alpha**(k-1)
-    var_inc = np.empty(k_max + 1)
-    var_inc[0] = 1.0
-    ks = np.arange(1, k_max + 1)
-    var_inc[1:] = alpha ** ks - alpha ** (ks - 1)
-    scale = np.sqrt(var_inc)
-
-    out = np.empty((n_paths, k_max + 1))
-    n_batches = (n_paths + BATCH_SIZE - 1) // BATCH_SIZE
-    children = np.random.SeedSequence(rng_seed).spawn(n_batches)
-    for i, child in enumerate(children):
-        lo = i * BATCH_SIZE
-        hi = min(lo + BATCH_SIZE, n_paths)
-        rng = np.random.default_rng(child)
-        z = rng.standard_normal((hi - lo, k_max + 1))
-        np.cumsum(z * scale, axis=1, out=out[lo:hi])
-    return out
-
-
-def _check_sim_args(n_paths: int, k_max: int) -> None:
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
-
-
 def simulate_brownian(
     params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0
 ) -> Ensemble:
     """Brownian motion sampled at alpha**k for k = 0..k_max."""
-    _check_sim_args(n_paths, k_max)
-    paths = _brownian_paths(params.alpha, n_paths, k_max, rng_seed)
-    return Ensemble(params=params, k_max=k_max, n_paths=n_paths, rng_seed=rng_seed, paths=paths)
+    return Ensemble(params=params, k_max=k_max, n_paths=n_paths, rng_seed=rng_seed, process="brownian")
 
 
 def simulate_simple_bm(
@@ -117,12 +130,7 @@ def simulate_simple_bm(
     ``lam = alpha**T``; with H = 1/2 the output is bit-identical to the
     driving Brownian ensemble.
     """
-    _check_sim_args(n_paths, k_max)
-    paths = _brownian_paths(params.alpha, n_paths, k_max, rng_seed)
-    ks = np.arange(k_max + 1)
-    amp = params.l ** ((ks // params.T + 1) * (params.H - 0.5))
-    paths = paths * amp
-    return Ensemble(params=params, k_max=k_max, n_paths=n_paths, rng_seed=rng_seed, paths=paths)
+    return Ensemble(params=params, k_max=k_max, n_paths=n_paths, rng_seed=rng_seed, process="simple-bm")
 
 
 def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:
@@ -143,8 +151,7 @@ def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:
         a, b = (int(x[bad].flat[0]) for x in np.broadcast_arrays(n, m))
         raise IndexError(f"(n, n + tau) = ({a}, {b}) outside grid indices 0..{ensemble.k_max}")
     sums = np.zeros((2, ensemble.k_max + 1, ensemble.k_max + 1))
-    for lo in range(0, ensemble.n_paths, BATCH_SIZE):
-        block = ensemble.paths[lo : lo + BATCH_SIZE]
+    for block in ensemble.blocks():
         sums += [block.T @ block, (block * block).T @ (block * block)]
     count = ensemble.n_paths
     value = sums[0, m, n] / count

@@ -1,8 +1,10 @@
 """Column-wise CSV and JSON table writer behind every ``dtsim`` table.
 
-A table is a sequence of parts written one after another under one header.
-A part maps each column name, in header order, to a numpy array (int, float
-or str) or to ``None`` for a column that is absent there.  A part's arrays
+A table is an iterable of parts written one after another under one header.
+It is read once, so parts may be generated while the table is written
+(``Ensemble.columns`` yields one per block of paths).  A part maps each
+column name, in header order, to a numpy array (int, float or str) or to
+``None`` for a column that is absent there.  A part's arrays
 broadcast against each other and its rows are the entries of the broadcast
 shape in C order, so a label that repeats along an axis is passed once at
 its own shape.
@@ -23,10 +25,11 @@ absent cells ``null``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -67,7 +70,7 @@ def _strings(a: np.ndarray, fmt: str) -> np.ndarray:
     return out
 
 
-def _blocks(parts: Sequence[Mapping], names: list[str], fmt: str, literals: list[str]):
+def _blocks(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[str]):
     """Formatted text of each block of rows, every row written as ``literals`` around its cells."""
     for part in parts:
         if list(part) != names:
@@ -102,8 +105,13 @@ def _blocks(parts: Sequence[Mapping], names: list[str], fmt: str, literals: list
             yield (row * n_rows) % tuple(cells.ravel().tolist())
 
 
-def _write(fh, parts: Sequence[Mapping], fmt: str) -> None:
-    names = list(parts[0])
+def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
+    parts = iter(parts)
+    first = next(parts, None)
+    if first is None:
+        raise ValueError("a table needs at least one part")
+    names = list(first)
+    parts = itertools.chain([first], parts)
     if fmt == "csv":
         fh.write(",".join(names) + "\n")
         literals = ["", *[","] * (len(names) - 1), "\n"]
@@ -120,7 +128,7 @@ def _write(fh, parts: Sequence[Mapping], fmt: str) -> None:
     fh.write("\n]\n" if opened else "[]\n")
 
 
-def write_table(parts: Sequence[Mapping], fmt: str, out: str | None) -> None:
+def write_table(parts: Iterable[Mapping], fmt: str, out: str | None) -> None:
     """Write ``parts`` as one ``fmt`` (``"csv"`` or ``"json"``) table to the file ``out``, or stdout."""
     if fmt not in _ABSENT:
         raise ValueError(f"table format must be csv or json, got {fmt!r}")

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import dtsim
-from dtsim import spectral
+from dtsim import cli, spectral
+from dtsim.simulate import BATCH_SIZE
 
 MODULES = ("core", "covariance", "lamperti", "multidim", "simulate", "spectral", "verify")
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -36,12 +37,16 @@ def test_package_all_resolves():
         assert hasattr(dtsim, attr), attr
 
 
-def test_tracer_installs_and_uninstalls():
+def _tracing():
     sys.path.insert(0, PERFBENCH)
     try:
-        tracing = importlib.import_module("tracing")
+        return importlib.import_module("tracing")
     finally:
         sys.path.remove(PERFBENCH)
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = _tracing()
     originals = {name: getattr(spectral, name) for name in spectral.__all__}
     tracer = tracing.Tracer()
     tracer.install()
@@ -63,3 +68,17 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert {name: getattr(spectral, name) for name in spectral.__all__} == originals
     assert np.isfinite(dtsim.spectral_closed(chain, 0, 0, 0.3))
+
+
+def test_tracer_counts_cov_monte_carlo_samples(tmp_path):
+    """``perfbench/report.py`` divides by ``simulate.samples``, which the tracer reads from ``.paths``."""
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["cov", "--mc-paths", str(BATCH_SIZE + 7), "--n-max", "3", "--tau-max", "2",
+                         "--out", str(tmp_path / "cov.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    k_need = 3 + 2
+    assert tracer.counters["simulate.samples"] == (BATCH_SIZE + 7) * (k_need + 1)

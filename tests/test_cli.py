@@ -29,6 +29,7 @@ from dtsim import (
 import dtsim
 from dtsim import table
 from dtsim.cli import main
+from dtsim.simulate import BATCH_SIZE
 from dtsim.table import write_table
 
 
@@ -359,10 +360,11 @@ def _ref_cov(tmp_path, fmt, seed):
         seed = CovarianceSeed(r0=np.array([1.0, 2.0]), r1=np.array([0.5, 1.0]))
         seed.to_csv(tmp_path / "seed.csv")
         argv += ["--seed-file", str(tmp_path / "seed.csv")]
-    else:
-        argv += ["--mc-paths", "300", "--mc-seed", "4"]
+    else:  # 300 paths fill part of one generation block, 2 * BATCH_SIZE + 7 span three
+        n_paths = 300 if seed == "builtin-mc" else 2 * BATCH_SIZE + 7
+        argv += ["--mc-paths", str(n_paths), "--mc-seed", "4"]
         seed = simple_bm_seed(_PARAMS)
-        ens = simulate_simple_bm(_PARAMS, 300, 8, 4)
+        ens = simulate_simple_bm(_PARAMS, n_paths, 8, 4)
     chain = make_chain(_PARAMS, seed)
     p = _PARAMS
     n, tau = np.meshgrid(np.arange(0, 4), np.arange(-3, 6), indexing="ij")
@@ -426,6 +428,7 @@ def _ref_embed(tmp_path, fmt, _):
     (_ref_simulate, "simple-bm"),
     (_ref_simulate, "brownian"),
     (_ref_cov, "builtin-mc"),
+    (_ref_cov, "builtin-mc-blocks"),
     (_ref_cov, "seed-file"),
     (_ref_spectra, None),
     (_ref_embed, None),

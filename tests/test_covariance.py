@@ -100,6 +100,17 @@ def test_long_reflected_lags_match_mirror(m):
     assert dtsim_cov(chain, m, -m) == pytest.approx(want, rel=1e-12)
 
 
+def test_scalar_past_float_range_is_inf():
+    """A scalar entry takes the array route: ``inf`` with numpy's overflow warning, not OverflowError."""
+    p = make_params(0.75, 2.0, 2)
+    chain = make_chain(p, simple_bm_seed(p))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        scalar = dtsim_cov(chain, 3000, 0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        array = cov_table(chain, np.array([3000]), np.array([0]))
+    assert scalar == array[0] == math.inf
+
+
 def test_symmetry(lattice_params):
     """R_{n+tau}(-tau) == R_n(tau) for every admissible chain, not just simple BM."""
     for chain in chain_variants(lattice_params):
@@ -272,9 +283,9 @@ def test_cauchy_schwarz_property(case):
 
 @st.composite
 def cov_table_cases(draw):
-    """A chain at T in {1, 2, 8, 32} (simple BM, non-BM, negative ratio) and index arrays."""
+    """A chain at T in {1, 2, 8, 32}, alpha in {1.1, 1.5, 2} (simple BM, non-BM, negative ratio) and index arrays."""
     T = draw(st.sampled_from([1, 2, 8, 32]))
-    p = make_params(0.75, 2.0, T)
+    p = make_params(0.75, draw(st.sampled_from([1.1, 1.5, 2.0])), T)
     kind = draw(st.sampled_from(["bm", "nonbm", "neg"]))
     seed = {
         "bm": lambda: simple_bm_seed(p),
@@ -295,7 +306,7 @@ def test_cov_table_matches_scalar_and_is_symmetric(case):
     p = chain.params
     q = q_cov(chain, n, tau)
     scalar = np.array([q_cov(chain, int(a), int(b)) for a, b in zip(n, tau)])
-    assert np.array_equal(q, scalar, equal_nan=True)  # nan where alpha**(2nHT) overflows at n + tau < 0
+    assert np.array_equal(q, scalar)
     t, s = np.float_power(p.alpha, np.abs(n + tau)), np.float_power(p.alpha, np.abs(n))
     oracle = simple_bm_cov(t, s, p.H, p.l)
     assert np.array_equal(oracle, [simple_bm_cov(p.alpha ** abs(int(a + b)), p.alpha ** abs(int(a)), p.H, p.l)

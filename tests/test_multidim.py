@@ -114,6 +114,17 @@ def test_qcov_negative_lag_reflection(lattice_params):
             assert np.allclose(neg, l ** (-2 * s * H) * pos.T, rtol=1e-13)
 
 
+@pytest.mark.parametrize("T,n,tau", [(32, 22, -27), (32, 40, -45), (8, 60, -70), (2, 400, -410)])
+def test_qcov_negative_lag_at_large_base_is_finite(T, n, tau):
+    """Q(n, tau) = Q(n + tau, -tau)^T where alpha**(2nHT) alone overflows and n + tau < 0."""
+    p = make_params(0.75, 2.0, T)
+    for chain in chain_variants(p):
+        neg = q_cov(chain, n, tau)
+        mirror = q_cov(chain, n + tau, -tau).T
+        assert np.all(np.isfinite(neg))
+        assert np.all(np.abs(neg - mirror) <= 1e-12 * np.abs(mirror))
+
+
 def test_qcov_scale_invariance(lattice_params):
     p = lattice_params
     chain = make_chain(p, simple_bm_seed(p))

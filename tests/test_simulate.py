@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,11 @@ def test_argument_validation():
     with pytest.raises(DomainError):
         simulate_brownian(p, n_paths=10, k_max=-1)
     with pytest.raises(DomainError):
-        Ensemble(params=p, k_max=3, n_paths=2, rng_seed=0, paths=np.zeros((2, 3)))
+        Ensemble(params=p, k_max=3, n_paths=0, rng_seed=0, process="brownian")
+    with pytest.raises(DomainError):
+        Ensemble(params=p, k_max=-1, n_paths=2, rng_seed=0, process="simple-bm")
+    with pytest.raises(DomainError):
+        Ensemble(params=p, k_max=3, n_paths=2, rng_seed=0, process="fbm")
 
 
 def test_brownian_moments():
@@ -135,3 +140,74 @@ def test_ensemble_csv_is_the_cli_table(tmp_path, process, sim):
                  "--kmax", "13", "--seed", "8", "--process", process, "--out", str(cli)])
     assert code == 0
     assert lib.read_bytes() == cli.read_bytes()
+
+
+# -- the streamed estimator against the matrix it no longer builds -----------
+def _ref_paths(ens: Ensemble) -> np.ndarray:
+    """Path matrix as generated before paths were streamed: one matrix, then ``paths * amp``."""
+    p, k_max = ens.params, ens.k_max
+    var_inc = np.empty(k_max + 1)
+    var_inc[0] = 1.0
+    ks = np.arange(1, k_max + 1)
+    var_inc[1:] = p.alpha ** ks - p.alpha ** (ks - 1)
+    scale = np.sqrt(var_inc)
+    out = np.empty((ens.n_paths, k_max + 1))
+    n_batches = (ens.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
+    for i, child in enumerate(np.random.SeedSequence(ens.rng_seed).spawn(n_batches)):
+        lo, hi = i * BATCH_SIZE, min((i + 1) * BATCH_SIZE, ens.n_paths)
+        z = np.random.default_rng(child).standard_normal((hi - lo, k_max + 1))
+        np.cumsum(z * scale, axis=1, out=out[lo:hi])
+    if ens.process == "simple-bm":
+        ks = np.arange(k_max + 1)
+        out = out * p.l ** ((ks // p.T + 1) * (p.H - 0.5))
+    return out
+
+
+def _ref_empirical_cov(paths: np.ndarray, n, tau) -> tuple[np.ndarray, np.ndarray]:
+    """``empirical_cov`` as it read the whole path matrix: value and standard error."""
+    n, m = np.asarray(n), np.asarray(n) + tau
+    k = paths.shape[1]
+    sums = np.zeros((2, k, k))
+    for lo in range(0, len(paths), BATCH_SIZE):
+        block = paths[lo : lo + BATCH_SIZE]
+        sums += [block.T @ block, (block * block).T @ (block * block)]
+    count = len(paths)
+    value = sums[0, m, n] / count
+    var = np.maximum(sums[1, m, n] - count * value * value, 0.0) / max(count - 1, 1)
+    return value, np.sqrt(var / count) * (count > 1)
+
+
+@pytest.mark.parametrize("n_paths", [1, BATCH_SIZE, 2 * BATCH_SIZE + 7])
+@pytest.mark.parametrize("sim", [simulate_simple_bm, simulate_brownian])
+def test_streamed_estimator_matches_matrix_reference(n_paths, sim):
+    p = make_params(0.8, 1.5, 3)
+    ens = sim(p, n_paths=n_paths, k_max=10, rng_seed=17)
+    ref = _ref_paths(ens)
+    assert np.array_equal(ens.paths, ref)
+    assert np.array_equal(np.concatenate(list(ens.blocks())), ref)
+    n, tau = np.meshgrid(np.arange(6), np.arange(-2, 5), indexing="ij")
+    keep = n + tau >= 0
+    est = empirical_cov(ens, n[keep], tau[keep])
+    value, se = _ref_empirical_cov(ref, n[keep], tau[keep])
+    assert np.array_equal(est.value, value)
+    assert np.array_equal(est.std_error, se)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cov", "--T", "4", "--mc-paths", str(20 * BATCH_SIZE)],
+    ["simulate", "--kmax", "15", "--paths", str(20 * BATCH_SIZE)],
+])
+def test_streamed_commands_hold_a_few_blocks(tmp_path, monkeypatch, argv):
+    """Both commands use 20 blocks of 16 grid points, a 10.5 MB path matrix, and peak below 8 blocks."""
+    def no_matrix(self):
+        raise AssertionError("Ensemble.paths was built")
+
+    monkeypatch.setattr(Ensemble, "paths", property(no_matrix))
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * BATCH_SIZE * 16 * 8
