@@ -36,7 +36,8 @@ class Ensemble:
     demand by :meth:`blocks`, :data:`BATCH_SIZE` paths at a time, so a
     consumer that reads them block by block holds one block, not the
     ``n_paths x (k_max + 1)`` matrix.  :attr:`paths` builds that matrix on
-    first access.
+    first access, and :attr:`moments` the path sums the Monte Carlo
+    estimator reads.
     """
 
     params: DsiParams
@@ -87,6 +88,26 @@ class Ensemble:
             out[lo : lo + len(block)] = block
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """Read-only ``(2, K, K)`` path sums of ``X_a X_b`` and ``X_a**2 X_b**2``, ``K = k_max + 1``.
+
+        One pass over :meth:`blocks` on first access; :func:`empirical_cov`
+        reads it, so repeated estimates do not regenerate the paths.
+        """
+        K = self.k_max + 1
+        sums = np.zeros((2, K, K))
+        squares = np.empty((BATCH_SIZE, K))
+        for block in self.blocks():
+            sums[0] += block.T @ block
+            sq = np.multiply(block, block, out=squares[: len(block)])
+            # two buffers keep this a general product: numpy sends a.T @ a on
+            # one buffer to a symmetric kernel, whose rounding differs
+            block[...] = sq
+            sums[1] += sq.T @ block
+        sums.setflags(write=False)
+        return sums
 
     def columns(self) -> Iterator[dict[str, np.ndarray]]:
         """Table parts ``path, k, t, value``, one per block, as ``table.write_table`` takes them."""
@@ -140,19 +161,17 @@ def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:
     subtracted.  The standard error is the sample standard deviation of the
     per-path products over sqrt(n_paths); it is reported as 0 for a single
     path (see CovEstimate.degenerate).  ``n`` and ``tau`` may be broadcast
-    integer arrays.  Both come from path sums of ``X_a X_b`` and
-    ``X_a**2 X_b**2`` over all grid columns, so no entry depends on which
-    others were asked for; as ``Var(XY) >= E[XY]**2`` for zero-mean Gaussian
-    pairs, the one-pass variance loses at most about one bit.
+    integer arrays.  Both come from :attr:`Ensemble.moments`, the path sums
+    of ``X_a X_b`` and ``X_a**2 X_b**2`` over all grid columns, so no entry
+    depends on which others were asked for; as ``Var(XY) >= E[XY]**2`` for
+    zero-mean Gaussian pairs, the one-pass variance loses at most about one bit.
     """
     n, m = np.asarray(n), np.asarray(n) + tau
     bad = (np.minimum(n, m) < 0) | (np.maximum(n, m) > ensemble.k_max)
     if np.any(bad):
         a, b = (int(x[bad].flat[0]) for x in np.broadcast_arrays(n, m))
         raise IndexError(f"(n, n + tau) = ({a}, {b}) outside grid indices 0..{ensemble.k_max}")
-    sums = np.zeros((2, ensemble.k_max + 1, ensemble.k_max + 1))
-    for block in ensemble.blocks():
-        sums += [block.T @ block, (block * block).T @ (block * block)]
+    sums = ensemble.moments
     count = ensemble.n_paths
     value = sums[0, m, n] / count
     var = np.maximum(sums[1, m, n] - count * value * value, 0.0) / max(count - 1, 1)

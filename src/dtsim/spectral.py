@@ -11,10 +11,15 @@ are length-1 calls into it.
       f_k(w) = (1/2 pi) [B_k(0) + sum_{tau=1..S} (B_k(tau) z**tau + B_k(-tau) conj(z)**tau)],
 
   ``z = exp(-i w)``, and the T x T density matrix entries follow as
-  ``f_jk(omega) = f_(k-j)((omega - 2 pi j) / T) / T``.  The lag sums are
-  evaluated by a two-sided Horner recurrence over ``tau``, vectorized over
-  component indices and arguments, so no lags-by-frequencies array is ever
-  formed.  These matrices are Hermitian term by term.
+  ``f_jk(omega) = f_(k-j)((omega - 2 pi j) / T) / T``.  On a
+  :class:`FrequencyGrid` of ``n`` frequencies every argument is a multiple of
+  ``2 pi / (n T)``, so :func:`f_matrix_grid` takes each ``f_c`` on the grid
+  from one length-``nT`` FFT of its lags wrapped mod ``nT``: O(nT log nT) per
+  component, at exact arguments.  An FFT cannot reach an arbitrary ``omega``;
+  off the grid (:func:`f_matrix`, :func:`fjk`, :func:`fk_from_bk`, which
+  also gives the tail bound) the lag sums are evaluated by a two-sided Horner
+  recurrence over ``tau``, vectorized over component indices and arguments.
+  Either way the matrices are Hermitian to rounding.
 
 * The embedding route: the T-dimensional self-similar embedding has a
   two-term closed-form density obtained by summing the geometric matrix
@@ -183,6 +188,21 @@ def build_bk_table(chain: HChain, tau_window: int | None = None) -> BkTable:
 
 
 def _effective_truncation(table: BkTable, s_trunc: int | None) -> int:
+    """Truncation ``S`` of the lag sums over ``table``, checked in this order.
+
+    Raises
+    ------
+    ConvergenceError
+        If ``|rho| >= 1``.
+    IndexError
+        If the table cannot hold ``S`` lags and one more period for the tail bound.
+    DomainError
+        If ``s_trunc < 0``.
+    """
+    if abs(table.rho) >= 1:
+        raise ConvergenceError(
+            f"series ratio |rho| = {abs(table.rho)} >= 1; f_k does not exist"
+        )
     limit = table.tau_window - table.T
     if limit < 0:
         raise IndexError(
@@ -191,6 +211,8 @@ def _effective_truncation(table: BkTable, s_trunc: int | None) -> int:
         )
     if s_trunc is None:
         return limit
+    if s_trunc < 0:
+        raise DomainError(f"truncation must be >= 0, got {s_trunc}")
     if s_trunc > limit:
         raise IndexError(
             f"truncation {s_trunc} needs window {s_trunc + table.T}, "
@@ -202,13 +224,12 @@ def _effective_truncation(table: BkTable, s_trunc: int | None) -> int:
 def _fk(table: BkTable, k, arg, s_trunc: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Values ``f_k(arg)`` and tail bounds over broadcast component indices and arguments.
 
+    The off-grid route: a two-sided Horner recurrence over the lags, which
+    takes any ``arg`` at O(S) work per value and forms no lags-by-arguments
+    array.  On a frequency grid :func:`f_matrix_grid` uses one FFT instead.
     The tail bound exploits that |B_k| decays by |rho| per period: the first
     untabulated period is summed and the geometric remainder closed.
     """
-    if abs(table.rho) >= 1:
-        raise ConvergenceError(
-            f"series ratio |rho| = {abs(table.rho)} >= 1; f_k does not exist"
-        )
     S = _effective_truncation(table, s_trunc)
     W = table.tau_window
     lags = np.moveaxis(table.values[np.asarray(k) % table.T], -1, 0)  # lags[W + tau] = B_k(tau)
@@ -437,5 +458,33 @@ def spectral_matrix_grid(chain: HChain, grid: FrequencyGrid) -> SpectralMatrix:
 def f_matrix_grid(
     table: BkTable, grid: FrequencyGrid, s_trunc: int | None = None
 ) -> SpectralMatrix:
-    """Stationarized-counterpart density matrices over a frequency grid."""
-    return SpectralMatrix(grid=grid, entries=f_matrix(table, grid.omegas, s_trunc))
+    """Stationarized-counterpart density matrices over a frequency grid, one FFT per component.
+
+    On ``FrequencyGrid(n)`` every argument of :func:`f_matrix` is
+    ``(2 pi m / n - 2 pi j) / T mod 2 pi = 2 pi q / N`` with ``N = n T`` and
+    the integer ``q = (m - j n) mod N``.  So ``f_c`` on the grid is the
+    length-``N`` DFT of the lags ``B_c(tau)``, ``|tau| <= S``, wrapped mod
+    ``N``, and entry ``(j, k)`` at ``omega_m`` is ``F[(k - j) mod T, q] / (2 pi T)``.
+    The arguments are exact, the work is O(N log N) per component, and ``F``
+    has as many entries as the output.  The values agree with
+    :func:`f_matrix` at ``grid.omegas`` to rounding.
+
+    Raises
+    ------
+    ConvergenceError
+        If ``|rho| >= 1``.
+    IndexError, DomainError
+        For a truncation the table cannot serve, as in :func:`f_matrix`.
+    """
+    S = _effective_truncation(table, s_trunc)
+    T, n = table.T, grid.n_omega
+    N = n * T
+    lags = table.values[:, table.tau_window - S : table.tau_window + S + 1]  # lags[:, S + tau] = B_c(tau)
+    # wrap mod N: column S + tau is summed into bin (S + tau) mod N, which the roll moves to tau mod N
+    wrapped = np.pad(lags, ((0, 0), (0, -(2 * S + 1) % N))).reshape(T, -1, N).sum(axis=1)
+    F = np.fft.fft(np.roll(wrapped, -S, axis=1), axis=1)
+    idx = np.arange(T)
+    q = (np.arange(n)[:, np.newaxis] - n * idx) % N  # q[m, j]
+    entries = F[(idx - idx[:, np.newaxis]) % T, q[:, :, np.newaxis]]  # F[(k - j) mod T, q[m, j]]
+    entries /= 2 * math.pi * T
+    return SpectralMatrix(grid=grid, entries=entries)

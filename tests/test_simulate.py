@@ -193,6 +193,27 @@ def test_streamed_estimator_matches_matrix_reference(n_paths, sim):
     assert np.array_equal(est.std_error, se)
 
 
+def test_moments_are_one_cached_pass(monkeypatch):
+    """Repeated estimates read ``Ensemble.moments``: the paths are generated once."""
+    p = make_params(0.75, 2.0, 2)
+    ens = simulate_simple_bm(p, n_paths=BATCH_SIZE + 9, k_max=5, rng_seed=3)
+    passes = []
+    blocks = Ensemble.blocks
+
+    def counted(self):
+        passes.append(self)
+        return blocks(self)
+
+    monkeypatch.setattr(Ensemble, "blocks", counted)
+    first = empirical_cov(ens, np.arange(4), 1)
+    for n in range(4):
+        assert empirical_cov(ens, n, 1).value == first.value[n]
+    assert len(passes) == 1
+    assert ens.moments.shape == (2, 6, 6)
+    with pytest.raises(ValueError):
+        ens.moments[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["cov", "--T", "4", "--mc-paths", str(20 * BATCH_SIZE)],
     ["simulate", "--kmax", "15", "--paths", str(20 * BATCH_SIZE)],

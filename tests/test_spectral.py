@@ -485,7 +485,7 @@ def test_long_series_seeds_stay_finite(T, rho, tmp_path, capsys):
 
 
 def test_f_matrix_grid_matches_direct_sum():
-    """Horner evaluation against the plain exponential sum at long-series size (about 1079 lags)."""
+    """FFT evaluation against the plain exponential sum at long-series size (about 1079 lags)."""
     p = make_params(0.75, 2.0, 2)
     chain = make_chain(p, _seed_shape(2, 0.95))
     table = build_bk_table(chain)
@@ -501,3 +501,78 @@ def test_f_matrix_grid_matches_direct_sum():
             row = table.values[(k - j) % p.T, table.tau_window - S : table.tau_window + S + 1]
             want[:, j, k] = waves @ row / (2 * math.pi * p.T)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("T", [1, 2, 8, 32])
+def test_f_matrix_grid_matches_horner(T):
+    """The FFT route equals the Horner route at the grid frequencies.
+
+    Grids of 1, 2, 3 and 5 frequencies hold fewer than 2S + 1 bins, so the
+    lags wrap around the transform length before it is taken.
+    """
+    p = make_params(0.75, 2.0, T)
+    for chain in chain_variants(p):
+        table = build_bk_table(chain)
+        for s_trunc in (None, 0, 1):
+            for n in (1, 2, 3, 5, 16):
+                grid = FrequencyGrid(n)
+                got = f_matrix_grid(table, grid, s_trunc).entries
+                want = f_matrix(table, grid.omegas, s_trunc)
+                assert got.shape == want.shape == (n, T, T)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_f_matrix_grid_exact_arguments():
+    """At the long-series seed the FFT is within 1e-15 of an exact-argument direct sum.
+
+    Every grid argument is ``2 pi q / N``; the reference reduces ``tau q mod N``
+    in integers, to the nearer side of zero, and sums pairwise.  The Horner
+    route, which rounds its arguments, misses this bound by more than 10x.
+    """
+    p = make_params(0.75, 2.0, 2)
+    table = build_bk_table(make_chain(p, _seed_shape(2, 0.95)))
+    S, W, n = table.tau_window - p.T, table.tau_window, 512
+    N = n * p.T
+    got = f_matrix_grid(table, FrequencyGrid(n)).entries
+    taus = np.arange(-S, S + 1)
+    want = np.empty_like(got)
+    for j in range(p.T):
+        r = np.outer((np.arange(n) - j * n) % N, taus) % N
+        waves = np.exp(-2j * math.pi * np.where(r > N // 2, r - N, r) / N)
+        for k in range(p.T):
+            want[:, j, k] = (waves * table.values[(k - j) % p.T, W - S : W + S + 1]).sum(axis=1)
+    want /= 2 * math.pi * p.T
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_f_matrix_grid_errors():
+    """Divergence first, then the table window, then the sign of the truncation."""
+    p = make_params(0.5, 2.0, 1)
+    divergent = make_chain(p, CovarianceSeed(r0=np.array([1.0]), r1=np.array([math.sqrt(2.0)])))
+    with pytest.raises(ConvergenceError):
+        f_matrix_grid(build_bk_table(divergent, tau_window=0), FrequencyGrid(4))
+    p = make_params(0.75, 2.0, 2)
+    chain = make_chain(p, simple_bm_seed(p))
+    with pytest.raises(IndexError):
+        f_matrix_grid(build_bk_table(chain, tau_window=1), FrequencyGrid(4), s_trunc=-1)
+    table = build_bk_table(chain, tau_window=4)
+    with pytest.raises(IndexError):
+        f_matrix_grid(table, FrequencyGrid(4), s_trunc=3)
+    f_matrix_grid(table, FrequencyGrid(4), s_trunc=2)
+
+
+def test_negative_truncation_rejected():
+    """A negative truncation is a domain error on every ``B_k`` route, not the lag-0 value."""
+    p = make_params(0.75, 2.0, 2)
+    table = build_bk_table(make_chain(p, simple_bm_seed(p)))
+    for s_trunc in (-1, -5):
+        with pytest.raises(DomainError):
+            fk_from_bk(table, 0, 0.3, s_trunc=s_trunc)
+        with pytest.raises(DomainError):
+            f_matrix(table, 0.3, s_trunc=s_trunc)
+        with pytest.raises(DomainError):
+            f_matrix_grid(table, FrequencyGrid(8), s_trunc=s_trunc)
+    # S = 0 stays valid: the bound sums the first untabulated period, lags 1..T
+    at_zero = fk_from_bk(table, 0, 0.3, s_trunc=0)
+    edge = np.sum(np.abs(table.values[0, table.tau_window + 1 : table.tau_window + p.T + 1]))
+    assert at_zero.tail_bound == pytest.approx(edge / ((1 - abs(table.rho)) * math.pi), rel=1e-15)
