@@ -14,8 +14,12 @@ else follows from the ratio chain
     htilde(r)      = h[0] * h[1] * ... * h[r]            (htilde(-1) = 1)
     htilde(kT+n-1) = htilde(T-1)**k * htilde(n-1)        (0 <= n < T)
 
-which this module evaluates, in log space when every factor is positive so
-that large lags neither overflow nor lose precision.
+Every covariance entry is ``alpha**(2 T H b) * htilde_period**s * A[j, r]``
+for an earlier grid point ``bT + r``, a later one ``(b + s)T + j`` and the
+lag-0 matrix ``A[j, r] = htilde(j-1) / htilde(r-1) * r0[r]``.  One private
+kernel forms both powers as (mantissa, exponent of 2) pairs, so an entry is
+``inf`` or 0 only where it leaves float range itself, however far its
+factors do; ``htilde`` is the same kernel at ``b = 0``.
 """
 
 from __future__ import annotations
@@ -179,9 +183,7 @@ class HChain:
 
     Carries the per-index ratios ``h``, the cumulative products
     ``htilde_base[j] = htilde(j)`` for ``j = 0..T-1``, and the per-period
-    factor ``htilde_period = htilde(T-1)``.  When every ratio is positive a
-    log-space representation is kept alongside for stable evaluation at
-    large lags.
+    factor ``htilde_period = htilde(T-1)``.
     """
 
     params: DsiParams
@@ -189,9 +191,7 @@ class HChain:
     h: np.ndarray = field(init=False)
     htilde_base: np.ndarray = field(init=False)
     htilde_period: float = field(init=False)
-    all_positive: bool = field(init=False)
     _prefix: np.ndarray = field(init=False, repr=False)
-    _log_prefix: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.params.T != self.seed.T:
@@ -200,15 +200,11 @@ class HChain:
             )
         h = self.seed.r1 / self.seed.r0
         base = np.cumprod(h)
-        pos = bool(np.all(h > 0))
         object.__setattr__(self, "h", _readonly(h))
         object.__setattr__(self, "htilde_base", _readonly(base))
         object.__setattr__(self, "htilde_period", float(base[-1]))
-        object.__setattr__(self, "all_positive", pos)
-        # htilde(n - 1) for n = 0..T, and its logarithm for positive chains
+        # htilde(n - 1) for n = 0..T
         object.__setattr__(self, "_prefix", _readonly(np.concatenate(([1.0], base))))
-        log_prefix = _readonly(np.concatenate(([0.0], np.cumsum(np.log(h))))) if pos else None
-        object.__setattr__(self, "_log_prefix", log_prefix)
 
     @property
     def T(self) -> int:
@@ -252,8 +248,8 @@ def h_tilde(chain: HChain, r):
 
     ``r`` is an integer or an integer array; the result is a float or an
     array of the same shape.  Lags at or beyond one period decompose as
-    ``htilde(kT + n - 1) = htilde_period**k * htilde(n - 1)``; positive
-    chains evaluate that in log space.
+    ``htilde(kT + n - 1) = htilde_period**k * htilde(n - 1)``, the
+    covariance kernel at period count 0.
 
     Raises
     ------
@@ -262,15 +258,40 @@ def h_tilde(chain: HChain, r):
     """
     if np.min(r) < -1:
         raise DomainError(f"h_tilde is defined for r >= -1, got {np.min(r)}")
-    return _h_tilde(chain, r)
-
-
-def _h_tilde(chain: HChain, r):
-    """:func:`h_tilde` without the domain check, for lags ``r >= -1`` by construction."""
     k, n = divmod(r + 1, chain.T)
-    if chain.all_positive:
-        return np.exp(k * chain._log_prefix[-1] + chain._log_prefix[n])
-    return np.power(chain.htilde_period, k) * chain._prefix[n]
+    return _cov_kernel(chain.params, chain.htilde_period, 0, k, chain._prefix[n])
+
+
+def _pow2(x: float, e):
+    """``x**e`` over an exponent array ``e`` as ``(mantissa, exponent of 2)`` that never leaves range.
+
+    ``float_power(|x|, e / 2**h)`` is taken with the fewest halvings ``h``
+    that keep it a normal float, so ``h = 0`` and the mantissa is that of
+    ``x**e`` itself wherever ``x**e`` is one.  It is then squared back ``h``
+    times with an ``frexp`` renormalisation after each squaring.  The sign of
+    a negative ``x`` at odd ``e`` is applied last.
+    """
+    lg = e * (math.log2(abs(x)) if x else 0.0)  # log2 |x**e|
+    h = np.frexp(np.maximum(lg / 1024, lg / -1022))[1]  # fewest h with -1022 < lg / 2**h < 1024
+    h = h * (h > 0)
+    m, k = np.frexp(np.float_power(abs(x), np.ldexp(e, -h)))
+    for i in range(np.maximum.reduce(h, axis=None, initial=0)):
+        sq = h > i
+        m, dk = np.frexp(np.where(sq, m * m, m))
+        k = np.where(sq, 2 * k, k).astype(np.int64) + dk  # 2**h-fold exponents outgrow int32
+    return (np.where(e % 2 == 1, -m, m) if x < 0 else m), k
+
+
+def _cov_kernel(params: DsiParams, period: float, b, s, a):
+    """``alpha**(2 T H b) * period**s * a`` over broadcast arrays, ``inf`` or 0 only out of float range.
+
+    With ``period = htilde_period`` and ``a = A[j, r]`` this is the
+    covariance between the grid points ``bT + r`` and ``(b + s)T + j``
+    (``s >= 0``): the one place where either power is formed.
+    """
+    m_l, k_l = _pow2(params.alpha, 2 * params.T * params.H * b)
+    m_h, k_h = _pow2(period, s)
+    return np.ldexp(m_l * m_h * a, k_l + k_h)
 
 
 def convergence_ratio(chain: HChain) -> float:

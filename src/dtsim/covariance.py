@@ -4,32 +4,25 @@ The central object is ``R_n(tau) = Cov(X(alpha^(n+tau)), X(alpha^n))`` for a
 scale-invariant Markov process pinned down by a one-period seed.  It has one
 implementation, :func:`cov_table`, which takes broadcast integer arrays
 ``n`` and ``tau``; :func:`dtsim_cov` and :func:`kernel_cov` are length-1
-calls into it and into the one-sided kernel it applies.  With
-``n = qT + n0`` (``0 <= n0 < T``) and ``tau >= 0`` that kernel is
+calls into the same index split and kernel.  The earlier grid point of a
+pair is ``bT + r`` and the later one ``(b + s)T + j``; the covariance is
 
-    R_n(tau) = alpha**(2 T H q) * htilde(n0 + tau - 1) / htilde(n0 - 1) * r0[n0]
+    alpha**(2 T H b) * htilde_period**s * A[j, r],    A[j, r] = htilde(j-1) / htilde(r-1) * r0[r]
 
-where the variance extension ``R_(n+T)(tau) = alpha**(2 T H) * R_n(tau)``
-moves the base index by whole periods and ``htilde`` is evaluated over
-arrays by :func:`dtsim.core.h_tilde`.  Negative lags are first reflected,
-
-    R_n(-kT + v) = alpha**(-2 k T H) * R_(n+v)(kT - v)
-
-which is exactly covariance symmetry in disguise; it is the only negative-lag
-rule compatible with Cov(X(t), X(s)) = Cov(X(s), X(t)).  Both period
-weights enter the kernel as one power ``alpha**(2 T H (q - k))``.
+where ``alpha**(2 T H)`` is the variance extension of one period and ``A``
+is the lag-0 embedding covariance ``dtsim.multidim.q_cov(chain, 0, 0)``.
+A negative lag only swaps which point is earlier, so both orders of a pair
+give the same entry, which is covariance symmetry.  The powers are formed
+in extended range by the kernel in :mod:`dtsim.core`.
 
 The stationarized counterpart ``alpha**(-(2n + tau) H) * R_n(tau)`` is
-formed as one power of the per-period ratio
+formed over the same split as one power of the per-period ratio
 ``rho = alpha**(-H T) * htilde_period``:
 
     rho**s * alpha**(-(j + r) H) * A[j, r]
 
-with ``r`` and ``j`` the phases of the earlier and later grid point, ``s``
-the number of periods between them, and ``A = C * r0`` the lag-0 embedding
-covariance ``dtsim.multidim.q_cov(chain, 0, 0)``.  The split factors
-``alpha**(-tau H)`` and ``htilde_period**s`` under- and overflow at long lags
-near ``|rho| = 1``; their product ``rho**s`` does not.
+``|rho| <= 1`` for every admissible seed, so ``rho**s`` stays in range where
+the split factors ``alpha**(-tau H)`` and ``htilde_period**s`` would not.
 
 The independent oracle for all of this is the piecewise-rescaled Brownian
 motion ("simple BM"): Brownian motion whose amplitude is multiplied by
@@ -46,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _GRID_RTOL, CovarianceSeed, DsiParams, HChain, _h_tilde, _snap_log, convergence_ratio
+from .core import _GRID_RTOL, CovarianceSeed, DsiParams, HChain, _cov_kernel, _snap_log, convergence_ratio
 from .errors import DomainError
 from .multidim import q_cov
 
@@ -114,45 +107,44 @@ def simple_bm_cov(t, s, H: float, lam: float):
     return np.float_power(lam, (n + m) * (H - 0.5)) * np.minimum(t, s)
 
 
-def _kernel(chain: HChain, n, tau, k=0):
-    """Kernel ``alpha**(2TH(q-k)) htilde(n0+tau-1)/htilde(n0-1) r0[n0]``, ``n = qT + n0``, ``k`` reflections.
+def _split(T: int, n, tau):
+    """Grid points ``n`` and ``n + tau`` as ``bT + r`` (the earlier) and ``(b + s)T + j``: ``(b, r, s, j)``."""
+    b, r = divmod(np.minimum(n, n + tau), T)
+    s, j = divmod(r + np.abs(tau), T)
+    return b, r, s, j
 
-    Powers are ``np.power`` calls, which take one numpy loop for scalars and
-    arrays alike (Python's ``**`` on floats may differ in the last bit).
-    """
-    p = chain.params
-    q, n0 = divmod(n, p.T)
-    den = _h_tilde(chain, n0 - 1)
+
+def _entries(chain: HChain, b, r, s, j):
+    """Kernel entries ``alpha**(2THb) htilde_period**s A[j, r]``; the base phase ``r`` must not follow a zero ratio."""
+    den = chain._prefix[r]
     if not den.all():
         raise DomainError(
-            f"h-chain vanishes before index {np.min(np.where(den == 0.0, n0, p.T))}; covariance "
+            f"h-chain vanishes before index {np.min(np.where(den == 0.0, r, chain.T))}; covariance "
             "at this base index is not determined by the factorization (a zero one-step "
             "covariance splits the chain)"
         )
-    return np.power(p.alpha, 2 * p.T * p.H * (q - k)) * _h_tilde(chain, n0 + tau - 1) / den * chain.seed.r0[n0]
+    return _cov_kernel(chain.params, chain.htilde_period, b, s, chain._prefix[j] / den * chain.seed.r0[r])
 
 
 def cov_table(chain: HChain, n, tau):
     """Covariances ``Cov(X(alpha^(n+tau)), X(alpha^n))`` over broadcast integer arrays.
 
-    Negative lags ``tau = -kT + v`` (``k >= 1``, ``0 <= v < T``) are reflected
-    onto ``alpha**(-2 k T H) * R_(n+v)(-tau)``; the one-sided kernel then
-    evaluates every entry at a nonnegative lag.  The base index may sit
-    anywhere on the two-sided integer grid.  ``n`` and ``tau`` are integers or
-    integer numpy arrays; plain integers give a scalar from the same numpy
-    evaluation, so an entry past float range is ``inf`` either way.
+    Each entry is ``alpha**(2THb) * htilde_period**s * A[j, r]`` with
+    ``bT + r`` the earlier grid point and ``(b + s)T + j`` the later one, so
+    ``cov_table(chain, n, tau) == cov_table(chain, n + tau, -tau)`` bit for
+    bit.  The base index may sit anywhere on the two-sided integer grid.
+    ``n`` and ``tau`` are integers or integer numpy arrays; plain integers
+    give a scalar from the same numpy evaluation, so an entry past float
+    range is ``inf`` either way.
     """
-    p = chain.params
-    neg = tau < 0
-    k, v = neg * -(tau // p.T), neg * (tau % p.T)
-    return _kernel(chain, n + v, abs(tau), k)
+    return _entries(chain, *_split(chain.T, n, tau))
 
 
 def dtsim_cov(chain: HChain, n: int, tau: int) -> float:
     """Covariance ``Cov(X(alpha^(n+tau)), X(alpha^n))``: one entry of :func:`cov_table`.
 
     Symmetric by construction: ``dtsim_cov(chain, n, tau) ==
-    dtsim_cov(chain, n + tau, -tau)`` up to rounding.
+    dtsim_cov(chain, n + tau, -tau)`` bit for bit.
     """
     return float(cov_table(chain, n, tau))
 
@@ -161,16 +153,19 @@ def kernel_cov(chain: HChain, n: int, tau: int) -> float:
     """One-sided factorization kernel ``htilde(n+tau-1)/htilde(n-1) * R_n(0)``.
 
     For ``tau >= 0`` this equals :func:`dtsim_cov`.  For ``tau < 0`` it
-    continues the same ratio recursion instead of reflecting, which is the
-    convention the embedding matrix identities use; it is *not* the symmetric
-    covariance there.  Requires ``n + tau >= 0`` and ``(n mod T) + tau >= 0``
-    so the ratio stays defined.
+    continues the same ratio recursion from ``n`` instead of basing the entry
+    on the earlier point ``n + tau``, which is the convention the embedding
+    matrix identities use; it is *not* the symmetric covariance there.
+    Requires ``n + tau >= 0`` and ``(n mod T) + tau >= 0`` so the ratio
+    stays defined.
     """
     if min(n, n % chain.T) + tau < 0:
         raise DomainError(
             f"kernel_cov needs n + tau >= 0 and (n mod T) + tau >= 0, got n={n}, tau={tau}"
         )
-    return float(_kernel(chain, n, tau))
+    b, r = divmod(n, chain.T)
+    s, j = divmod(r + tau, chain.T)
+    return float(_entries(chain, b, r, s, j))
 
 
 def pc_counterpart_cov(chain: HChain, n, tau):
@@ -183,9 +178,7 @@ def pc_counterpart_cov(chain: HChain, n, tau):
     broadcast integer arrays; scalars give a float.
     """
     p = chain.params
-    n, tau = np.asarray(n), np.asarray(tau)
-    r = np.minimum(n, n + tau) % p.T
-    s, j = np.divmod(r + np.abs(tau), p.T)
+    _, r, s, j = _split(p.T, np.asarray(n), np.asarray(tau))
     out = convergence_ratio(chain) ** s * p.alpha ** (-(j + r) * p.H) * q_cov(chain, 0, 0)[j, r]
     return float(out) if out.ndim == 0 else out
 

@@ -1,6 +1,8 @@
 """Shared fixtures: the parameter lattice and seed builders used across the suite."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +43,42 @@ def correlated_seed(params: DsiParams, corrs) -> CovarianceSeed:
     return CovarianceSeed(r0=r0, r1=r1)
 
 
+#: Correlations of the negative-ratio seed in :func:`chain_variants`.
+NEG_CORRS = (-0.4, 0.7, -0.25, 0.55)
+
+
 def chain_variants(params: DsiParams):
     """A simple-BM chain plus two generic admissible chains (one with a negative h)."""
     yield make_chain(params, simple_bm_seed(params))
     yield make_chain(params, correlated_seed(params, (0.6, 0.35, 0.8, 0.5)))
-    yield make_chain(params, correlated_seed(params, (-0.4, 0.7, -0.25, 0.55)))
+    yield make_chain(params, correlated_seed(params, NEG_CORRS))
+
+
+def exact_entry(chain, b: int, s: int, j: int, r: int) -> Fraction:
+    """``alpha**(2THb) * htilde_period**s * A[j, r]`` in rational arithmetic on the chain's own floats.
+
+    Exact when ``2THb`` is an integer, as for H = 0.75 at even T.
+    """
+    p = chain.params
+    e = Fraction(2 * p.T * p.H) * b
+    assert e.denominator == 1, f"2THb = {e} is not an integer"
+    pre, r0 = chain._prefix, chain.seed.r0
+    return (Fraction(p.alpha) ** int(e) * Fraction(chain.htilde_period) ** s
+            * Fraction(pre[j]) / Fraction(pre[r]) * Fraction(r0[r]))
+
+
+def exact_cov(chain, n: int, tau: int) -> Fraction:
+    """Exact ``Cov(X(alpha^(n+tau)), X(alpha^n))``: earlier point ``bT + r``, later ``(b + s)T + j``."""
+    b, r = divmod(min(n, n + tau), chain.T)
+    s, j = divmod(r + abs(tau), chain.T)
+    return exact_entry(chain, b, s, j, r)
+
+
+def assert_exact(got, want: Fraction, rtol: float = 1e-13) -> None:
+    """``got`` is within ``rtol`` of ``want`` (plus one subnormal step), or a signed ``inf`` past float range."""
+    got = float(got)
+    if abs(want) > sys.float_info.max:
+        assert got == (math.inf if want > 0 else -math.inf), got
+    else:
+        assert math.isfinite(got), (got, float(want))
+        assert abs(Fraction(got) - want) <= Fraction(rtol) * abs(want) + Fraction(2) ** -1074, (got, float(want))

@@ -32,6 +32,8 @@ from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 from dtsim.table import write_table
 
+from conftest import NEG_CORRS, correlated_seed
+
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
@@ -189,6 +191,30 @@ def test_embed_long_negative_lag_is_finite(capsys, tmp_path):
     assert code == 0
     values = [float(row["value"]) for row in parse_csv(out)]
     assert len(values) == 4 and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cov_far_entry_is_finite(capsys, tmp_path):
+    """``alpha**(2THb)`` alone overflows at (686, 686); the negative-ratio entry is -2.0703e275."""
+    p = make_params(0.75, 2.0, 2)
+    correlated_seed(p, NEG_CORRS).to_csv(tmp_path / "neg2.csv")
+    code, out = run_cli(capsys, "cov", "--T", "2", "--seed-file", str(tmp_path / "neg2.csv"),
+                        "--n-min", "686", "--n-max", "686", "--tau-min", "686", "--tau-max", "686")
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert float(row["closed_form"]) == pytest.approx(-2.0702989096562552e275, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_embed_far_positive_lag_has_no_inf(capsys, tmp_path):
+    """At T = 32 the powers in ``q_cov(chain, 22, 78)`` leave float range in opposite directions; no entry does."""
+    p = make_params(0.75, 2.0, 32)
+    correlated_seed(p, NEG_CORRS).to_csv(tmp_path / "neg32.csv")
+    code, out = run_cli(capsys, "embed", "--T", "32", "--seed-file", str(tmp_path / "neg32.csv"),
+                        "--n-min", "22", "--n-max", "22", "--tau-min", "78", "--tau-max", "78")
+    assert code == 0
+    values = [float(row["value"]) for row in parse_csv(out)]
+    assert len(values) == 32 * 32 and all(math.isfinite(v) for v in values)
 
 
 def test_cov_overflow_gives_inf_cells(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dtsim import (
     simple_bm_seed,
 )
 
-from conftest import correlated_seed
+from conftest import assert_exact, chain_variants, correlated_seed
 
 
 def test_params_validation():
@@ -145,6 +146,18 @@ def test_h_tilde_matches_raw_product(lattice_params):
             assert h_tilde(chain, r) == pytest.approx(raw, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("T", [2, 8, 32])
+def test_h_tilde_far_lags_match_exact(T):
+    """Several hundred periods out, every in-range ``htilde`` is within 1e-13 of exact rational arithmetic."""
+    p = make_params(0.75, 2.0, T)
+    k, n = np.meshgrid([200, 300, 500, 700], np.arange(T))
+    for chain in chain_variants(p):
+        with np.errstate(over="ignore"):
+            got = h_tilde(chain, k * T + n - 1)
+        for kk, nn, g in zip(k.ravel().tolist(), n.ravel().tolist(), got.ravel()):
+            assert_exact(g, Fraction(chain.htilde_period) ** kk * Fraction(chain._prefix[nn]))
+
+
 @st.composite
 def admissible_chains(draw):
     T = draw(st.integers(min_value=1, max_value=4))
@@ -174,7 +187,7 @@ def test_h_tilde_period_multiplicative(chain, r):
 @settings(max_examples=50, deadline=None)
 @given(admissible_chains())
 def test_h_tilde_log_path_consistent(chain):
-    # log-space and plain-power evaluation must agree where both apply
+    # the extended-range kernel and a plain power must agree where both apply
     r = 7 * chain.T + chain.T - 1
     k, n = divmod(r + 1, chain.T)
     plain = chain.htilde_period ** k * (1.0 if n == 0 else chain.htilde_base[n - 1])

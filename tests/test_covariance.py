@@ -35,7 +35,7 @@ from dtsim import (
 
 from dtsim.simulate import BATCH_SIZE
 
-from conftest import chain_variants, correlated_seed
+from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_cov
 
 
 def _rel(a: float, b: float) -> float:
@@ -98,6 +98,21 @@ def test_long_reflected_lags_match_mirror(m):
     want = cov_table(chain, 0, m)
     assert cov_table(chain, np.array([m]), np.array([-m]))[0] == pytest.approx(want, rel=1e-12)
     assert dtsim_cov(chain, m, -m) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("T,n,tau", [(32, 315, 2520), (32, 308, 2464), (2, 686, 686), (2, 900, 8002)])
+def test_far_entries_match_exact(T, n, tau):
+    """Far out ``alpha**(2THb)`` and ``htilde_period**s`` leave float range where the entry does not.
+
+    The last case halves both powers at ``htilde_period < 0`` and the odd
+    period count ``s = 4001``, so its sign must survive the squarings.
+    """
+    p = make_params(0.75, 2.0, T)
+    chain = make_chain(p, correlated_seed(p, NEG_CORRS))
+    got = cov_table(chain, n, tau)
+    assert_exact(got, exact_cov(chain, n, tau))
+    assert cov_table(chain, n + tau, -tau) == got == dtsim_cov(chain, n, tau)
 
 
 def test_scalar_past_float_range_is_inf():
@@ -283,26 +298,33 @@ def test_cauchy_schwarz_property(case):
 
 @st.composite
 def cov_table_cases(draw):
-    """A chain at T in {1, 2, 8, 32}, alpha in {1.1, 1.5, 2} (simple BM, non-BM, negative ratio) and index arrays."""
+    """A chain at T in {1, 2, 8, 32}, alpha in {1.1, 1.5, 2} (simple BM, non-BM, negative ratio),
+    index arrays, and base and lag offsets of up to 40 periods for ``cov_table``."""
     T = draw(st.sampled_from([1, 2, 8, 32]))
     p = make_params(0.75, draw(st.sampled_from([1.1, 1.5, 2.0])), T)
     kind = draw(st.sampled_from(["bm", "nonbm", "neg"]))
     seed = {
         "bm": lambda: simple_bm_seed(p),
         "nonbm": lambda: correlated_seed(p, (0.6, 0.35, 0.8, 0.5)),
-        "neg": lambda: correlated_seed(p, (-0.4, 0.7, -0.25, 0.55)),
+        "neg": lambda: correlated_seed(p, NEG_CORRS),
     }[kind]()
     size = draw(st.integers(min_value=1, max_value=12))
     ints = st.lists(st.integers(min_value=-3 * T, max_value=3 * T), min_size=size, max_size=size)
-    return make_chain(p, seed), np.array(draw(ints)), np.array(draw(ints))
+    far = T * np.array(draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=2, max_size=2)))
+    return make_chain(p, seed), np.array(draw(ints)), np.array(draw(ints)), far
 
 
 @settings(max_examples=60, deadline=None)
 @given(cov_table_cases())
 def test_cov_table_matches_scalar_and_is_symmetric(case):
     """Array calls equal per-entry scalar calls bit for bit: ``cov_table``,
-    ``q_cov``, ``simple_bm_cov`` and ``empirical_cov`` (two path blocks)."""
-    chain, n, tau = case
+    ``q_cov``, ``simple_bm_cov`` and ``empirical_cov`` (two path blocks).
+
+    ``cov_table`` also runs at the far offsets, where its powers may need
+    halving: it is symmetric bit for bit there and matches exact rational
+    arithmetic wherever ``2THb`` is an integer.
+    """
+    chain, n, tau, far = case
     p = chain.params
     q = q_cov(chain, n, tau)
     scalar = np.array([q_cov(chain, int(a), int(b)) for a, b in zip(n, tau)])
@@ -317,12 +339,16 @@ def test_cov_table_matches_scalar_and_is_symmetric(case):
     scalar = [empirical_cov(ens, int(a), int(b - a)) for a, b in zip(lo, hi)]
     assert np.array_equal(est.value, [e.value for e in scalar])
     assert np.array_equal(est.std_error, [e.std_error for e in scalar])
-    table = cov_table(chain, n, tau)
-    assert table.shape == n.shape
-    scalar = np.array([dtsim_cov(chain, int(a), int(b)) for a, b in zip(n, tau)])
-    assert np.array_equal(table, scalar)
-    mirrored = cov_table(chain, n + tau, -tau)
-    assert np.all(np.abs(table - mirrored) <= 1e-12 * np.maximum(1.0, np.abs(table)))
+    n, tau = n + far[0], tau + far[1]
+    with np.errstate(over="ignore"):
+        table = cov_table(chain, n, tau)
+        assert table.shape == n.shape
+        scalar = np.array([dtsim_cov(chain, int(a), int(b)) for a, b in zip(n, tau)])
+        assert np.array_equal(table, scalar)
+        assert np.array_equal(table, cov_table(chain, n + tau, -tau))
+        grid = cov_table(chain, n[:, np.newaxis], tau)
+    for a, b, got in zip(n.tolist(), tau.tolist(), table):
+        if (2 * p.T * p.H * (min(a, a + b) // p.T)).is_integer():
+            assert_exact(got, exact_cov(chain, a, b))
     # broadcasting: a column of base indices against a row of lags
-    grid = cov_table(chain, n[:, np.newaxis], tau)
     assert np.array_equal(np.diagonal(grid), table)

@@ -19,7 +19,6 @@ from dtsim import (
     build_embedding,
     build_qcov,
     dtsim_cov,
-    gamma_k,
     kernel_cov,
     make_chain,
     make_params,
@@ -29,7 +28,7 @@ from dtsim import (
     simulate_simple_bm,
 )
 
-from conftest import chain_variants
+from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_entry
 
 
 def test_embedding_reindexes():
@@ -125,6 +124,18 @@ def test_qcov_negative_lag_at_large_base_is_finite(T, n, tau):
         assert np.all(np.abs(neg - mirror) <= 1e-12 * np.abs(mirror))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [21, 22])
+def test_qcov_far_positive_lag_matches_exact(n):
+    """At T = 32 ``alpha**(2nHT)`` and ``htilde_period**78`` leave float range in opposite directions; no entry does."""
+    p = make_params(0.75, 2.0, 32)
+    chain = make_chain(p, correlated_seed(p, NEG_CORRS))
+    q = q_cov(chain, n, 78)
+    for j in range(p.T):
+        for k in range(p.T):
+            assert_exact(q[j, k], exact_entry(chain, n, 78, j, k))
+
+
 def test_qcov_scale_invariance(lattice_params):
     p = lattice_params
     chain = make_chain(p, simple_bm_seed(p))
@@ -157,18 +168,14 @@ def test_qcov_rejects_vanishing_chain():
 
 
 def test_gamma_frozen_and_diag():
+    """The diagonal of Q(n, tau) is alpha**(2 n H T) * htilde_period**tau * r0[k]."""
     p = make_params(1.0, 2.0, 2)
     chain = make_chain(p, simple_bm_seed(p))
-    assert gamma_k(chain, 0, 0, 1) == pytest.approx(8.0, rel=1e-15)  # 2 * 4
+    assert q_cov(chain, 0, 1)[0, 0] == pytest.approx(8.0, rel=1e-15)  # 2 * 4
     for n in (0, 1):
         for tau in (0, 1, 2):
-            q = q_cov(chain, n, tau)
-            for k in range(2):
-                assert gamma_k(chain, k, n, tau) == pytest.approx(q[k, k], rel=1e-14)
-    with pytest.raises(DomainError):
-        gamma_k(chain, 0, 0, -1)
-    with pytest.raises(IndexError):
-        gamma_k(chain, 2, 0, 1)
+            want = p.alpha ** (2 * n * p.H * p.T) * chain.htilde_period ** tau * chain.seed.r0
+            assert np.diagonal(q_cov(chain, n, tau)) == pytest.approx(want, rel=1e-14)
 
 
 def test_gamma_is_markov_on_step_grid(lattice_params):
@@ -180,7 +187,7 @@ def test_gamma_is_markov_on_step_grid(lattice_params):
                 i = round(math.log(t) / math.log(p.l))
                 j = round(math.log(s) / math.log(p.l))
                 lo, hi = min(i, j), max(i, j)
-                return gamma_k(chain, k, lo, hi - lo)
+                return q_cov(chain, lo, hi - lo)[k, k]
 
             grid = [p.l ** n for n in range(4)]
             for a in range(4):
