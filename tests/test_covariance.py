@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtsim import (
@@ -299,7 +299,8 @@ def test_cauchy_schwarz_property(case):
 @st.composite
 def cov_table_cases(draw):
     """A chain at T in {1, 2, 8, 32}, alpha in {1.1, 1.5, 2} (simple BM, non-BM, negative ratio),
-    index arrays, and base and lag offsets of up to 40 periods for ``cov_table``."""
+    index arrays, and for ``cov_table`` a base offset of up to 40 periods with a lag offset
+    that balances the two powers, so both leave float range while the entry need not."""
     T = draw(st.sampled_from([1, 2, 8, 32]))
     p = make_params(0.75, draw(st.sampled_from([1.1, 1.5, 2.0])), T)
     kind = draw(st.sampled_from(["bm", "nonbm", "neg"]))
@@ -310,12 +311,32 @@ def cov_table_cases(draw):
     }[kind]()
     size = draw(st.integers(min_value=1, max_value=12))
     ints = st.lists(st.integers(min_value=-3 * T, max_value=3 * T), min_size=size, max_size=size)
-    far = T * np.array(draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=2, max_size=2)))
-    return make_chain(p, seed), np.array(draw(ints)), np.array(draw(ints)), far
+    chain = make_chain(p, seed)
+    # a base offset on the side where lag periods of htilde_period**s can bring
+    # alpha**(2TH far_b) back towards 1, and that many lag periods
+    log_p = math.log2(abs(chain.htilde_period))
+    far_b = draw(st.integers(min_value=0, max_value=40)) * (-1 if log_p > 0 else 1)
+    far_s = round(-2 * T * p.H * far_b * math.log2(p.alpha) / log_p) if log_p else 0
+    far_s = max(0, far_s + draw(st.integers(min_value=-3, max_value=3)))
+    return chain, np.array(draw(ints)), np.array(draw(ints)), T * np.array([far_b, far_s])
+
+
+def _halving_case(T: int, far_b: int):
+    """A negative-ratio case ``far_b`` periods out with a lag offset that balances the two powers.
+
+    Both powers of every entry need halving there while the entry stays in
+    range; at T = 2 ``htilde_period < 0``, so odd period counts check the sign.
+    """
+    p = make_params(0.75, 2.0, T)
+    chain = make_chain(p, correlated_seed(p, NEG_CORRS))
+    far_s = round(-1.5 * T * far_b / math.log2(abs(chain.htilde_period)))
+    return chain, np.array([0, 1, -1, 3]), np.array([0, 1, 2, -3]), T * np.array([far_b, far_s])
 
 
 @settings(max_examples=60, deadline=None)
 @given(cov_table_cases())
+@example(_halving_case(32, 30))
+@example(_halving_case(2, 400))
 def test_cov_table_matches_scalar_and_is_symmetric(case):
     """Array calls equal per-entry scalar calls bit for bit: ``cov_table``,
     ``q_cov``, ``simple_bm_cov`` and ``empirical_cov`` (two path blocks).
