@@ -8,10 +8,8 @@ scale-invariant Markov processes observed at the points ``alpha**k``.
 from .core import (
     CovarianceSeed,
     DsiParams,
-    GeometricGrid,
     HChain,
     convergence_ratio,
-    h_ratio,
     h_tilde,
     make_chain,
     make_params,
@@ -19,9 +17,7 @@ from .core import (
 from .covariance import (
     annulus_index,
     cov_table,
-    dsi_cov_check,
     dtsim_cov,
-    kernel_cov,
     markov_triangle_residual,
     pc_counterpart_cov,
     simple_bm_cov,
@@ -31,13 +27,12 @@ from .errors import ConvergenceError, DomainError, DtsimError, GridError, PoleEr
 from .lamperti import (
     SampledFunction,
     dilate,
-    evaluate,
     lamperti_forward,
     lamperti_inverse,
     shift,
     verify_commutation,
 )
-from .multidim import Embedding, QCov, build_embedding, build_qcov, q_cov
+from .multidim import q_cov
 from .simulate import (
     CovEstimate,
     Ensemble,
@@ -58,7 +53,6 @@ from .spectral import (
     fjk,
     fk_from_bk,
     simple_bm_spectral,
-    spectral_closed,
     spectral_closed_grid,
     spectral_diag,
     spectral_matrix,
@@ -77,12 +71,10 @@ __all__ = [
     "GridError",
     "PoleError",
     "DsiParams",
-    "GeometricGrid",
     "CovarianceSeed",
     "HChain",
     "make_params",
     "make_chain",
-    "h_ratio",
     "h_tilde",
     "convergence_ratio",
     "annulus_index",
@@ -90,12 +82,9 @@ __all__ = [
     "simple_bm_cov",
     "cov_table",
     "dtsim_cov",
-    "kernel_cov",
     "pc_counterpart_cov",
     "markov_triangle_residual",
-    "dsi_cov_check",
     "SampledFunction",
-    "evaluate",
     "shift",
     "dilate",
     "lamperti_forward",
@@ -106,10 +95,6 @@ __all__ = [
     "simulate_brownian",
     "simulate_simple_bm",
     "empirical_cov",
-    "Embedding",
-    "QCov",
-    "build_embedding",
-    "build_qcov",
     "q_cov",
     "FrequencyGrid",
     "BkTable",
@@ -124,7 +109,6 @@ __all__ = [
     "dsi_cov_from_spectra",
     "spectral_sum",
     "spectral_sum_grid",
-    "spectral_closed",
     "spectral_closed_grid",
     "spectral_diag",
     "simple_bm_spectral",

@@ -45,27 +45,44 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _opt(flag: Any, cfg: dict, path: tuple[str, ...], default: Any) -> Any:
-    if flag is not None:
-        return flag
-    node: Any = cfg
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return default if node is None else node
+def _opt(flag: Any, cfg: dict, path: tuple[str, ...], default: Any, kind: type | None = None) -> Any:
+    """``flag`` if given, else the config value at ``path``, else ``default``; converted by ``kind``.
+
+    ``kind`` is ``int`` or ``float``.  A config value it cannot convert
+    exactly (``"abc"``, ``2.5`` for an integer, a boolean) is a DomainError.
+    """
+    value = flag
+    if value is None:
+        node: Any = cfg
+        for key in path:
+            if not isinstance(node, dict) or key not in node:
+                node = None
+                break
+            node = node[key]
+        value = default if node is None else node
+    if kind is None or value is None:
+        return value
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(f"config value {'.'.join(path)} must be {what}, got {value!r}") from None
 
 
 def _resolve_params(args, cfg: dict):
-    H = _opt(args.H, cfg, ("H",), 0.75)
-    alpha = _opt(args.alpha, cfg, ("alpha",), 2.0)
-    T = _opt(args.T, cfg, ("T",), 2)
-    return make_params(float(H), float(alpha), int(T))
+    H = _opt(args.H, cfg, ("H",), 0.75, float)
+    alpha = _opt(args.alpha, cfg, ("alpha",), 2.0, float)
+    T = _opt(args.T, cfg, ("T",), 2, int)
+    return make_params(H, alpha, T)
 
 
 def _resolve_seed(args, cfg: dict, params):
     seed_file = _opt(getattr(args, "seed_file", None), cfg, ("seed_file",), None)
     builtin = bool(getattr(args, "builtin", False)) or bool(cfg.get("builtin", False))
+    if not isinstance(seed_file, (str, type(None))):  # open() would take an integer as a file descriptor
+        raise DomainError(f"config value seed_file must be a path, got {seed_file!r}")
     if seed_file and builtin:
         raise DomainError("choose exactly one of --builtin and --seed-file")
     if seed_file:
@@ -85,9 +102,9 @@ def _out_and_format(args, cfg: dict) -> tuple[str | None, str]:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     params = _resolve_params(args, cfg)
-    n_paths = int(_opt(args.paths, cfg, ("mc", "n_paths"), 1000))
-    k_max = int(_opt(args.kmax, cfg, ("mc", "k_max"), 8))
-    rng_seed = int(_opt(args.seed, cfg, ("mc", "rng_seed"), 0))
+    n_paths = _opt(args.paths, cfg, ("mc", "n_paths"), 1000, int)
+    k_max = _opt(args.kmax, cfg, ("mc", "k_max"), 8, int)
+    rng_seed = _opt(args.seed, cfg, ("mc", "rng_seed"), 0, int)
     out, fmt = _out_and_format(args, cfg)
     sim = simulate_brownian if args.process == "brownian" else simulate_simple_bm
     ens = sim(params, n_paths, k_max, rng_seed)
@@ -115,11 +132,13 @@ def cmd_cov(args) -> int:
     chain = make_chain(params, seed)
     out, fmt = _out_and_format(args, cfg)
     ns, taus = _ranges(args, 2 * params.T - 1, -params.T, 2 * params.T)
-    mc_paths = int(_opt(args.mc_paths, cfg, ("mc", "n_paths"), 0))
+    mc_paths = _opt(args.mc_paths, cfg, ("mc", "n_paths"), 0, int)
+    if mc_paths < 0:
+        raise DomainError(f"Monte Carlo path count must be >= 0 (0 disables), got {mc_paths}")
     ens = None
     if mc_paths > 0:
         k_need = int(max(ns[-1], ns[-1] + taus[-1]))
-        rng_seed = int(_opt(args.mc_seed, cfg, ("mc", "rng_seed"), 0))
+        rng_seed = _opt(args.mc_seed, cfg, ("mc", "rng_seed"), 0, int)
         ens = simulate_simple_bm(params, mc_paths, k_need, rng_seed)
     n, tau = np.meshgrid(ns, taus, indexing="ij")
     keep = n + tau >= 0
@@ -150,14 +169,16 @@ def cmd_spectra(args) -> int:
     chain = make_chain(params, seed)
     out, fmt = _out_and_format(args, cfg)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise DomainError(f"--methods names no method; choose from {', '.join(_METHODS)}")
     for m in methods:
         if m not in _METHODS:
             raise DomainError(f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
     if "example" in methods and not is_builtin:
         raise DomainError("method 'example' is the builtin-seed closed form; "
                           "it cannot be used with --seed-file")
-    n_omega = int(_opt(args.n_omega, cfg, ("spectra", "n_omega"), 256))
-    trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None)
+    n_omega = _opt(args.n_omega, cfg, ("spectra", "n_omega"), 256, int)
+    trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None, int)
     omegas = FrequencyGrid(n_omega).omegas
     idx = np.arange(params.T)
     parts = []
@@ -165,7 +186,7 @@ def cmd_spectra(args) -> int:
         if method == "closed":
             vals = spectral_closed_grid(chain, omegas)
         elif method == "sum":
-            vals = spectral_sum_grid(chain, omegas, None if trunc is None else int(trunc))
+            vals = spectral_sum_grid(chain, omegas, trunc)
         elif method == "example":
             vals = simple_bm_spectral(params, idx[:, np.newaxis], idx, omegas[:, np.newaxis, np.newaxis])
         else:  # diag: real values, one row per component

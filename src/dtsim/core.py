@@ -35,12 +35,10 @@ from .errors import DomainError
 
 __all__ = [
     "DsiParams",
-    "GeometricGrid",
     "CovarianceSeed",
     "HChain",
     "make_params",
     "make_chain",
-    "h_ratio",
     "h_tilde",
     "convergence_ratio",
 ]
@@ -108,25 +106,6 @@ def make_params(H: float, alpha: float, T: int) -> DsiParams:
 
 
 @dataclass(frozen=True)
-class GeometricGrid:
-    """The sampling grid ``alpha**k`` for ``k = 0..k_max``."""
-
-    alpha: float
-    k_max: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 1):
-            raise DomainError(f"grid ratio alpha must be finite and > 1, got {self.alpha}")
-        if self.k_max < 0:
-            raise DomainError(f"k_max must be >= 0, got {self.k_max}")
-
-    @property
-    def times(self) -> np.ndarray:
-        """Grid points, ``times[0] == 1`` and strictly increasing."""
-        return _readonly(self.alpha ** np.arange(self.k_max + 1))
-
-
-@dataclass(frozen=True)
 class CovarianceSeed:
     """Variances ``r0`` and one-step covariances ``r1`` on one period.
 
@@ -169,11 +148,14 @@ class CovarianceSeed:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["j", "r0", "r1"]:
                 raise DomainError(f"seed file {path!s} must have header 'j,r0,r1'")
-            rows = sorted(reader, key=lambda row: int(row["j"]))
-        if [int(row["j"]) for row in rows] != list(range(len(rows))):
+            reader.fieldnames = ["j", "r0", "r1"]  # the check above strips spaces; so must the row keys
+            try:
+                rows = sorted((int(row["j"]), float(row["r0"]), float(row["r1"])) for row in reader)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"seed file {path!s} has a missing or malformed cell: {exc}") from None
+        if [row[0] for row in rows] != list(range(len(rows))):
             raise DomainError(f"seed file {path!s} must contain rows j = 0..T-1 exactly once")
-        r0 = np.array([float(row["r0"]) for row in rows])
-        r1 = np.array([float(row["r1"]) for row in rows])
+        _, r0, r1 = np.array(rows, dtype=float).reshape(-1, 3).T
         return cls(r0=r0, r1=r1)
 
 
@@ -236,11 +218,6 @@ def make_chain(params: DsiParams, seed: CovarianceSeed) -> HChain:
             f"|r1[{j}]| = {abs(seed.r1[j])!r} exceeds the Cauchy-Schwarz bound {bound[j]!r}"
         )
     return chain
-
-
-def h_ratio(chain: HChain, j: int) -> float:
-    """One-step ratio ``h[j] = r1[j] / r0[j]``, periodic in ``j`` with period T."""
-    return float(chain.h[j % chain.T])
 
 
 def h_tilde(chain: HChain, r):

@@ -3,9 +3,9 @@
 The central object is ``R_n(tau) = Cov(X(alpha^(n+tau)), X(alpha^n))`` for a
 scale-invariant Markov process pinned down by a one-period seed.  It has one
 implementation, :func:`cov_table`, which takes broadcast integer arrays
-``n`` and ``tau``; :func:`dtsim_cov` and :func:`kernel_cov` are length-1
-calls into the same index split and kernel.  The earlier grid point of a
-pair is ``bT + r`` and the later one ``(b + s)T + j``; the covariance is
+``n`` and ``tau``; :func:`dtsim_cov` is a length-1 call into it.  The
+earlier grid point of a pair is ``bT + r`` and the later one
+``(b + s)T + j``; the covariance is
 
     alpha**(2 T H b) * htilde_period**s * A[j, r],    A[j, r] = htilde(j-1) / htilde(r-1) * r0[r]
 
@@ -49,10 +49,8 @@ __all__ = [
     "simple_bm_cov",
     "cov_table",
     "dtsim_cov",
-    "kernel_cov",
     "pc_counterpart_cov",
     "markov_triangle_residual",
-    "dsi_cov_check",
 ]
 
 def annulus_index(t, lam: float, rtol: float = _GRID_RTOL):
@@ -114,18 +112,6 @@ def _split(T: int, n, tau):
     return b, r, s, j
 
 
-def _entries(chain: HChain, b, r, s, j):
-    """Kernel entries ``alpha**(2THb) htilde_period**s A[j, r]``; the base phase ``r`` must not follow a zero ratio."""
-    den = chain._prefix[r]
-    if not den.all():
-        raise DomainError(
-            f"h-chain vanishes before index {np.min(np.where(den == 0.0, r, chain.T))}; covariance "
-            "at this base index is not determined by the factorization (a zero one-step "
-            "covariance splits the chain)"
-        )
-    return _cov_kernel(chain.params, chain.htilde_period, b, s, chain._prefix[j] / den * chain.seed.r0[r])
-
-
 def cov_table(chain: HChain, n, tau):
     """Covariances ``Cov(X(alpha^(n+tau)), X(alpha^n))`` over broadcast integer arrays.
 
@@ -137,7 +123,15 @@ def cov_table(chain: HChain, n, tau):
     give a scalar from the same numpy evaluation, so an entry past float
     range is ``inf`` either way.
     """
-    return _entries(chain, *_split(chain.T, n, tau))
+    b, r, s, j = _split(chain.T, n, tau)
+    den = chain._prefix[r]
+    if not den.all():
+        raise DomainError(
+            f"h-chain vanishes before index {np.min(np.where(den == 0.0, r, chain.T))}; covariance "
+            "at this base index is not determined by the factorization (a zero one-step "
+            "covariance splits the chain)"
+        )
+    return _cov_kernel(chain.params, chain.htilde_period, b, s, chain._prefix[j] / den * chain.seed.r0[r])
 
 
 def dtsim_cov(chain: HChain, n: int, tau: int) -> float:
@@ -147,25 +141,6 @@ def dtsim_cov(chain: HChain, n: int, tau: int) -> float:
     dtsim_cov(chain, n + tau, -tau)`` bit for bit.
     """
     return float(cov_table(chain, n, tau))
-
-
-def kernel_cov(chain: HChain, n: int, tau: int) -> float:
-    """One-sided factorization kernel ``htilde(n+tau-1)/htilde(n-1) * R_n(0)``.
-
-    For ``tau >= 0`` this equals :func:`dtsim_cov`.  For ``tau < 0`` it
-    continues the same ratio recursion from ``n`` instead of basing the entry
-    on the earlier point ``n + tau``, which is the convention the embedding
-    matrix identities use; it is *not* the symmetric covariance there.
-    Requires ``n + tau >= 0`` and ``(n mod T) + tau >= 0`` so the ratio
-    stays defined.
-    """
-    if min(n, n % chain.T) + tau < 0:
-        raise DomainError(
-            f"kernel_cov needs n + tau >= 0 and (n mod T) + tau >= 0, got n={n}, tau={tau}"
-        )
-    b, r = divmod(n, chain.T)
-    s, j = divmod(r + tau, chain.T)
-    return float(_entries(chain, b, r, s, j))
 
 
 def pc_counterpart_cov(chain: HChain, n, tau):
@@ -196,14 +171,3 @@ def markov_triangle_residual(
         raise DomainError(f"need t1 <= t2 <= t3, got {t1}, {t2}, {t3}")
     return cov(t1, t3) * cov(t2, t2) - cov(t1, t2) * cov(t2, t3)
 
-
-def dsi_cov_check(
-    cov: Callable[[float, float], float], params: DsiParams, t: float, s: float
-) -> float:
-    """Residual ``cov(l t, l s) - l**(2H) cov(t, s)`` with ``l = alpha**T``.
-
-    Zero for covariances that are scale-invariant with exponent ``H`` at scale
-    ``l``; a smoke detector for mismatched H or a non-invariant kernel.
-    """
-    l = params.l
-    return cov(l * t, l * s) - l ** (2 * params.H) * cov(t, s)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DtsimError", "DomainError", "GridError", "ConvergenceError", "PoleError"]
+
 
 class DtsimError(Exception):
     """Base class for all package-specific errors."""

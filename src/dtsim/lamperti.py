@@ -23,7 +23,6 @@ from .errors import DomainError, GridError
 
 __all__ = [
     "SampledFunction",
-    "evaluate",
     "shift",
     "dilate",
     "lamperti_forward",
@@ -51,14 +50,6 @@ class SampledFunction:
             raise DomainError("sample points must be finite")
         if len(domain) > 1 and not np.all(np.diff(domain) > 0):
             raise DomainError("sample points must be strictly increasing")
-
-
-def evaluate(f: SampledFunction, t: float, rtol: float = _GRID_RTOL) -> float:
-    """Value at sample point ``t`` (matched within ``rtol`` relative)."""
-    i = int(np.argmin(np.abs(f.domain - t)))
-    if abs(f.domain[i] - t) > rtol * max(1.0, abs(t)):
-        raise DomainError(f"{t} is not a sample point of this function")
-    return float(f.values[i])
 
 
 def shift(f: SampledFunction, tau: float) -> SampledFunction:

@@ -75,7 +75,6 @@ __all__ = [
     "dsi_cov_from_spectra",
     "spectral_sum",
     "spectral_sum_grid",
-    "spectral_closed",
     "spectral_closed_grid",
     "spectral_diag",
     "simple_bm_spectral",
@@ -371,11 +370,6 @@ def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
     out += A.T * (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
     out /= 2 * math.pi
     return out
-
-
-def spectral_closed(chain: HChain, j: int, r: int, omega: float) -> complex:
-    """Entry (j, r) of :func:`spectral_closed_grid` at ``omega``."""
-    return complex(spectral_closed_grid(chain, [omega])[0, j, r])
 
 
 def spectral_diag(chain: HChain, k, omega):

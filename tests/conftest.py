@@ -54,6 +54,21 @@ def chain_variants(params: DsiParams):
     yield make_chain(params, correlated_seed(params, NEG_CORRS))
 
 
+def plain_entry(chain, b: int, s: int, j: int, r: int) -> float:
+    """``alpha**(2THb) * htilde_period**s * A[j, r]`` as a plain float product, apart from the package's kernel.
+
+    The one-step ratios ``h[i % T]`` for ``i = r .. sT + j - 1`` carry grid
+    point ``bT + r`` to ``(b + s)T + j``; when ``sT + j < r`` the product
+    runs the other way and divides.
+    """
+    p = chain.params
+    lo, hi = sorted((r, s * p.T + j))
+    ratio = math.prod(chain.h[i % p.T] for i in range(lo, hi))
+    if s * p.T + j < r:
+        ratio = 1 / ratio
+    return ratio * p.alpha ** (2 * p.T * p.H * b) * chain.seed.r0[r]
+
+
 def exact_entry(chain, b: int, s: int, j: int, r: int) -> Fraction:
     """``alpha**(2THb) * htilde_period**s * A[j, r]`` in rational arithmetic on the chain's own floats.
 

@@ -17,12 +17,10 @@ from dtsim import (
     FrequencyGrid,
     SampledFunction,
     build_bk_table,
-    dsi_cov_check,
     dsi_cov_from_spectra,
     dtsim_cov,
     empirical_cov,
     f_matrix_grid,
-    kernel_cov,
     lamperti_forward,
     lamperti_inverse,
     make_chain,
@@ -41,7 +39,7 @@ from dtsim import (
 )
 from dtsim.cli import main as cli_main
 
-from conftest import LATTICE
+from conftest import LATTICE, plain_entry
 
 
 def _report(capsys, n: int, ok: bool, detail: str) -> None:
@@ -171,8 +169,9 @@ def test_acceptance_5_structural_invariants(capsys):
                 a = dtsim_cov(chain, n + p.T, tau)
                 b = factor * dtsim_cov(chain, n, tau)
                 worst_s = max(worst_s, abs(a - b) / max(1.0, abs(b)))
+        cov = lambda u, v: simple_bm_cov(u, v, p.H, p.l)
         for t, s in ((1.0, 1.0), (1.0, p.alpha), (p.alpha, p.alpha ** 2)):
-            res = dsi_cov_check(lambda u, v: simple_bm_cov(u, v, p.H, p.l), p, t, s)
+            res = cov(p.l * t, p.l * s) - p.l ** (2 * p.H) * cov(t, s)  # zero under DSI at scale l
             worst_s = max(worst_s, abs(res) / max(1.0, factor))
 
         # transform round trip and shift/dilation commutation
@@ -219,18 +218,17 @@ def test_acceptance_6_phase_expansion_roundtrip(capsys):
 
 
 def test_acceptance_7_embedding_two_routes(capsys):
-    """Matrix covariance of the T-dimensional embedding equals the entrywise
-    one-sided kernel route at lag tau*T + j - k (1e-12 relative), including
-    the lag-0 block."""
+    """Matrix covariance of the T-dimensional embedding equals a plain product
+    of one-step ratios from grid point nT + k to (n + tau)T + j (1e-12
+    relative), including the lag-0 block."""
     worst = 0.0
     for p, chain in _chains():
         for n in (0, 1, 2):
-            pre = p.alpha ** (2 * n * p.H * p.T)
             for tau in (0, 1, 2, 3):
                 q = q_cov(chain, n, tau)
                 for j in range(p.T):
                     for k in range(p.T):
-                        want = pre * kernel_cov(chain, k, tau * p.T + j - k)
+                        want = plain_entry(chain, n, tau, j, k)
                         worst = max(
                             worst, abs(q[j, k] - want) / max(1.0, abs(want))
                         )
@@ -250,7 +248,8 @@ def test_acceptance_8_negative_controls(capsys):
     triangle_ok = abs(r1) > 1e-3 and abs(r2) > 1e-3
 
     p = next(q for q in LATTICE if (q.alpha, q.T, q.H) == (2.0, 2, 1.0))
-    mismatch = dsi_cov_check(lambda t, s: min(t, s), p, 1.0, 2.0)
+    dsi_residual = lambda cov, t, s: cov(p.l * t, p.l * s) - p.l ** (2 * p.H) * cov(t, s)
+    mismatch = dsi_residual(min, 1.0, 2.0)  # plain min kernel is invariant at H = 1/2, not H = 1
     dsi_ok = abs(mismatch) > 1.0
 
     code = cli_main(["verify", "--perturb", "1e-3", "--json"])

@@ -1,13 +1,17 @@
-"""Public names resolve, and the benchmark's tracer can wrap every one of them.
+"""Public names resolve, the README example runs, and the benchmark's tracer can wrap every name.
 
 ``perfbench/tracing.py`` wraps each name in a module's ``__all__`` and binds
-the signatures of the truncated-series functions (parameters ``chain`` or
-``table``, and ``s_trunc``), so renaming or dropping any of them breaks
+the signatures of six truncated-series functions: ``spectral_sum`` and
+``spectral_sum_grid`` (parameter ``chain``), and ``f_matrix``,
+``f_matrix_grid``, ``fjk`` and ``fk_from_bk`` (parameter ``table``), each
+with ``s_trunc``.  Renaming or dropping any of those six breaks
 ``perfbench/run.py --trace 1`` as well as importers.
 """
 
+import ast
 import importlib
 import os
+import re
 import sys
 
 import numpy as np
@@ -17,8 +21,9 @@ import dtsim
 from dtsim import cli, spectral
 from dtsim.simulate import BATCH_SIZE
 
-MODULES = ("core", "covariance", "lamperti", "multidim", "simulate", "spectral", "verify")
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+MODULES = ("core", "covariance", "errors", "lamperti", "multidim", "simulate", "spectral", "verify")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,6 +40,31 @@ def test_package_all_resolves():
     assert len(dtsim.__all__) == len(set(dtsim.__all__))
     for attr in dtsim.__all__:
         assert hasattr(dtsim, attr), attr
+
+
+def test_package_all_comes_from_modules():
+    """Every package-level name is some module's public name, so the two lists cannot drift apart."""
+    exported = set()
+    for name in MODULES:
+        exported |= set(importlib.import_module(f"dtsim.{name}").__all__)
+    assert set(dtsim.__all__) <= exported, sorted(set(dtsim.__all__) - exported)
+
+
+def test_readme_example_runs_on_public_names():
+    """README's python block runs, and imports only names in ``dtsim.__all__``."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 1
+    code = blocks[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "dtsim"
+        for alias in node.names
+    ]
+    assert imported
+    assert set(imported) <= set(dtsim.__all__), sorted(set(imported) - set(dtsim.__all__))
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def _tracing():
@@ -67,7 +97,7 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert {name: getattr(spectral, name) for name in spectral.__all__} == originals
-    assert np.isfinite(dtsim.spectral_closed(chain, 0, 0, 0.3))
+    assert np.all(np.isfinite(dtsim.spectral_closed_grid(chain, [0.3])))
 
 
 def test_tracer_counts_cov_monte_carlo_samples(tmp_path):

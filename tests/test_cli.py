@@ -100,6 +100,20 @@ def test_reversed_or_negative_ranges_exit_2(capsys, command, ranges):
     assert out == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_mc_paths_exit_2(capsys, tmp_path, source):
+    """Only 0 disables Monte Carlo; a negative path count is a configuration error."""
+    if source == "flag":
+        argv = ("--mc-paths", "-5")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mc": {"n_paths": -5}}))
+        argv = ("--config", str(cfg))
+    code, out = run_cli(capsys, "cov", *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_simulate_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -164,6 +178,13 @@ def test_spectra_example_needs_builtin(capsys, tmp_path):
 def test_spectra_unknown_method(capsys):
     code, _ = run_cli(capsys, "spectra", "--methods", "fourier")
     assert code == 2
+
+
+@pytest.mark.parametrize("methods", [",", ""])
+def test_spectra_empty_method_list(capsys, methods):
+    code, out = run_cli(capsys, "spectra", "--methods", methods)
+    assert code == 2
+    assert out == ""
 
 
 def test_embed_rows(capsys):
@@ -306,6 +327,34 @@ def test_exit_code_config_errors(capsys, tmp_path):
     assert run_cli(capsys, "cov", "--builtin", "--seed-file", str(seed_path))[0] == 2
     # seed length 2 against T=3
     assert run_cli(capsys, "cov", "--T", "3", "--seed-file", str(seed_path))[0] == 2
+
+
+@pytest.mark.parametrize("config", [{"T": "abc"}, {"T": 2.5}, {"H": "abc"}, {"mc": {"n_paths": 2.5}}, {"seed_file": 2}],
+                         ids=["T-abc", "T-2.5", "H-abc", "n_paths-2.5", "seed_file-2"])
+def test_malformed_config_values_exit_2(capsys, tmp_path, config):
+    """A config value that is not exactly a number of the right kind is rejected, never truncated."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_cli(capsys, "cov", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("rows", ["0,abc,0.5\n1,2,1\n", "0,1,0.5\nx,2,1\n", "0,1,0.5\n1,2\n"],
+                         ids=["r0-abc", "j-x", "r1-missing"])
+def test_malformed_seed_file_exit_2(capsys, tmp_path, rows):
+    path = tmp_path / "seed.csv"
+    path.write_text("j,r0,r1\n" + rows)
+    code, out = run_cli(capsys, "cov", "--seed-file", str(path))
+    assert code == 2
+    assert out == ""
+
+
+def test_seed_file_header_may_have_spaces(capsys, tmp_path):
+    path = tmp_path / "seed.csv"
+    path.write_text("j, r0, r1\n0, 1.0, 0.5\n1, 2.0, 1.0\n")
+    assert CovarianceSeed.from_csv(path).r1.tolist() == [0.5, 1.0]
+    assert run_cli(capsys, "cov", "--seed-file", str(path))[0] == 0
 
 
 def test_exit_code_io_error(capsys):

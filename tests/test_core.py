@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from dtsim import (
     CovarianceSeed,
     DomainError,
-    GeometricGrid,
     convergence_ratio,
-    h_ratio,
     h_tilde,
     make_chain,
     make_params,
@@ -44,16 +42,6 @@ def test_params_dilation_scale_derived():
     # frozen dataclass: the scale cannot be patched out of sync
     with pytest.raises(AttributeError):
         p.alpha = 3.0  # type: ignore[misc]
-
-
-def test_geometric_grid():
-    g = GeometricGrid(alpha=2.0, k_max=4)
-    assert np.array_equal(g.times, [1.0, 2.0, 4.0, 8.0, 16.0])
-    assert not g.times.flags.writeable
-    with pytest.raises(DomainError):
-        GeometricGrid(alpha=1.0, k_max=4)
-    with pytest.raises(DomainError):
-        GeometricGrid(alpha=2.0, k_max=-1)
 
 
 def test_seed_validation():
@@ -119,14 +107,6 @@ def test_simple_bm_convergence_ratio_is_alpha_power(lattice_params):
     assert convergence_ratio(chain) == pytest.approx(expected, rel=1e-12)
 
 
-def test_h_ratio_periodic():
-    p = make_params(0.75, 2.0, 3)
-    chain = make_chain(p, correlated_seed(p, (0.5, -0.3, 0.7)))
-    for j in range(3):
-        assert h_ratio(chain, j + 3) == h_ratio(chain, j)
-        assert h_ratio(chain, j + 9) == h_ratio(chain, j)
-
-
 def test_h_tilde_small_lags():
     p = make_params(1.0, 2.0, 2)
     chain = make_chain(p, simple_bm_seed(p))
@@ -142,7 +122,7 @@ def test_h_tilde_matches_raw_product(lattice_params):
     for corrs in ((0.6, 0.35, 0.8, 0.5), (-0.4, 0.7, -0.25, 0.55)):
         chain = make_chain(lattice_params, correlated_seed(lattice_params, corrs))
         for r in range(-1, 5 * lattice_params.T):
-            raw = float(np.prod([h_ratio(chain, j) for j in range(r + 1)])) if r >= 0 else 1.0
+            raw = float(np.prod([chain.h[j % chain.T] for j in range(r + 1)])) if r >= 0 else 1.0
             assert h_tilde(chain, r) == pytest.approx(raw, rel=1e-12, abs=1e-300)
 
 
@@ -209,7 +189,7 @@ def test_cauchy_schwarz_seam_uses_extension_factor():
     p = make_params(2.0, 2.0, 1)
     seed = CovarianceSeed(r0=np.array([1.0]), r1=np.array([3.9]))
     chain = make_chain(p, seed)  # bound is sqrt(1 * 1 * 2**4) = 4
-    assert h_ratio(chain, 0) == pytest.approx(3.9)
+    assert chain.h[0] == pytest.approx(3.9)
     with pytest.raises(DomainError):
         make_chain(p, CovarianceSeed(r0=np.array([1.0]), r1=np.array([4.1])))
 

@@ -19,10 +19,8 @@ from dtsim import (
     DomainError,
     annulus_index,
     cov_table,
-    dsi_cov_check,
     dtsim_cov,
     empirical_cov,
-    kernel_cov,
     make_chain,
     make_params,
     markov_triangle_residual,
@@ -150,10 +148,14 @@ def test_scale_extension(lattice_params):
 
 
 def test_kernel_cov_matches_covariance_at_nonnegative_lags(lattice_params):
+    """The one-sided kernel at ``(n, tau >= 0)``, read off ``q_cov``, is the covariance."""
+    T = lattice_params.T
     for chain in chain_variants(lattice_params):
-        for n in range(2 * lattice_params.T):
-            for tau in range(0, 2 * lattice_params.T + 1):
-                assert kernel_cov(chain, n, tau) == pytest.approx(
+        for n in range(2 * T):
+            for tau in range(0, 2 * T + 1):
+                b, r = divmod(n, T)
+                s, j = divmod(r + tau, T)
+                assert q_cov(chain, b, s)[j, r] == pytest.approx(
                     dtsim_cov(chain, n, tau), rel=1e-12
                 )
 
@@ -163,15 +165,14 @@ def test_kernel_cov_is_one_sided_at_negative_lags():
 
     The one-sided kernel continues R_n(tau) = htilde(n+tau-1)/htilde(n-1) R_n(0)
     below tau = 0; the true covariance reflects instead.  For simple BM at
-    alpha=2, T=2, H=1 the kernel gives 8 where the covariance is 4, a frozen
+    alpha=2, T=2, H=1 the kernel at ``(n, tau) = (1, -1)``, which is
+    ``q_cov(chain, 0, 0)[0, 1]``, gives 8 where the covariance is 4, a frozen
     discriminator pair that keeps the two routes from being silently conflated.
     """
     p = make_params(1.0, 2.0, 2)
     chain = make_chain(p, simple_bm_seed(p))
-    assert kernel_cov(chain, 1, -1) == pytest.approx(8.0, rel=1e-15)
+    assert q_cov(chain, 0, 0)[0, 1] == pytest.approx(8.0, rel=1e-15)
     assert dtsim_cov(chain, 1, -1) == pytest.approx(4.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        kernel_cov(chain, 1, -2)
 
 
 def test_negative_lag_reflection_identity(lattice_params):
@@ -224,6 +225,11 @@ def test_markov_triangle_negative_control():
     assert abs(markov_triangle_residual(gauss, 1.0, 2.0, 4.0)) > 1e-3
 
 
+def _dsi_residual(cov, p, t: float, s: float) -> float:
+    """``cov(l t, l s) - l**(2H) cov(t, s)``: zero for a covariance scale-invariant at ``l = alpha**T``."""
+    return cov(p.l * t, p.l * s) - p.l ** (2 * p.H) * cov(t, s)
+
+
 def test_dsi_cov_check(lattice_params):
     p = lattice_params
 
@@ -231,14 +237,14 @@ def test_dsi_cov_check(lattice_params):
         return simple_bm_cov(t, s, p.H, p.l)
 
     for t, s in ((1.0, 1.0), (1.0, p.alpha), (p.alpha, p.alpha ** 2)):
-        res = dsi_cov_check(cov, p, t, s)
+        res = _dsi_residual(cov, p, t, s)
         assert abs(res) <= 1e-12 * max(1.0, abs(cov(t, s)) * p.l ** (2 * p.H))
 
 
 def test_dsi_cov_check_negative_control():
     # plain min kernel (H = 1/2 invariance) against H = 1 params
     p = make_params(1.0, 2.0, 2)
-    res = dsi_cov_check(lambda t, s: min(t, s), p, 1.0, 2.0)
+    res = _dsi_residual(min, p, 1.0, 2.0)
     assert abs(res) > 1.0  # 4 - 16 * 1 = -12, nowhere near zero
 
 

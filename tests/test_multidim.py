@@ -16,10 +16,7 @@ import pytest
 from dtsim import (
     CovarianceSeed,
     DomainError,
-    build_embedding,
-    build_qcov,
     dtsim_cov,
-    kernel_cov,
     make_chain,
     make_params,
     markov_triangle_residual,
@@ -28,65 +25,33 @@ from dtsim import (
     simulate_simple_bm,
 )
 
-from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_entry
-
-
-def test_embedding_reindexes():
-    p = make_params(0.5, 2.0, 3)
-    values = np.arange(12.0)
-    emb = build_embedding(values, p)
-    assert emb.n_max == 3
-    assert np.array_equal(emb.components[0], [0.0, 3.0, 6.0, 9.0])
-    assert np.array_equal(emb.components[2], [2.0, 5.0, 8.0, 11.0])
-
-
-def test_embedding_truncates_partial_step():
-    p = make_params(0.5, 2.0, 3)
-    emb = build_embedding(np.arange(11.0), p)  # 11 = 3 * 3 + 2: last two dropped
-    assert emb.n_max == 2
-    assert np.array_equal(emb.components[1], [1.0, 4.0, 7.0])
-
-
-def test_embedding_ensemble_axis():
-    p = make_params(0.5, 2.0, 2)
-    values = np.arange(12.0).reshape(3, 4)  # 3 paths, 4 grid samples
-    emb = build_embedding(values, p)
-    assert emb.components[1].shape == (3, 2)
-    assert np.array_equal(emb.components[1][2], [9.0, 11.0])
-
-
-def test_embedding_needs_full_step():
-    p = make_params(0.5, 2.0, 4)
-    with pytest.raises(IndexError):
-        build_embedding(np.arange(3.0), p)
+from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_entry, plain_entry
 
 
 def test_qcov_frozen_example():
     # alpha=2, T=2, H=1: u = (1, 1), C all ones, r0 = (4, 8), period factor 2
     p = make_params(1.0, 2.0, 2)
     chain = make_chain(p, simple_bm_seed(p))
-    qc = build_qcov(chain)
-    assert np.array_equal(qc.C, np.ones((2, 2)))
-    assert qc.scale_base == pytest.approx(2.0, rel=1e-15)
-    q00 = qc.matrix(0, 0)
+    q00 = q_cov(chain, 0, 0)
+    assert np.array_equal(q00 / chain.seed.r0, np.ones((2, 2)))
+    assert chain.htilde_period == pytest.approx(2.0, rel=1e-15)
     assert np.allclose(q00, [[4.0, 8.0], [4.0, 8.0]], rtol=1e-15)
     # Q(0,0)[0,1] is the one-sided kernel value 8, deliberately not the
     # symmetric covariance 4 (frozen discriminator pair)
-    assert kernel_cov(chain, 1, -1) == pytest.approx(q00[0, 1], rel=1e-15)
+    assert plain_entry(chain, 0, 0, 0, 1) == pytest.approx(q00[0, 1], rel=1e-15)
     assert dtsim_cov(chain, 1, -1) == pytest.approx(4.0, rel=1e-15)
 
 
 def test_qcov_matches_kernel_route(lattice_params):
-    """Matrix route vs entrywise kernel route at lag tau*T + j - k."""
+    """Matrix route vs a plain product of one-step ratios from ``nT + k`` to ``(n + tau)T + j``."""
     p = lattice_params
     for chain in chain_variants(p):
         for n in (0, 1, 2):
-            pre = p.alpha ** (2 * n * p.H * p.T)
             for tau in (0, 1, 2, 3):
                 q = q_cov(chain, n, tau)
                 for j in range(p.T):
                     for k in range(p.T):
-                        want = pre * kernel_cov(chain, k, tau * p.T + j - k)
+                        want = plain_entry(chain, n, tau, j, k)
                         assert q[j, k] == pytest.approx(want, rel=1e-12), (n, tau, j, k)
 
 
@@ -148,7 +113,7 @@ def test_qcov_scale_invariance(lattice_params):
 
 def test_c_matrix_rank_one_cocycle(lattice_params):
     for chain in chain_variants(lattice_params):
-        C = build_qcov(chain).C
+        C = q_cov(chain, 0, 0) / chain.seed.r0  # Q(0, 0) = C * r0
         T = lattice_params.T
         assert np.allclose(np.diag(C), 1.0, rtol=1e-15)
         sv = np.linalg.svd(C, compute_uv=False)
@@ -164,7 +129,7 @@ def test_qcov_rejects_vanishing_chain():
     seed = CovarianceSeed(r0=np.array([1.0, 1.0]), r1=np.array([0.0, 0.5]))
     chain = make_chain(p, seed)
     with pytest.raises(DomainError):
-        build_qcov(chain)
+        q_cov(chain, 0, 0)
 
 
 def test_gamma_frozen_and_diag():
@@ -203,12 +168,11 @@ def test_embedding_covariance_monte_carlo():
     p = make_params(0.75, 2.0, 2)
     chain = make_chain(p, simple_bm_seed(p))
     ens = simulate_simple_bm(p, n_paths=50_000, k_max=7, rng_seed=2024)
-    emb = build_embedding(ens.paths, p)
     for n, tau in ((0, 1), (1, 1), (0, 2)):
         q = q_cov(chain, n, tau)
         for j in range(2):
             for k in range(2):
-                prod = emb.components[j][:, n + tau] * emb.components[k][:, n]
+                prod = ens.paths[:, (n + tau) * p.T + j] * ens.paths[:, n * p.T + k]
                 est = float(prod.mean())
                 se = float(prod.std(ddof=1) / math.sqrt(prod.shape[0]))
                 assert abs(est - q[j, k]) <= 3 * se, (n, tau, j, k)

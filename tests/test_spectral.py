@@ -33,7 +33,6 @@ from dtsim import (
     auto_truncation,
     bk_from_pc_cov,
     build_bk_table,
-    build_qcov,
     convergence_ratio,
     dsi_cov_from_spectra,
     dtsim_cov,
@@ -44,9 +43,9 @@ from dtsim import (
     make_chain,
     make_params,
     pc_counterpart_cov,
+    q_cov,
     simple_bm_seed,
     simple_bm_spectral,
-    spectral_closed,
     spectral_closed_grid,
     spectral_diag,
     spectral_matrix,
@@ -64,10 +63,15 @@ def _scaled(diff: float, *refs: float) -> float:
     return diff / max(1.0, *map(abs, refs))
 
 
+def _closed(chain, j: int, r: int, omega: float) -> complex:
+    """Entry ``(j, r)`` of :func:`spectral_closed_grid` at one frequency."""
+    return complex(spectral_closed_grid(chain, [omega])[0, j, r])
+
+
 def _series_prefactors(chain, j: int, r: int) -> tuple[float, float]:
     """Coefficients of the closed form's s >= 0 side (a) and s <= -1 side (b)."""
-    qc = build_qcov(chain)
-    return float(qc.C[j, r] * qc.r0[r]), float(qc.C[r, j] * qc.r0[j])
+    q00 = q_cov(chain, 0, 0)  # C * r0
+    return float(q00[j, r]), float(q00[r, j])
 
 
 def second_term_forms(chain, j: int, r: int, omega: float) -> tuple[complex, complex]:
@@ -281,7 +285,7 @@ def test_scalar_and_grid_routes_agree():
         for i, w in enumerate(OMEGAS):
             for j in range(2):
                 for r in range(2):
-                    assert spectral_closed(chain, j, r, w) == pytest.approx(
+                    assert _closed(chain, j, r, w) == pytest.approx(
                         cg[i, j, r], rel=1e-12, abs=1e-15
                     )
                     sv = spectral_sum(chain, j, r, w)
@@ -292,7 +296,7 @@ def test_spectral_sum_tail_honest():
     p = make_params(0.75, 2.0, 2)
     for chain in chain_variants(p):
         for w in OMEGAS:
-            full = spectral_closed(chain, 1, 0, w)
+            full = _closed(chain, 1, 0, w)
             part = spectral_sum(chain, 1, 0, w, s_trunc=4)
             assert abs(part.value - full) <= part.tail_bound * (1 + 1e-9)
 
@@ -319,7 +323,7 @@ def test_closed_matches_true_covariance_series(lattice_params):
                         tot += fwd * cmath.exp(-1j * s * w * T)
                         tot += bwd * cmath.exp(1j * s * w * T)
                     tot /= 2 * math.pi
-                    got = spectral_closed(chain, j, r, w)
+                    got = _closed(chain, j, r, w)
                     assert _scaled(abs(got - tot), abs(tot)) <= 1e-11, (j, r, w)
 
 
@@ -332,7 +336,7 @@ def test_hermitian_gap_identity(lattice_params):
                 a, b = _series_prefactors(chain, j, r)
                 want = (a - b) / (2 * math.pi)
                 for w in OMEGAS:
-                    gap = spectral_closed(chain, j, r, w) - spectral_closed(
+                    gap = _closed(chain, j, r, w) - _closed(
                         chain, r, j, w
                     ).conjugate()
                     assert abs(gap - want) <= 1e-12 * max(1.0, abs(a), abs(b))
@@ -343,8 +347,8 @@ def test_hermitian_gap_frozen_example():
     # 16/2pi the other; the 4/2pi gap is the lag-0 kernel/covariance split
     p = make_params(1.0, 2.0, 2)
     chain = make_chain(p, simple_bm_seed(p))
-    d01 = spectral_closed(chain, 0, 1, 0.0)
-    d10 = spectral_closed(chain, 1, 0, 0.0)
+    d01 = _closed(chain, 0, 1, 0.0)
+    d10 = _closed(chain, 1, 0, 0.0)
     assert d01 * 2 * math.pi == pytest.approx(20.0, rel=1e-12)
     assert d10 * 2 * math.pi == pytest.approx(16.0, rel=1e-12)
     gap = (d01 - d10.conjugate()) * 2 * math.pi
@@ -360,7 +364,7 @@ def test_spectral_matrix_hermitian_and_closed(lattice_params):
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(1.0, scale)
             for j in range(T):
                 for r in range(j + 1):
-                    assert m[j, r] == spectral_closed(chain, j, r, w)
+                    assert m[j, r] == _closed(chain, j, r, w)
         spectral_matrix_grid(chain, FrequencyGrid(8))  # constructor re-validates
 
 
@@ -372,7 +376,7 @@ def test_spectral_diag_identities(lattice_params):
             r0 = dtsim_cov(chain, k, 0)
             for w in OMEGAS:
                 d = spectral_diag(chain, k, w)
-                c = spectral_closed(chain, k, k, w)
+                c = _closed(chain, k, k, w)
                 assert _scaled(abs(d - c.real), d) <= 1e-12
                 assert _scaled(abs(c.imag), d) <= 1e-12
                 assert d > 0
@@ -404,7 +408,7 @@ def test_simple_bm_explicit_form(lattice_params):
         for j in range(p.T):
             for r in range(p.T):
                 explicit = simple_bm_spectral(p, j, r, w)
-                general = spectral_closed(chain, j, r, w)
+                general = _closed(chain, j, r, w)
                 assert _scaled(abs(explicit - general), abs(general)) <= 1e-12
     with pytest.raises(IndexError):
         simple_bm_spectral(p, p.T, 0, 0.0)
@@ -420,7 +424,7 @@ def test_second_term_forms_agree(lattice_params):
                 assert _scaled(abs(direct - geometric), abs(direct)) <= 1e-12
                 a, _ = _series_prefactors(chain, j, 0)
                 first = a / (1 - cmath.exp(-1j * w * T) * rho) / (2 * math.pi)
-                full = spectral_closed(chain, j, 0, w)
+                full = _closed(chain, j, 0, w)
                 assert _scaled(abs(first + direct - full), abs(full)) <= 1e-12
 
 
@@ -430,7 +434,7 @@ def test_divergent_chain_raises():
     chain = make_chain(p, CovarianceSeed(r0=np.array([1.0]), r1=np.array([math.sqrt(2.0)])))
     assert abs(convergence_ratio(chain)) >= 1
     with pytest.raises(ConvergenceError):
-        spectral_closed(chain, 0, 0, 0.3)
+        _closed(chain, 0, 0, 0.3)
     with pytest.raises(ConvergenceError):
         spectral_sum(chain, 0, 0, 0.3)
     with pytest.raises(ConvergenceError):
@@ -448,7 +452,7 @@ def test_white_noise_chain():
     chain = make_chain(p, CovarianceSeed(r0=np.array([2.0]), r1=np.array([0.0])))
     assert convergence_ratio(chain) == 0.0
     for w in OMEGAS:
-        assert spectral_closed(chain, 0, 0, w) == pytest.approx(2.0 / (2 * math.pi))
+        assert _closed(chain, 0, 0, w) == pytest.approx(2.0 / (2 * math.pi))
     with pytest.raises(PoleError):
         second_term_forms(chain, 0, 0, 0.3)
 
