@@ -2,14 +2,20 @@
 
 An :class:`Ensemble` is a seeded recipe, not a matrix.  Its paths are
 generated batch by batch with sub-seeds spawned deterministically from the
-master seed (numpy SeedSequence over PCG64), so results are byte-for-byte
-reproducible and do not depend on how many batches run at once.  The Monte
-Carlo estimator and the table writer consume the batches as they come, so
-their memory does not grow with the number of paths.
+master seed (numpy SeedSequence over PCG64): batch ``i`` is drawn from child
+``i`` alone, so results are byte-for-byte reproducible and do not depend on
+how many batches run at once.  :data:`_WORKERS` threads (one per usable
+core) fill the batches, at most that many at a time, and the consumer
+receives them in batch order; no bit of a path depends on the worker count.
+The Monte Carlo estimator and the table writer consume the batches as they
+come, so their memory does not grow with the number of paths.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +33,9 @@ BATCH_SIZE = 4096
 
 _PROCESSES = ("simple-bm", "brownian")
 
+#: Threads that fill path blocks, one per usable core; the paths do not depend on it.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -34,7 +43,7 @@ class Ensemble:
 
     ``process`` is ``"brownian"`` or ``"simple-bm"``.  Paths are generated on
     demand by :meth:`blocks`, :data:`BATCH_SIZE` paths at a time, so a
-    consumer that reads them block by block holds one block, not the
+    consumer that reads them block by block holds a few blocks, not the
     ``n_paths x (k_max + 1)`` matrix.  :attr:`paths` builds that matrix on
     first access, and :attr:`moments` the path sums the Monte Carlo
     estimator reads.
@@ -51,6 +60,8 @@ class Ensemble:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.k_max < 0:
             raise DomainError(f"k_max must be >= 0, got {self.k_max}")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.process not in _PROCESSES:
             raise DomainError(f"process must be one of {', '.join(_PROCESSES)}, got {self.process!r}")
 
@@ -61,8 +72,14 @@ class Ensemble:
     def blocks(self) -> Iterator[np.ndarray]:
         """Rows of the path matrix in blocks of ``BATCH_SIZE`` (the last may be shorter).
 
-        Block ``i`` is drawn from the ``i``-th child of ``SeedSequence(rng_seed)``,
-        so a path does not depend on ``n_paths``.  Each block is a new array.
+        Block ``i`` is drawn from the ``i``-th child of ``SeedSequence(rng_seed)``
+        and from nothing else, so a path depends neither on ``n_paths`` nor on
+        :data:`_WORKERS`.  Each block is a new array, allocated here and filled
+        in place on one of ``_WORKERS`` threads that live as long as the
+        iteration; blocks come out in block order, at most ``_WORKERS`` of them
+        allocated and not yet yielded.  An exception raised while filling a
+        block is raised here, and the threads are joined when the iteration
+        ends or the generator is closed.
         """
         p = self.params
         ks = np.arange(self.k_max + 1)
@@ -71,21 +88,61 @@ class Ensemble:
         # simple BM: amplitude lam**(H - 1/2) per crossing of a power of lam = alpha**T
         amp = p.l ** ((ks // p.T + 1) * (p.H - 0.5)) if self.process == "simple-bm" else None
         n_batches = (self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
-        for i, child in enumerate(np.random.SeedSequence(self.rng_seed).spawn(n_batches)):
-            rows = min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
-            block = np.random.default_rng(child).standard_normal((rows, self.k_max + 1))
-            block *= scale
-            np.cumsum(block, axis=1, out=block)
-            if amp is not None:
-                block *= amp
-            yield block
+        children = np.random.SeedSequence(self.rng_seed).spawn(n_batches)
+        tasks = queue.SimpleQueue()
+
+        def fill() -> None:
+            while (task := tasks.get()) is not None:
+                block, child, done = task
+                try:
+                    np.random.default_rng(child).standard_normal(out=block)
+                    block *= scale
+                    np.cumsum(block, axis=1, out=block)
+                    if amp is not None:
+                        block *= amp
+                except Exception as exc:  # handed to the consumer, which raises it
+                    done.put(exc)
+                else:
+                    done.put(None)
+
+        def finished(block: np.ndarray, done: queue.SimpleQueue) -> np.ndarray:
+            if (exc := done.get()) is not None:
+                raise exc
+            return block
+
+        workers: list[threading.Thread] = []
+        pending: list[tuple[np.ndarray, queue.SimpleQueue]] = []
+        try:
+            for _ in range(min(_WORKERS, n_batches)):
+                # daemon: a generator still suspended at exit must not keep the interpreter alive
+                w = threading.Thread(target=fill, daemon=True)
+                w.start()
+                workers.append(w)
+            for i, child in enumerate(children):
+                if len(pending) == len(workers):
+                    yield finished(*pending.pop(0))
+                # allocated on this thread: blocks filled on worker threads would
+                # come from per-thread malloc arenas and raise the peak RSS
+                block = np.empty((min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE), self.k_max + 1))
+                done = queue.SimpleQueue()
+                tasks.put((block, child, done))
+                pending.append((block, done))
+            while pending:
+                yield finished(*pending.pop(0))
+        finally:
+            for _ in workers:
+                tasks.put(None)
+            for w in workers:
+                w.join()
 
     @cached_property
     def paths(self) -> np.ndarray:
         """Read-only ``n_paths x (k_max + 1)`` matrix of :meth:`blocks`, built on first access."""
         out = np.empty((self.n_paths, self.k_max + 1))
-        for lo, block in zip(range(0, self.n_paths, BATCH_SIZE), self.blocks()):
+        lo = 0
+        for block in self.blocks():
             out[lo : lo + len(block)] = block
+            lo += len(block)
         out.setflags(write=False)
         return out
 
@@ -112,8 +169,10 @@ class Ensemble:
     def columns(self) -> Iterator[dict[str, np.ndarray]]:
         """Table parts ``path, k, t, value``, one per block, as ``table.write_table`` takes them."""
         ks, times = np.arange(self.k_max + 1), self.times
-        for lo, block in zip(range(0, self.n_paths, BATCH_SIZE), self.blocks()):
+        lo = 0
+        for block in self.blocks():
             yield {"path": np.arange(lo, lo + len(block))[:, np.newaxis], "k": ks, "t": times, "value": block}
+            lo += len(block)
 
     def to_csv(self, path) -> None:
         """Write rows ``path,k,t,value`` with 17-significant-digit floats, as ``dtsim simulate`` does."""

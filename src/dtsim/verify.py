@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import CovarianceSeed, DsiParams, HChain, make_chain
 from .covariance import cov_table, markov_triangle_residual, pc_counterpart_cov, simple_bm_cov
+from .errors import DomainError
 from .lamperti import SampledFunction, lamperti_forward, lamperti_inverse, verify_commutation
 from .spectral import (
     FrequencyGrid,
@@ -41,6 +42,8 @@ class CheckResult:
 
 def perturb_seed(seed: CovarianceSeed, eps: float, rng_seed: int = 0) -> CovarianceSeed:
     """Multiply each one-step covariance by ``1 + eps * u`` with seeded u ~ U(-1, 1)."""
+    if rng_seed < 0:
+        raise DomainError(f"rng_seed must be >= 0, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     noise = 1.0 + eps * rng.uniform(-1.0, 1.0, size=seed.T)
     return CovarianceSeed(r0=np.array(seed.r0), r1=np.array(seed.r1) * noise)

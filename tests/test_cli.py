@@ -114,6 +114,25 @@ def test_negative_mc_paths_exit_2(capsys, tmp_path, source):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["cov", "--mc-paths", "10", "--mc-seed", "-5"],
+    ["simulate", "--config", "{cfg}"],
+    ["verify", "--perturb", "1e-3", "--seed", "-1"],
+])
+def test_negative_rng_seed_exit_2(capsys, tmp_path, argv):
+    """A negative RNG seed is a configuration error caught before the output file is opened."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mc": {"rng_seed": -3}}))
+    out = tmp_path / "out.csv"
+    code = main([a.format(cfg=cfg) for a in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "rng_seed must be >= 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

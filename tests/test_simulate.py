@@ -1,4 +1,7 @@
+import io
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from dtsim import (
     simulate_brownian,
     simulate_simple_bm,
 )
+import dtsim.simulate as simulate
 from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 
@@ -57,6 +61,8 @@ def test_argument_validation():
         Ensemble(params=p, k_max=-1, n_paths=2, rng_seed=0, process="simple-bm")
     with pytest.raises(DomainError):
         Ensemble(params=p, k_max=3, n_paths=2, rng_seed=0, process="fbm")
+    with pytest.raises(DomainError):
+        simulate_simple_bm(p, n_paths=2, k_max=3, rng_seed=-1)
 
 
 def test_brownian_moments():
@@ -177,11 +183,8 @@ def _ref_empirical_cov(paths: np.ndarray, n, tau) -> tuple[np.ndarray, np.ndarra
     return value, np.sqrt(var / count) * (count > 1)
 
 
-@pytest.mark.parametrize("n_paths", [1, BATCH_SIZE, 2 * BATCH_SIZE + 7])
-@pytest.mark.parametrize("sim", [simulate_simple_bm, simulate_brownian])
-def test_streamed_estimator_matches_matrix_reference(n_paths, sim):
-    p = make_params(0.8, 1.5, 3)
-    ens = sim(p, n_paths=n_paths, k_max=10, rng_seed=17)
+def _assert_matches_reference(ens: Ensemble) -> None:
+    """``paths``, ``blocks()`` and ``empirical_cov`` equal the one-matrix references bit for bit."""
     ref = _ref_paths(ens)
     assert np.array_equal(ens.paths, ref)
     assert np.array_equal(np.concatenate(list(ens.blocks())), ref)
@@ -191,6 +194,12 @@ def test_streamed_estimator_matches_matrix_reference(n_paths, sim):
     value, se = _ref_empirical_cov(ref, n[keep], tau[keep])
     assert np.array_equal(est.value, value)
     assert np.array_equal(est.std_error, se)
+
+
+@pytest.mark.parametrize("n_paths", [1, BATCH_SIZE, 2 * BATCH_SIZE + 7])
+@pytest.mark.parametrize("sim", [simulate_simple_bm, simulate_brownian])
+def test_streamed_estimator_matches_matrix_reference(n_paths, sim):
+    _assert_matches_reference(sim(make_params(0.8, 1.5, 3), n_paths=n_paths, k_max=10, rng_seed=17))
 
 
 def test_moments_are_one_cached_pass(monkeypatch):
@@ -232,3 +241,96 @@ def test_streamed_commands_hold_a_few_blocks(tmp_path, monkeypatch, argv):
         tracemalloc.stop()
     assert code == 0
     assert peak < 8 * BATCH_SIZE * 16 * 8
+
+
+# -- blocks filled on worker threads ------------------------------------------
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_paths_do_not_depend_on_worker_count(monkeypatch, workers):
+    """Five blocks through 1-3 workers match the one-matrix reference bit for bit."""
+    monkeypatch.setattr(simulate, "_WORKERS", workers)
+    _assert_matches_reference(simulate_simple_bm(make_params(0.8, 1.5, 3), n_paths=4 * BATCH_SIZE + 7,
+                                                 k_max=10, rng_seed=17))
+
+
+def test_cli_outputs_do_not_depend_on_worker_count(monkeypatch, tmp_path):
+    commands = {
+        "cov.csv": ["cov", "--mc-paths", str(3 * BATCH_SIZE + 5), "--mc-seed", "6"],
+        "cov.json": ["cov", "--mc-paths", str(3 * BATCH_SIZE + 5), "--mc-seed", "6", "--format", "json"],
+        "simulate.csv": ["simulate", "--paths", str(2 * BATCH_SIZE + 3), "--kmax", "3", "--seed", "6"],
+        "simulate.json": ["simulate", "--paths", str(2 * BATCH_SIZE + 3), "--kmax", "3", "--seed", "6",
+                          "--format", "json"],
+    }
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(tmp_path / f"{workers}-{name}")]) == 0
+    for name in commands:
+        one = (tmp_path / f"1-{name}").read_bytes()
+        assert (tmp_path / f"2-{name}").read_bytes() == one, name
+        assert (tmp_path / f"3-{name}").read_bytes() == one, name
+
+
+def test_many_workers_with_fast_thread_switches(monkeypatch):
+    """More workers than cores and a thread switch every microsecond still give blocks in order."""
+    monkeypatch.setattr(simulate, "_WORKERS", 8)
+    ens = simulate_brownian(make_params(0.5, 2.0, 1), n_paths=40 * BATCH_SIZE + 1, k_max=2, rng_seed=23)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = np.concatenate(list(ens.blocks()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, _ref_paths(ens))
+
+
+class _FullDisk(io.StringIO):
+    """Text stream whose fourth write fails as a full disk would."""
+
+    def write(self, text: str) -> int:
+        self.writes = getattr(self, "writes", 0) + 1
+        if self.writes == 4:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("end", ["exhausted", "closed", "paths", "writer_error"])
+def test_worker_threads_end_with_the_iteration(monkeypatch, end):
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    base = threading.active_count()
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=3 * BATCH_SIZE, k_max=3, rng_seed=1)
+    if end == "paths":
+        assert ens.paths.shape == (3 * BATCH_SIZE, 4)
+    elif end == "writer_error":
+        # the table is written two text blocks per path block, so the failing
+        # write comes while the second path block is being written
+        monkeypatch.setattr(sys, "stdout", _FullDisk())
+        assert main(["simulate", "--paths", str(3 * BATCH_SIZE), "--kmax", "3"]) == 3
+    else:
+        it = ens.blocks()
+        next(it)
+        assert threading.active_count() == base + 2
+        if end == "closed":
+            it.close()
+        else:
+            assert sum(1 for _ in it) == 2
+    assert threading.active_count() == base
+
+
+def test_fill_error_reaches_the_consumer(monkeypatch):
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    base = threading.active_count()
+    default_rng = np.random.default_rng
+
+    def failing(seed):
+        if seed.spawn_key == (2,):
+            raise RuntimeError("cannot seed the third child")
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", failing)
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=5 * BATCH_SIZE, k_max=3, rng_seed=4)
+    got = []
+    with pytest.raises(RuntimeError, match="third child"):
+        for block in ens.blocks():
+            got.append(block)
+    assert len(got) == 2
+    assert threading.active_count() == base
