@@ -4,17 +4,17 @@ An :class:`Ensemble` is a seeded recipe, not a matrix.  Its paths are
 generated batch by batch with sub-seeds spawned deterministically from the
 master seed (numpy SeedSequence over PCG64): batch ``i`` is drawn from child
 ``i`` alone, so results are byte-for-byte reproducible and do not depend on
-how many batches run at once.  :data:`_WORKERS` threads (one per usable
-core) fill the batches, at most that many at a time, and the consumer
-receives them in batch order; no bit of a path depends on the worker count.
-The Monte Carlo estimator and the table writer consume the batches as they
-come, so their memory does not grow with the number of paths.
+which thread fills a batch.  With two or more usable cores two threads fill
+the batches, at most two of them allocated and not yet read, and the reader
+receives them in batch order; on one core the reader fills them itself, and
+so does the table writer, which leaves a fill thread nothing to overlap.  The
+Monte Carlo estimator and the table writer consume the batches as they come,
+so their memory does not grow with the number of paths.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -33,8 +33,13 @@ BATCH_SIZE = 4096
 
 _PROCESSES = ("simple-bm", "brownian")
 
-#: Threads that fill path blocks, one per usable core; the paths do not depend on it.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+#: Threads that fill path blocks, one block each at a time: two where a second
+#: core can run them, none on one core, where the handoffs cost time and
+#: nothing overlaps.  Two, not one per core, so memory does not grow with the
+#: core count; no bit of a path depends on it.
+_FILL_THREADS = 2 if _CORES > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,16 @@ class Ensemble:
 
         Block ``i`` is drawn from the ``i``-th child of ``SeedSequence(rng_seed)``
         and from nothing else, so a path depends neither on ``n_paths`` nor on
-        :data:`_WORKERS`.  Each block is a new array, allocated here and filled
-        in place on one of ``_WORKERS`` threads that live as long as the
-        iteration; blocks come out in block order, at most ``_WORKERS`` of them
-        allocated and not yet yielded.  An exception raised while filling a
-        block is raised here, and the threads are joined when the iteration
-        ends or the generator is closed.
+        which thread filled it.  Each block is a new array, allocated here and
+        filled on one of :data:`_FILL_THREADS` threads that live as long as the
+        iteration (on this thread when there are none).  Blocks come out in
+        block order, at most ``_FILL_THREADS`` of them allocated and not yet
+        yielded.  An exception raised while filling a block is raised here, and
+        the threads are joined when the iteration ends or the generator is closed.
         """
+        return self._blocks(_FILL_THREADS)
+
+    def _blocks(self, threads: int) -> Iterator[np.ndarray]:
         p = self.params
         ks = np.arange(self.k_max + 1)
         # increment variances: Var B(1) = 1, then alpha**k - alpha**(k-1)
@@ -89,51 +97,72 @@ class Ensemble:
         amp = p.l ** ((ks // p.T + 1) * (p.H - 0.5)) if self.process == "simple-bm" else None
         n_batches = (self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
         children = np.random.SeedSequence(self.rng_seed).spawn(n_batches)
+
+        def new_block(i: int) -> np.ndarray:
+            return np.empty((min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE), self.k_max + 1))
+
+        def fill(block: np.ndarray, child: np.random.SeedSequence) -> None:
+            np.random.default_rng(child).standard_normal(out=block)
+            block *= scale
+            np.cumsum(block, axis=1, out=block)
+            if amp is not None:
+                block *= amp
+
+        if not threads:
+            for i, child in enumerate(children):
+                fill(block := new_block(i), child)
+                yield block
+            return
+
+        import queue  # here, not at the top: commands that never simulate do not pay for it
+
         tasks = queue.SimpleQueue()
 
-        def fill() -> None:
+        def work() -> None:
             while (task := tasks.get()) is not None:
                 block, child, done = task
                 try:
-                    np.random.default_rng(child).standard_normal(out=block)
-                    block *= scale
-                    np.cumsum(block, axis=1, out=block)
-                    if amp is not None:
-                        block *= amp
-                except Exception as exc:  # handed to the consumer, which raises it
-                    done.put(exc)
-                else:
-                    done.put(None)
+                    fill(block, child)
+                    exc = None
+                except Exception as error:  # handed to the reader, which raises it
+                    exc = error
+                # let go of the block before the reader hears of it, so that
+                # an idle thread does not keep it alive after the reader is done
+                del task, block
+                done.put(exc)
+
+        def hand_out(i: int) -> tuple[np.ndarray, queue.SimpleQueue]:
+            # allocated on this thread: a block allocated on a filling thread
+            # would come from that thread's malloc arena and raise the peak RSS
+            done = queue.SimpleQueue()
+            tasks.put((block := new_block(i), children[i], done))
+            return block, done
 
         def finished(block: np.ndarray, done: queue.SimpleQueue) -> np.ndarray:
             if (exc := done.get()) is not None:
                 raise exc
             return block
 
-        workers: list[threading.Thread] = []
+        fillers: list[threading.Thread] = []
         pending: list[tuple[np.ndarray, queue.SimpleQueue]] = []
         try:
-            for _ in range(min(_WORKERS, n_batches)):
+            for _ in range(min(threads, n_batches)):
                 # daemon: a generator still suspended at exit must not keep the interpreter alive
-                w = threading.Thread(target=fill, daemon=True)
-                w.start()
-                workers.append(w)
-            for i, child in enumerate(children):
-                if len(pending) == len(workers):
+                (f := threading.Thread(target=work, daemon=True)).start()
+                fillers.append(f)
+            for i in range(n_batches):
+                if len(pending) == threads:
+                    # the oldest block goes out before the next is allocated,
+                    # so at most `threads` blocks are allocated and not yet yielded
                     yield finished(*pending.pop(0))
-                # allocated on this thread: blocks filled on worker threads would
-                # come from per-thread malloc arenas and raise the peak RSS
-                block = np.empty((min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE), self.k_max + 1))
-                done = queue.SimpleQueue()
-                tasks.put((block, child, done))
-                pending.append((block, done))
+                pending.append(hand_out(i))
             while pending:
                 yield finished(*pending.pop(0))
         finally:
-            for _ in workers:
+            for f in fillers:
                 tasks.put(None)
-            for w in workers:
-                w.join()
+            for f in fillers:
+                f.join()
 
     @cached_property
     def paths(self) -> np.ndarray:
@@ -170,7 +199,9 @@ class Ensemble:
         """Table parts ``path, k, t, value``, one per block, as ``table.write_table`` takes them."""
         ks, times = np.arange(self.k_max + 1), self.times
         lo = 0
-        for block in self.blocks():
+        # filled here: the writer holds the interpreter lock nearly all the
+        # time, so a fill thread would only wait for it and take it away
+        for block in self._blocks(threads=0):
             yield {"path": np.arange(lo, lo + len(block))[:, np.newaxis], "k": ks, "t": times, "value": block}
             lo += len(block)
 

@@ -1,8 +1,10 @@
-import io
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -244,15 +246,15 @@ def test_streamed_commands_hold_a_few_blocks(tmp_path, monkeypatch, argv):
 
 
 # -- blocks filled on worker threads ------------------------------------------
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_paths_do_not_depend_on_worker_count(monkeypatch, workers):
-    """Five blocks through 1-3 workers match the one-matrix reference bit for bit."""
-    monkeypatch.setattr(simulate, "_WORKERS", workers)
+@pytest.mark.parametrize("threads", [0, 1, 2, 3])
+def test_paths_do_not_depend_on_the_fill_threads(monkeypatch, threads):
+    """Five blocks, filled by the reader or by 1-3 threads, match the one-matrix reference bit for bit."""
+    monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
     _assert_matches_reference(simulate_simple_bm(make_params(0.8, 1.5, 3), n_paths=4 * BATCH_SIZE + 7,
                                                  k_max=10, rng_seed=17))
 
 
-def test_cli_outputs_do_not_depend_on_worker_count(monkeypatch, tmp_path):
+def test_cli_outputs_do_not_depend_on_the_fill_threads(monkeypatch, tmp_path):
     commands = {
         "cov.csv": ["cov", "--mc-paths", str(3 * BATCH_SIZE + 5), "--mc-seed", "6"],
         "cov.json": ["cov", "--mc-paths", str(3 * BATCH_SIZE + 5), "--mc-seed", "6", "--format", "json"],
@@ -260,19 +262,19 @@ def test_cli_outputs_do_not_depend_on_worker_count(monkeypatch, tmp_path):
         "simulate.json": ["simulate", "--paths", str(2 * BATCH_SIZE + 3), "--kmax", "3", "--seed", "6",
                           "--format", "json"],
     }
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(simulate, "_WORKERS", workers)
+    for threads in (0, 1, 2, 3):
+        monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
         for name, argv in commands.items():
-            assert main(argv + ["--out", str(tmp_path / f"{workers}-{name}")]) == 0
+            assert main(argv + ["--out", str(tmp_path / f"{threads}-{name}")]) == 0
     for name in commands:
-        one = (tmp_path / f"1-{name}").read_bytes()
-        assert (tmp_path / f"2-{name}").read_bytes() == one, name
-        assert (tmp_path / f"3-{name}").read_bytes() == one, name
+        one = (tmp_path / f"0-{name}").read_bytes()
+        for threads in (1, 2, 3):
+            assert (tmp_path / f"{threads}-{name}").read_bytes() == one, (threads, name)
 
 
-def test_many_workers_with_fast_thread_switches(monkeypatch):
-    """More workers than cores and a thread switch every microsecond still give blocks in order."""
-    monkeypatch.setattr(simulate, "_WORKERS", 8)
+def test_many_fill_threads_with_fast_thread_switches(monkeypatch):
+    """More fill threads than cores and a thread switch every microsecond still give the blocks in order."""
+    monkeypatch.setattr(simulate, "_FILL_THREADS", 8)
     ens = simulate_brownian(make_params(0.5, 2.0, 1), n_paths=40 * BATCH_SIZE + 1, k_max=2, rng_seed=23)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -283,28 +285,78 @@ def test_many_workers_with_fast_thread_switches(monkeypatch):
     assert np.array_equal(got, _ref_paths(ens))
 
 
-class _FullDisk(io.StringIO):
-    """Text stream whose fourth write fails as a full disk would."""
+def test_at_most_two_blocks_in_flight(monkeypatch):
+    """With two fill threads the reader's block and the next one are the only blocks alive.
 
-    def write(self, text: str) -> int:
-        self.writes = getattr(self, "writes", 0) + 1
-        if self.writes == 4:
-            raise OSError(28, "No space left on device")
-        return super().write(text)
+    The bound is a constant: the thread count is 2 or 0 whatever the number of cores.
+    """
+    assert simulate._FILL_THREADS in (0, 2)
+    monkeypatch.setattr(simulate, "_FILL_THREADS", 2)
+    made = []
+    empty = np.empty
+
+    def tracked(*args, **kwargs):
+        made.append(weakref.ref(a := empty(*args, **kwargs)))
+        return a
+
+    ens = simulate_brownian(make_params(0.5, 2.0, 1), n_paths=12 * BATCH_SIZE, k_max=3, rng_seed=5)
+    monkeypatch.setattr(np, "empty", tracked)
+    for i, block in enumerate(ens.blocks()):
+        assert len(made) == min(i + 2, 12)
+        assert [r() is not None for r in made[:-2]] == [False] * max(len(made) - 2, 0)
+        assert block is made[i]()
+    assert len(made) == 12
 
 
-@pytest.mark.parametrize("end", ["exhausted", "closed", "paths", "writer_error"])
-def test_worker_threads_end_with_the_iteration(monkeypatch, end):
-    monkeypatch.setattr(simulate, "_WORKERS", 2)
+@pytest.mark.parametrize("cores, threads", [(1, 0), (2, 2), (64, 2)])
+def test_fill_threads_do_not_grow_with_the_core_count(cores, threads):
+    """On a host with ``cores`` usable cores the module picks ``threads`` fill threads."""
+    code = (f"import os; os.sched_getaffinity = lambda pid: set(range({cores})); "
+            "import dtsim.simulate as s; print(s._FILL_THREADS)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == threads
+
+
+def test_cli_import_leaves_out_queue_and_logging():
+    """``queue`` is imported on the first threaded pass, so commands that never simulate do not load it."""
+    code = "import sys, dtsim.cli; print(sorted({'queue', 'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_moments_hold_a_few_blocks(monkeypatch, threads):
+    """20 blocks of 16 grid points, a 10.5 MB path matrix: peak below 8 blocks either way."""
+    monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 4), n_paths=20 * BATCH_SIZE, k_max=15, rng_seed=2)
+    tracemalloc.start()
+    try:
+        assert ens.moments.shape == (2, 16, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * BATCH_SIZE * 16 * 8
+
+
+@pytest.mark.parametrize("end", ["exhausted", "closed", "paths", "reader_error"])
+def test_fill_threads_end_with_the_iteration(monkeypatch, end):
+    monkeypatch.setattr(simulate, "_FILL_THREADS", 2)
     base = threading.active_count()
     ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=3 * BATCH_SIZE, k_max=3, rng_seed=1)
     if end == "paths":
         assert ens.paths.shape == (3 * BATCH_SIZE, 4)
-    elif end == "writer_error":
-        # the table is written two text blocks per path block, so the failing
-        # write comes while the second path block is being written
-        monkeypatch.setattr(sys, "stdout", _FullDisk())
-        assert main(["simulate", "--paths", str(3 * BATCH_SIZE), "--kmax", "3"]) == 3
+    elif end == "reader_error":
+        def read():
+            for block in ens.blocks():
+                assert threading.active_count() == base + 2
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError):
+            read()
     else:
         it = ens.blocks()
         next(it)
@@ -316,8 +368,22 @@ def test_worker_threads_end_with_the_iteration(monkeypatch, end):
     assert threading.active_count() == base
 
 
-def test_fill_error_reaches_the_consumer(monkeypatch):
-    monkeypatch.setattr(simulate, "_WORKERS", 2)
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was started")
+
+
+def test_table_writer_fills_inline(monkeypatch, tmp_path):
+    """``dtsim simulate`` fills the blocks on the writing thread, fill threads or not."""
+    monkeypatch.setattr(simulate, "_FILL_THREADS", 2)
+    monkeypatch.setattr(threading, "Thread", _NoThread)
+    assert main(["simulate", "--paths", str(2 * BATCH_SIZE + 3), "--kmax", "3",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_fill_error_reaches_the_reader(monkeypatch, threads):
+    monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
     base = threading.active_count()
     default_rng = np.random.default_rng
 
