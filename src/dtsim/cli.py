@@ -21,7 +21,7 @@ from .core import CovarianceSeed, make_chain, make_params
 from .covariance import cov_table, simple_bm_cov, simple_bm_seed
 from .errors import ConvergenceError, DomainError, GridError, PoleError
 from .multidim import q_cov
-from .simulate import empirical_cov, simulate_brownian, simulate_simple_bm
+from .simulate import Ensemble, empirical_cov, simulate_brownian, simulate_simple_bm
 from .spectral import (
     FrequencyGrid,
     simple_bm_spectral,
@@ -107,8 +107,7 @@ def cmd_simulate(args) -> int:
     rng_seed = _opt(args.seed, cfg, ("mc", "rng_seed"), 0, int)
     out, fmt = _out_and_format(args, cfg)
     sim = simulate_brownian if args.process == "brownian" else simulate_simple_bm
-    ens = sim(params, n_paths, k_max, rng_seed)
-    write_table(ens.columns(), fmt, out)
+    write_table(sim(params, n_paths, k_max, rng_seed).columns(), fmt, out)
     return 0
 
 
@@ -139,7 +138,9 @@ def cmd_cov(args) -> int:
     if mc_paths > 0:
         k_need = int(max(ns[-1], ns[-1] + taus[-1]))
         rng_seed = _opt(args.mc_seed, cfg, ("mc", "rng_seed"), 0, int)
-        ens = simulate_simple_bm(params, mc_paths, k_need, rng_seed)
+        # the builtin seed keeps its named constructor: perfbench's tracer counts samples through it
+        ens = (simulate_simple_bm(params, mc_paths, k_need, rng_seed) if is_builtin
+               else Ensemble(chain, k_need, mc_paths, rng_seed))
     n, tau = np.meshgrid(ns, taus, indexing="ij")
     keep = n + tau >= 0
     n, tau = n[keep], tau[keep]

@@ -1,13 +1,18 @@
 """Seeded Monte Carlo ensembles on the geometric grid.
 
-An :class:`Ensemble` is a seeded recipe, not a matrix.  Its paths are
-generated batch by batch with sub-seeds spawned deterministically from the
-master seed (numpy SeedSequence over PCG64): batch ``i`` is drawn from child
-``i`` alone, so results are byte-for-byte reproducible and do not depend on
-which thread fills a batch.  With two or more usable cores two threads fill
-the batches, at most two of them allocated and not yet read, and the reader
-receives them in batch order; on one core the reader fills them itself, and
-so does the table writer, which leaves a fill thread nothing to overlap.  The
+A wide-sense Markov covariance factors as ``G(min) K(max)``, so a Gaussian
+sequence with a chain's covariance is a scaled, time-changed Brownian motion
+``X_k = amp_k W(clock_k)`` (Doob 1949), with ``var_k = R_k(0)``,
+``amp_k = prod_{i<k} R_i(1) / var_i`` and ``clock_k = var_k / amp_k**2``
+from :func:`cov_table`.  One generator serves every admissible seed; a zero
+one-step covariance on the grid splits the chain and is rejected.
+
+An :class:`Ensemble` is a seeded recipe, not a matrix.  Batch ``i`` of its
+paths is drawn from child ``i`` of ``SeedSequence(rng_seed)`` (PCG64) alone,
+so results are byte-for-byte reproducible whichever thread fills a batch.
+With two or more usable cores two threads fill the batches, at most two of
+them allocated and not yet read, and the reader receives them in batch order;
+on one core, and for the table writer, the reader fills them itself.  The
 Monte Carlo estimator and the table writer consume the batches as they come,
 so their memory does not grow with the number of paths.
 """
@@ -22,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DsiParams
+from .core import DsiParams, HChain, make_chain, make_params
+from .covariance import cov_table, simple_bm_seed
 from .errors import DomainError
 from .table import write_table
 
@@ -30,8 +36,6 @@ __all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm",
 
 #: Paths per generation batch; fixed so batch boundaries never move.
 BATCH_SIZE = 4096
-
-_PROCESSES = ("simple-bm", "brownian")
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -44,21 +48,20 @@ _FILL_THREADS = 2 if _CORES > 1 else 0
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Seeded recipe for sample paths on the grid alpha**k, one row per path.
+    """Seeded recipe for sample paths of ``chain`` on the grid alpha**k, one row per path.
 
-    ``process`` is ``"brownian"`` or ``"simple-bm"``.  Paths are generated on
-    demand by :meth:`blocks`, :data:`BATCH_SIZE` paths at a time, so a
-    consumer that reads them block by block holds a few blocks, not the
-    ``n_paths x (k_max + 1)`` matrix.  :attr:`paths` builds that matrix on
-    first access, and :attr:`moments` the path sums the Monte Carlo
-    estimator reads.
+    :meth:`blocks` generates them :data:`BATCH_SIZE` at a time, so a reader
+    of blocks holds a few, not the ``n_paths x (k_max + 1)`` matrix that
+    :attr:`paths` builds on first access; :attr:`moments` holds the path sums
+    the Monte Carlo estimator reads.  The path factors come from ``chain``
+    (see the module docstring); a one-step covariance of 0 at some
+    ``k < k_max``, or factors out of float range, raise DomainError here.
     """
 
-    params: DsiParams
+    chain: HChain
     k_max: int
     n_paths: int
     rng_seed: int
-    process: str
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
@@ -67,12 +70,24 @@ class Ensemble:
             raise DomainError(f"k_max must be >= 0, got {self.k_max}")
         if self.rng_seed < 0:
             raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.process not in _PROCESSES:
-            raise DomainError(f"process must be one of {', '.join(_PROCESSES)}, got {self.process!r}")
+        self._factors  # a seed the factorization cannot serve fails here, before any output
 
     @property
     def times(self) -> np.ndarray:
-        return self.params.alpha ** np.arange(self.k_max + 1)
+        return self.chain.params.alpha ** np.arange(self.k_max + 1)
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(scale, amp)`` of ``X_k = amp_k W(clock_k)``: a path is ``cumsum(normals * scale) * amp``."""
+        ks = np.arange(self.k_max + 1)
+        with np.errstate(all="ignore"):  # a zero step or an overflow is a DomainError
+            var, step = cov_table(self.chain, ks, 0), cov_table(self.chain, ks[:-1], 1)
+            amp = np.concatenate(([1.0], np.cumprod(step / var[:-1])))
+            # the clock var / amp**2 may step back by rounding on the Cauchy-Schwarz boundary
+            scale = np.sqrt(np.maximum(np.diff(var / amp**2, prepend=0.0), 0.0))
+            if not (step.all() and np.isfinite([scale, amp**2]).all()):
+                raise DomainError(f"one-step covariance 0 or path factor overflow at some k <= {self.k_max}")
+        return scale, amp
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Rows of the path matrix in blocks of ``BATCH_SIZE`` (the last may be shorter).
@@ -89,12 +104,7 @@ class Ensemble:
         return self._blocks(_FILL_THREADS)
 
     def _blocks(self, threads: int) -> Iterator[np.ndarray]:
-        p = self.params
-        ks = np.arange(self.k_max + 1)
-        # increment variances: Var B(1) = 1, then alpha**k - alpha**(k-1)
-        scale = np.sqrt(np.concatenate(([1.0], p.alpha ** ks[1:] - p.alpha ** (ks[1:] - 1))))
-        # simple BM: amplitude lam**(H - 1/2) per crossing of a power of lam = alpha**T
-        amp = p.l ** ((ks // p.T + 1) * (p.H - 0.5)) if self.process == "simple-bm" else None
+        scale, amp = self._factors
         n_batches = (self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
         children = np.random.SeedSequence(self.rng_seed).spawn(n_batches)
 
@@ -105,8 +115,7 @@ class Ensemble:
             np.random.default_rng(child).standard_normal(out=block)
             block *= scale
             np.cumsum(block, axis=1, out=block)
-            if amp is not None:
-                block *= amp
+            block *= amp
 
         if not threads:
             for i, child in enumerate(children):
@@ -224,24 +233,14 @@ class CovEstimate:
         return self.n_paths < 2
 
 
-def simulate_brownian(
-    params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0
-) -> Ensemble:
-    """Brownian motion sampled at alpha**k for k = 0..k_max."""
-    return Ensemble(params=params, k_max=k_max, n_paths=n_paths, rng_seed=rng_seed, process="brownian")
+def simulate_brownian(params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0) -> Ensemble:
+    """Brownian motion sampled at alpha**k for k = 0..k_max: simple BM at H = 1/2."""
+    return simulate_simple_bm(make_params(0.5, params.alpha, params.T), n_paths, k_max, rng_seed)
 
 
-def simulate_simple_bm(
-    params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0
-) -> Ensemble:
-    """Piecewise-rescaled Brownian motion driven by the same seed as simulate_brownian.
-
-    Each grid column of the Brownian ensemble is multiplied by
-    ``lam**(n (H - 1/2))`` where ``n`` counts crossings of powers of
-    ``lam = alpha**T``; with H = 1/2 the output is bit-identical to the
-    driving Brownian ensemble.
-    """
-    return Ensemble(params=params, k_max=k_max, n_paths=n_paths, rng_seed=rng_seed, process="simple-bm")
+def simulate_simple_bm(params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0) -> Ensemble:
+    """Simple BM, the builtin seed's ensemble: Brownian motion times lam**(H - 1/2) per power of lam."""
+    return Ensemble(make_chain(params, simple_bm_seed(params)), k_max, n_paths, rng_seed)
 
 
 def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:

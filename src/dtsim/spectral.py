@@ -173,12 +173,12 @@ class BkTable:
 def build_bk_table(chain: HChain, tau_window: int | None = None) -> BkTable:
     """Tabulate B_k(tau) from the chain's closed-form covariance.
 
-    The default window is one period beyond the truncation needed for a 1e-12
-    geometric tail, so frequency sums can bound their own error.
+    The default window is ``auto_truncation(rho)`` periods of T lags (``rho``
+    is per period: a 1e-12 tail) and one period more, for a tail bound.
     """
     rho = convergence_ratio(chain)
     if tau_window is None:
-        tau_window = auto_truncation(rho) + chain.T
+        tau_window = chain.T * auto_truncation(rho) + chain.T
     if tau_window < 0:
         raise DomainError(f"tau_window must be >= 0, got {tau_window}")
     phases = np.arange(chain.T)

@@ -3,11 +3,12 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from dtsim import CovarianceSeed, DsiParams, make_chain, make_params, simple_bm_seed
+from dtsim import CovarianceSeed, DsiParams, cov_table, make_chain, make_params, markov_triangle_residual, simple_bm_seed
 
 ALPHAS = (1.5, 2.0, 3.0)
 PERIODS = (1, 2, 4)
@@ -97,3 +98,18 @@ def assert_exact(got, want: Fraction, rtol: float = 1e-13) -> None:
     else:
         assert math.isfinite(got), (got, float(want))
         assert abs(Fraction(got) - want) <= Fraction(rtol) * abs(want) + Fraction(2) ** -1074, (got, float(want))
+
+
+def triangle_residuals(chain, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Markov triangle residuals over every grid-index triple ``i <= j <= k <= k_max``, and their norms.
+
+    The residual is ``C[i,k] C[j,j] - C[i,j] C[j,k]`` and its norm
+    ``|C[i,k] C[j,j]| + |C[i,j] C[j,k]|``, with ``C`` one broadcast
+    ``cov_table`` table (symmetric bit for bit), so they equal those of
+    scalar ``dtsim_cov`` calls at the same points.
+    """
+    idx = np.arange(k_max + 1)
+    table = cov_table(chain, np.minimum.outer(idx, idx), np.abs(np.subtract.outer(idx, idx)))
+    cov = lambda a, b: table[a, b]
+    i, j, k = np.array(list(combinations_with_replacement(idx, 3))).T
+    return markov_triangle_residual(cov, i, j, k), np.abs(cov(i, k) * cov(j, j)) + np.abs(cov(i, j) * cov(j, k))

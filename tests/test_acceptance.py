@@ -9,7 +9,6 @@ lattice is alpha in {1.5, 2, 3} x T in {1, 2, 4} x H in {0.3, 0.5, 0.75, 1}.
 import json
 import math
 import time
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from dtsim import (
     FrequencyGrid,
     SampledFunction,
     build_bk_table,
+    cov_table,
     dsi_cov_from_spectra,
     dtsim_cov,
     empirical_cov,
@@ -39,7 +39,7 @@ from dtsim import (
 )
 from dtsim.cli import main as cli_main
 
-from conftest import LATTICE, plain_entry
+from conftest import LATTICE, plain_entry, triangle_residuals
 
 
 def _report(capsys, n: int, ok: bool, detail: str) -> None:
@@ -150,25 +150,14 @@ def test_acceptance_5_structural_invariants(capsys):
             worst_h = max(worst_h, float(np.max(np.abs(e - np.conj(np.swapaxes(e, 1, 2))))) / scale)
 
         # Markov triangle on all grid triples up to alpha**(4T)
-        def cov(t: float, s: float) -> float:
-            i = round(math.log(t) / math.log(p.alpha))
-            j = round(math.log(s) / math.log(p.alpha))
-            lo, hi = min(i, j), max(i, j)
-            return dtsim_cov(chain, lo, hi - lo)
-
-        pts = [p.alpha ** k for k in range(4 * p.T + 1)]
-        for t1, t2, t3 in combinations_with_replacement(pts, 3):
-            res = markov_triangle_residual(cov, t1, t2, t3)
-            norm = abs(cov(t1, t3) * cov(t2, t2)) + abs(cov(t1, t2) * cov(t2, t3))
-            worst_t = max(worst_t, abs(res) / max(1.0, norm))
+        res, norm = triangle_residuals(chain, 4 * p.T)
+        worst_t = max(worst_t, float(np.max(np.abs(res) / np.maximum(1.0, norm))))
 
         # scale extension and the scalar DSI residual
         factor = p.alpha ** (2 * p.T * p.H)
-        for n in range(p.T):
-            for tau in range(0, 2 * p.T + 1):
-                a = dtsim_cov(chain, n + p.T, tau)
-                b = factor * dtsim_cov(chain, n, tau)
-                worst_s = max(worst_s, abs(a - b) / max(1.0, abs(b)))
+        n, tau = np.arange(p.T)[:, np.newaxis], np.arange(0, 2 * p.T + 1)
+        a, b = cov_table(chain, n + p.T, tau), factor * cov_table(chain, n, tau)
+        worst_s = max(worst_s, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
         cov = lambda u, v: simple_bm_cov(u, v, p.H, p.l)
         for t, s in ((1.0, 1.0), (1.0, p.alpha), (p.alpha, p.alpha ** 2)):
             res = cov(p.l * t, p.l * s) - p.l ** (2 * p.H) * cov(t, s)  # zero under DSI at scale l

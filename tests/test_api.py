@@ -6,9 +6,17 @@ the signatures of six truncated-series functions: ``spectral_sum`` and
 ``f_matrix_grid``, ``fjk`` and ``fk_from_bk`` (parameter ``table``), each
 with ``s_trunc``.  Renaming or dropping any of those six breaks
 ``perfbench/run.py --trace 1`` as well as importers.
+
+The tracer counts ``simulate.samples`` only on calls to the named
+constructors ``simulate_simple_bm`` and ``simulate_brownian``, and
+``perfbench/report.py`` divides by that count.  Both keep their signatures,
+and ``dtsim cov`` builds its builtin-seed ensemble through
+``simulate_simple_bm``.  A seed-file ensemble is built as ``Ensemble(chain, ...)``
+and its samples are not counted.
 """
 
 import ast
+import csv
 import importlib
 import os
 import re
@@ -112,3 +120,20 @@ def test_tracer_counts_cov_monte_carlo_samples(tmp_path):
     assert code == 0
     k_need = 3 + 2
     assert tracer.counters["simulate.samples"] == (BATCH_SIZE + 7) * (k_need + 1)
+
+
+def test_tracer_runs_seed_file_monte_carlo(tmp_path):
+    """``dtsim cov --seed-file --mc-paths`` builds ``Ensemble(chain, ...)``, and runs under the tracer."""
+    dtsim.CovarianceSeed(r0=[1.0, 2.0], r1=[0.5, 1.0]).to_csv(tmp_path / "seed.csv")
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["cov", "--seed-file", str(tmp_path / "seed.csv"), "--mc-paths", str(BATCH_SIZE + 7),
+                         "--out", str(tmp_path / "cov.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.layer_totals()["simulate"]["calls"] > 0
+    with open(tmp_path / "cov.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["mc_estimate"] for row in rows)

@@ -133,6 +133,37 @@ def test_negative_rng_seed_exit_2(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [
+    CovarianceSeed(r0=[1.0, 2.0], r1=[0.5, 1.0]),
+    CovarianceSeed(r0=[1.0, 2.0], r1=[-0.5, 1.0]),
+    correlated_seed(make_params(0.75, 2.0, 4), NEG_CORRS),
+], ids=["non-bm", "negative-ratio", "T4"])
+def test_cov_seed_file_monte_carlo_simulates_the_seed(capsys, tmp_path, seed):
+    """Monte Carlo paths of a seed file have that seed's covariance: every row within 5 SE of the closed form."""
+    seed.to_csv(tmp_path / "seed.csv")
+    code, out = run_cli(capsys, "cov", "--T", str(seed.T), "--seed-file", str(tmp_path / "seed.csv"),
+                        "--mc-paths", "20000", "--mc-seed", "12")
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) >= 25
+    for row in rows:
+        z = abs(float(row["mc_estimate"]) - float(row["closed_form"])) / float(row["mc_stderr"])
+        assert z <= 5, row
+
+
+def test_cov_split_chain_monte_carlo_exit_2(capsys, tmp_path):
+    """``r1[T-1] = 0`` has a closed form but no paths: exit 2 before the output file is opened."""
+    CovarianceSeed(r0=[1.0, 2.0], r1=[0.5, 0.0]).to_csv(tmp_path / "seed.csv")
+    argv = ["cov", "--seed-file", str(tmp_path / "seed.csv")]
+    assert main(argv + ["--out", str(tmp_path / "closed.csv")]) == 0
+    out = tmp_path / "out.csv"
+    code = main(argv + ["--mc-paths", "100", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "one-step covariance 0" in captured.err
+    assert not out.exists()
+
+
 def test_simulate_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from dtsim import (
+    CovarianceSeed,
     DomainError,
     Ensemble,
+    cov_table,
     dtsim_cov,
     empirical_cov,
     make_chain,
@@ -23,6 +25,8 @@ from dtsim import (
 import dtsim.simulate as simulate
 from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
+
+from conftest import correlated_seed
 
 
 def test_reproducible_bit_for_bit():
@@ -53,18 +57,52 @@ def test_h_half_couples_to_brownian_exactly():
 
 def test_argument_validation():
     p = make_params(0.5, 2.0, 1)
+    chain = make_chain(p, simple_bm_seed(p))
     with pytest.raises(DomainError):
         simulate_brownian(p, n_paths=0, k_max=3)
     with pytest.raises(DomainError):
         simulate_brownian(p, n_paths=10, k_max=-1)
     with pytest.raises(DomainError):
-        Ensemble(params=p, k_max=3, n_paths=0, rng_seed=0, process="brownian")
+        Ensemble(chain, k_max=3, n_paths=0, rng_seed=0)
     with pytest.raises(DomainError):
-        Ensemble(params=p, k_max=-1, n_paths=2, rng_seed=0, process="simple-bm")
-    with pytest.raises(DomainError):
-        Ensemble(params=p, k_max=3, n_paths=2, rng_seed=0, process="fbm")
+        Ensemble(chain, k_max=-1, n_paths=2, rng_seed=0)
     with pytest.raises(DomainError):
         simulate_simple_bm(p, n_paths=2, k_max=3, rng_seed=-1)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_split_chain_is_rejected(T):
+    """``r1[T - 1] = 0`` passes ``make_chain`` but zeroes ``R_k(1)`` at ``k = T - 1``: no path factors."""
+    p = make_params(0.75, 2.0, T)
+    r1 = np.array(simple_bm_seed(p).r1)
+    r1[T - 1] = 0.0
+    chain = make_chain(p, CovarianceSeed(r0=simple_bm_seed(p).r0, r1=r1))
+    assert Ensemble(chain, k_max=T - 1, n_paths=2, rng_seed=0).paths.shape == (2, T)
+    with pytest.raises(DomainError, match="one-step covariance"):
+        Ensemble(chain, k_max=T, n_paths=2, rng_seed=0)
+
+
+def test_factors_out_of_float_range_are_rejected():
+    p = make_params(0.75, 2.0, 2)
+    assert np.all(np.isfinite(simulate_simple_bm(p, n_paths=2, k_max=600).paths))
+    with pytest.raises(DomainError, match="overflow"):
+        simulate_simple_bm(p, n_paths=2, k_max=1100)
+    # finite variances, but amp_1 = 9e154 and amp_1**2 overflows: the clock var / amp**2 would read 0
+    chain = make_chain(p, CovarianceSeed(r0=[1e-300, 1e10], r1=[0.9 * math.sqrt(1e-290), 1e-146]))
+    with pytest.raises(DomainError, match="overflow"):
+        Ensemble(chain, k_max=1, n_paths=2, rng_seed=0)
+
+
+@pytest.mark.parametrize("corr", [1.0, -1.0])
+def test_perfectly_correlated_steps_simulate(corr):
+    """A seed on the Cauchy-Schwarz boundary repeats the previous point, scaled; rounding never makes a NaN."""
+    p = make_params(0.75, 1.5, 3)
+    chain = make_chain(p, correlated_seed(p, (corr, 0.5, corr * (1 + 5e-13))))
+    ens = Ensemble(chain, k_max=9, n_paths=BATCH_SIZE, rng_seed=4)
+    assert np.all(np.isfinite(ens.paths))
+    for k in (0, 2, 3, 5, 6, 8):  # R_k(1) at the bound: X_{k+1} is a multiple of X_k
+        ratio = cov_table(chain, k, 1) / cov_table(chain, k, 0)
+        np.testing.assert_allclose(ens.paths[:, k + 1], ratio * ens.paths[:, k], rtol=1e-6, atol=1e-6)
 
 
 def test_brownian_moments():
@@ -152,23 +190,43 @@ def test_ensemble_csv_is_the_cli_table(tmp_path, process, sim):
 
 # -- the streamed estimator against the matrix it no longer builds -----------
 def _ref_paths(ens: Ensemble) -> np.ndarray:
-    """Path matrix as generated before paths were streamed: one matrix, then ``paths * amp``."""
-    p, k_max = ens.params, ens.k_max
-    var_inc = np.empty(k_max + 1)
-    var_inc[0] = 1.0
-    ks = np.arange(1, k_max + 1)
-    var_inc[1:] = p.alpha ** ks - p.alpha ** (ks - 1)
-    scale = np.sqrt(var_inc)
-    out = np.empty((ens.n_paths, k_max + 1))
+    """Path matrix as one array: ``cumsum(normals * scale) * amp`` with the factors of ``X_k = amp_k W(clock_k)``.
+
+    ``var_k = R_k(0)``, ``amp_k = prod_{i<k} R_i(1) / var_i`` and the clock
+    ``var_k / amp_k**2`` come from ``cov_table`` on the ensemble's chain.
+    """
+    ks = np.arange(ens.k_max + 1)
+    var = cov_table(ens.chain, ks, 0)
+    amp = np.concatenate(([1.0], np.cumprod(cov_table(ens.chain, ks[:-1], 1) / var[:-1])))
+    scale = np.sqrt(np.maximum(np.diff(var / amp**2, prepend=0.0), 0.0))
+    return _ref_matrix(ens, scale) * amp
+
+
+def _ref_matrix(ens: Ensemble, scale: np.ndarray) -> np.ndarray:
+    """``cumsum(normals * scale)`` over all paths, block ``i`` of normals from child ``i``."""
+    out = np.empty((ens.n_paths, ens.k_max + 1))
     n_batches = (ens.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for i, child in enumerate(np.random.SeedSequence(ens.rng_seed).spawn(n_batches)):
         lo, hi = i * BATCH_SIZE, min((i + 1) * BATCH_SIZE, ens.n_paths)
-        z = np.random.default_rng(child).standard_normal((hi - lo, k_max + 1))
+        z = np.random.default_rng(child).standard_normal((hi - lo, ens.k_max + 1))
         np.cumsum(z * scale, axis=1, out=out[lo:hi])
-    if ens.process == "simple-bm":
-        ks = np.arange(k_max + 1)
-        out = out * p.l ** ((ks // p.T + 1) * (p.H - 0.5))
     return out
+
+
+@pytest.mark.parametrize("H, alpha, T", [(0.75, 2.0, 4), (0.5, 2.0, 2), (0.8, 1.5, 3), (0.3, 3.0, 1), (1.0, 1.5, 4)])
+def test_builtin_and_brownian_paths_match_their_closed_forms(H, alpha, T):
+    """On the same normals, the chain's factors give the hand-written simple-BM and Brownian paths to rounding.
+
+    Brownian motion has increment variances 1, then ``alpha**k - alpha**(k-1)``;
+    simple BM multiplies column ``k`` by ``lam**((k // T + 1) (H - 1/2))``.
+    """
+    p = make_params(H, alpha, T)
+    ks = np.arange(17)
+    scale = np.sqrt(np.concatenate(([1.0], alpha ** ks[1:] - alpha ** (ks[1:] - 1))))
+    for sim, amp in ((simulate_brownian, 1.0), (simulate_simple_bm, p.l ** ((ks // T + 1) * (H - 0.5)))):
+        ens = sim(p, n_paths=BATCH_SIZE + 5, k_max=16, rng_seed=11)
+        want = _ref_matrix(ens, scale) * amp
+        assert np.all(np.abs(ens.paths - want) <= 2e-15 * np.max(np.abs(want), axis=0)), sim.__name__
 
 
 def _ref_empirical_cov(paths: np.ndarray, n, tau) -> tuple[np.ndarray, np.ndarray]:
