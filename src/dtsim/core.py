@@ -105,14 +105,15 @@ def make_params(H: float, alpha: float, T: int) -> DsiParams:
     return DsiParams(H=float(H), alpha=float(alpha), T=T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceSeed:
     """Variances ``r0`` and one-step covariances ``r1`` on one period.
 
     ``r0[j]`` must be strictly positive.  The parameter-dependent bound
     ``|r1[j]| <= sqrt(r0[j] * r0[(j+1) % T] * ext)`` (with ``ext`` the
     variance extension factor ``alpha**(2 T H)`` at the period seam) is
-    enforced when a chain is built, see :func:`make_chain`.
+    enforced when a chain is built, see :func:`make_chain`.  Equality and
+    hashing are by identity, as the fields are arrays.
     """
 
     r0: np.ndarray
@@ -159,9 +160,11 @@ class CovarianceSeed:
         return cls(r0=r0, r1=r1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HChain:
     """Ratio chain derived from a seed; build with :func:`make_chain`.
+
+    Equality and hashing are by identity, as for :class:`CovarianceSeed`.
 
     Carries the per-index ratios ``h``, the cumulative products
     ``htilde_base[j] = htilde(j)`` for ``j = 0..T-1``, and the per-period

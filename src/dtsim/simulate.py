@@ -19,7 +19,6 @@ so their memory does not grow with the number of paths.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -30,19 +29,19 @@ import numpy as np
 from .core import DsiParams, HChain, make_chain, make_params
 from .covariance import cov_table, simple_bm_seed
 from .errors import DomainError
-from .table import write_table
+from .table import _CORES, write_table
 
 __all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm", "empirical_cov"]
 
 #: Paths per generation batch; fixed so batch boundaries never move.
 BATCH_SIZE = 4096
 
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
 #: Threads that fill path blocks, one block each at a time: two where a second
 #: core can run them, none on one core, where the handoffs cost time and
 #: nothing overlaps.  Two, not one per core, so memory does not grow with the
-#: core count; no bit of a path depends on it.
+#: core count; no bit of a path depends on it.  The same rule on the same
+#: core count sets ``table._FORMAT_WORKERS``, the processes that format a
+#: table of two or more blocks, and no byte of a table depends on that either.
 _FILL_THREADS = 2 if _CORES > 1 else 0
 
 
@@ -208,8 +207,8 @@ class Ensemble:
         """Table parts ``path, k, t, value``, one per block, as ``table.write_table`` takes them."""
         ks, times = np.arange(self.k_max + 1), self.times
         lo = 0
-        # filled here: the writer holds the interpreter lock nearly all the
-        # time, so a fill thread would only wait for it and take it away
+        # filled here: filling takes a small share of the time that
+        # formatting the text takes, so fill threads would save little
         for block in self._blocks(threads=0):
             yield {"path": np.arange(lo, lo + len(block))[:, np.newaxis], "k": ks, "t": times, "value": block}
             lo += len(block)

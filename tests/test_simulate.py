@@ -156,6 +156,19 @@ def test_empirical_cov_bounds_and_degenerate():
     assert est.std_error.tolist() == [0.0, 0.0, 0.0]
 
 
+def test_ensembles_on_one_chain_are_equal_and_hashable():
+    """Seeds and chains compare by identity, so ``==`` gives a bool, never an array's ambiguous truth value."""
+    p = make_params(0.75, 2.0, 2)
+    seed = simple_bm_seed(p)
+    chain = make_chain(p, seed)
+    assert (make_chain(p, seed) == make_chain(p, seed)) is False
+    assert (seed == simple_bm_seed(p)) is False
+    a, b = Ensemble(chain, 3, 10, 0), Ensemble(chain, 3, 10, 0)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Ensemble(chain, 3, 10, 1)}) == 2
+    assert a != Ensemble(make_chain(p, seed), 3, 10, 0)
+
+
 def test_paths_are_readonly():
     p = make_params(0.5, 2.0, 1)
     ens = simulate_brownian(p, n_paths=4, k_max=2, rng_seed=0)
@@ -368,18 +381,20 @@ def test_at_most_two_blocks_in_flight(monkeypatch):
 
 @pytest.mark.parametrize("cores, threads", [(1, 0), (2, 2), (64, 2)])
 def test_fill_threads_do_not_grow_with_the_core_count(cores, threads):
-    """On a host with ``cores`` usable cores the module picks ``threads`` fill threads."""
+    """On a host with ``cores`` usable cores the modules pick ``threads`` fill threads and as many format workers."""
     code = (f"import os; os.sched_getaffinity = lambda pid: set(range({cores})); "
-            "import dtsim.simulate as s; print(s._FILL_THREADS)")
+            "import dtsim.simulate as s, dtsim.table as t; print(s._FILL_THREADS, t._FORMAT_WORKERS)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) == threads
+    assert out.stdout.split() == [str(threads)] * 2
 
 
 def test_cli_import_leaves_out_queue_and_logging():
-    """``queue`` is imported on the first threaded pass, so commands that never simulate do not load it."""
-    code = "import sys, dtsim.cli; print(sorted({'queue', 'concurrent.futures', 'logging'} & set(sys.modules)))"
+    """``queue`` and ``multiprocessing`` are imported on the first threaded pass and the first
+    multi-block table, so commands that do neither do not load them."""
+    code = ("import sys, dtsim.cli; "
+            "print(sorted({'queue', 'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
