@@ -55,7 +55,6 @@ from .spectral import (
     simple_bm_spectral,
     spectral_closed_grid,
     spectral_diag,
-    spectral_matrix,
     spectral_matrix_grid,
     spectral_sum,
     spectral_sum_grid,
@@ -112,7 +111,6 @@ __all__ = [
     "spectral_closed_grid",
     "spectral_diag",
     "simple_bm_spectral",
-    "spectral_matrix",
     "spectral_matrix_grid",
     "CheckResult",
     "perturb_seed",

@@ -36,14 +36,8 @@ are length-1 calls into it.
   underflow.  The series converges exactly when ``|rho| < 1`` and sums to
   ``[A / (1 - z rho) + A^T conj(z) rho / (1 - conj(z) rho)] / (2 pi)``.
 
-The closed form inherits the one-sided factorization kernel of the matrix
-covariance, whose lag-0 value below the diagonal is not the symmetric
-covariance; consequently the raw two-term form is Hermitian only on and above
-the diagonal's side (j >= r paired against conjugation picks up a constant
-offset otherwise).  ``spectral_matrix`` therefore takes the lower triangle
-of the closed form, where it agrees with the symmetric covariance series,
-and conjugates it across the diagonal, which is the density of the actual
-process.
+The density of the process has the symmetric ``G0 = tril(A) + tril(A, -1)^T`` at lag 0
+in place of ``A``: it is the two-term form plus ``(G0 - A) / (2 pi)``, zero on and below the diagonal.
 """
 
 from __future__ import annotations
@@ -78,7 +72,6 @@ __all__ = [
     "spectral_closed_grid",
     "spectral_diag",
     "simple_bm_spectral",
-    "spectral_matrix",
     "spectral_matrix_grid",
 ]
 
@@ -283,6 +276,10 @@ def dsi_cov_from_spectra(chain: HChain, n, tau, table: BkTable):
     ``alpha**((2n + tau) H) * sum_k B_k(tau) exp(2 pi i k n / T)``; the
     imaginary part of the phase sum vanishes and is dropped.  ``n`` and
     ``tau`` may be broadcast integer arrays; scalars give a float.
+
+    The phase sums mix all T phases: a value is accurate to about ``T * eps * max |pc|``
+    times ``alpha**((2n + tau) H)``, and has no correct digits below that (simple BM,
+    H = 0.75, alpha = 2, T = 128: 2.2e14 at ``(n, tau) = (127, 0)``, where 2.15e9 is right).
     """
     p = chain.params
     phases = np.arange(chain.T)
@@ -300,6 +297,15 @@ def _convergent_ratio(chain: HChain) -> float:
             f"series ratio |rho| = {abs(rho)} >= 1; the spectral series diverges"
         )
     return rho
+
+
+def _closed_ratio(chain: HChain, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """``zr = rho e^{-i omega T}`` and ``1 - zr``, guarded as :func:`spectral_closed_grid` states."""
+    zr = _convergent_ratio(chain) * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
+    denom = 1 - zr
+    if np.any(np.abs(denom) < _POLE_TOL):
+        raise PoleError(f"denominator {np.min(np.abs(denom))} within {_POLE_TOL} of a pole")
+    return zr, denom
 
 
 def spectral_sum_grid(
@@ -360,11 +366,7 @@ def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
     PoleError
         If a denominator comes within 1e-14 of zero.
     """
-    rho = _convergent_ratio(chain)
-    zr = rho * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
-    denom = 1 - zr
-    if np.any(np.abs(denom) < _POLE_TOL):
-        raise PoleError(f"denominator {np.min(np.abs(denom))} within {_POLE_TOL} of a pole")
+    zr, denom = _closed_ratio(chain, omegas)
     A = q_cov(chain, 0, 0)
     out = A / denom[:, np.newaxis, np.newaxis]
     out += A.T * (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
@@ -407,19 +409,10 @@ def simple_bm_spectral(params: DsiParams, j, r, omega):
     return complex(out) if out.ndim == 0 else out
 
 
-def _hermitian(closed: np.ndarray) -> np.ndarray:
-    """Lower triangle of ``closed`` (last two axes), conjugated across the diagonal."""
-    return np.tril(closed) + np.conj(np.swapaxes(np.tril(closed, -1), -1, -2))
-
-
-def spectral_matrix(chain: HChain, omega: float) -> np.ndarray:
-    """Hermitian embedding density matrix at ``omega``.
-
-    Entries with j >= r come from the closed form (where it agrees with the
-    symmetric covariance series); entries above the diagonal are their
-    conjugates.  The diagonal is real up to rounding.
-    """
-    return _hermitian(spectral_closed_grid(chain, [omega])[0])
+def _asymmetry(entries: np.ndarray) -> float:
+    """Largest ``|e[j, r] - conj(e[r, j])|``, diagonal included, relative to ``max(1, max |e|)``."""
+    scale = max(1.0, float(np.max(np.abs(entries))))
+    return float(np.max(np.abs(entries - np.conj(np.swapaxes(entries, -1, -2))))) / scale
 
 
 @dataclass(frozen=True)
@@ -433,20 +426,45 @@ class SpectralMatrix:
         e = np.asarray(self.entries, dtype=complex)
         if e.ndim != 3 or e.shape[0] != self.grid.n_omega or e.shape[1] != e.shape[2]:
             raise DomainError(f"entries shape {e.shape} is not (n_omega, T, T)")
-        scale = float(np.max(np.abs(e))) if e.size else 0.0
-        tol = 1e-12 * max(1.0, scale)
-        if np.max(np.abs(e - np.conj(np.swapaxes(e, 1, 2)))) > tol:
+        if _asymmetry(e) > 1e-12:
             raise DomainError("spectral matrix is not Hermitian within 1e-12")
-        diags = np.diagonal(e, axis1=1, axis2=2)
-        if np.max(np.abs(diags.imag)) > tol:
-            raise DomainError("spectral matrix diagonal is not real within 1e-12")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
 
+def _density_entries(chain: HChain, omegas) -> np.ndarray:
+    """Entries of :func:`spectral_matrix_grid` at ``omegas``."""
+    zr, denom = _closed_ratio(chain, omegas)
+    A = q_cov(chain, 0, 0)
+    out = (zr / denom)[:, np.newaxis, np.newaxis] * A  # M: the lags s >= 1
+    out += np.conj(np.swapaxes(out, 1, 2))  # before G0, so out[j, r] == conj(out[r, j])
+    out += np.tril(A) + np.tril(A, -1).T
+    out /= 2 * math.pi
+    return out
+
+
 def spectral_matrix_grid(chain: HChain, grid: FrequencyGrid) -> SpectralMatrix:
-    """Hermitian embedding density matrices over a frequency grid."""
-    return SpectralMatrix(grid=grid, entries=_hermitian(spectral_closed_grid(chain, grid.omegas)))
+    """Embedding density ``[G0 + M + M^H] / (2 pi)`` over a grid, Hermitian by construction.
+
+    ``M = A zr / (1 - zr)`` sums the lags ``s >= 1``; raises as :func:`spectral_closed_grid`.
+    """
+    return SpectralMatrix(grid=grid, entries=_density_entries(chain, grid.omegas))
+
+
+def _f_matrix_entries(table: BkTable, grid: FrequencyGrid, s_trunc: int | None) -> np.ndarray:
+    """Entries of :func:`f_matrix_grid`, not yet checked for Hermitian symmetry."""
+    S = _effective_truncation(table, s_trunc)
+    T, n = table.T, grid.n_omega
+    N = n * T
+    lags = table.values[:, table.tau_window - S : table.tau_window + S + 1]  # lags[:, S + tau] = B_c(tau)
+    # wrap mod N: column S + tau is summed into bin (S + tau) mod N, which the roll moves to tau mod N
+    wrapped = np.pad(lags, ((0, 0), (0, -(2 * S + 1) % N))).reshape(T, -1, N).sum(axis=1)
+    F = np.fft.fft(np.roll(wrapped, -S, axis=1), axis=1)
+    idx = np.arange(T)
+    q = (np.arange(n)[:, np.newaxis] - n * idx) % N  # q[m, j]
+    entries = F[(idx - idx[:, np.newaxis]) % T, q[:, :, np.newaxis]]  # F[(k - j) mod T, q[m, j]]
+    entries /= 2 * math.pi * T
+    return entries
 
 
 def f_matrix_grid(
@@ -470,15 +488,4 @@ def f_matrix_grid(
     IndexError, DomainError
         For a truncation the table cannot serve, as in :func:`f_matrix`.
     """
-    S = _effective_truncation(table, s_trunc)
-    T, n = table.T, grid.n_omega
-    N = n * T
-    lags = table.values[:, table.tau_window - S : table.tau_window + S + 1]  # lags[:, S + tau] = B_c(tau)
-    # wrap mod N: column S + tau is summed into bin (S + tau) mod N, which the roll moves to tau mod N
-    wrapped = np.pad(lags, ((0, 0), (0, -(2 * S + 1) % N))).reshape(T, -1, N).sum(axis=1)
-    F = np.fft.fft(np.roll(wrapped, -S, axis=1), axis=1)
-    idx = np.arange(T)
-    q = (np.arange(n)[:, np.newaxis] - n * idx) % N  # q[m, j]
-    entries = F[(idx - idx[:, np.newaxis]) % T, q[:, :, np.newaxis]]  # F[(k - j) mod T, q[m, j]]
-    entries /= 2 * math.pi * T
-    return SpectralMatrix(grid=grid, entries=entries)
+    return SpectralMatrix(grid=grid, entries=_f_matrix_entries(table, grid, s_trunc))

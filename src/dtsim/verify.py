@@ -12,17 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovarianceSeed, DsiParams, HChain, make_chain
-from .covariance import cov_table, markov_triangle_residual, pc_counterpart_cov, simple_bm_cov
+from .covariance import cov_table, markov_triangle_residual, simple_bm_cov
 from .errors import DomainError
 from .lamperti import SampledFunction, lamperti_forward, lamperti_inverse, verify_commutation
 from .spectral import (
     FrequencyGrid,
-    bk_from_pc_cov,
+    _asymmetry,
+    _density_entries,
+    _f_matrix_entries,
     build_bk_table,
     dsi_cov_from_spectra,
-    f_matrix_grid,
     spectral_closed_grid,
-    spectral_matrix_grid,
     spectral_sum_grid,
 )
 
@@ -96,38 +96,31 @@ def _check_triangle(chain: HChain) -> CheckResult:
     return CheckResult("markov_triangle", worst, 1e-12)
 
 
-def _hermitian_residual(entries: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(entries))))
-    return float(np.max(np.abs(entries - np.conj(np.swapaxes(entries, 1, 2)))) / scale)
-
-
 def _check_hermitian(chain: HChain) -> CheckResult:
+    # the raw entries: a SpectralMatrix would refuse a non-Hermitian route before it is measured
     grid = FrequencyGrid(16)
-    table = build_bk_table(chain)
-    worst = _hermitian_residual(f_matrix_grid(table, grid).entries)
-    worst = max(worst, _hermitian_residual(spectral_matrix_grid(chain, grid).entries))
+    worst = _asymmetry(_f_matrix_entries(build_bk_table(chain), grid, None))
+    worst = max(worst, _asymmetry(_density_entries(chain, grid.omegas)))
     return CheckResult("hermitian_spectral", worst, 1e-12)
 
 
 def _check_series_vs_closed(chain: HChain) -> CheckResult:
     omegas = FrequencyGrid(64).omegas
-    diff = spectral_sum_grid(chain, omegas) - spectral_closed_grid(chain, omegas)
-    return CheckResult("series_vs_closed", float(np.max(np.abs(diff))), 1e-9)
+    closed = spectral_closed_grid(chain, omegas)
+    scale = np.max(np.abs(closed), axis=0)  # each (j, r) entry's largest value over the grid
+    diff = np.abs(spectral_sum_grid(chain, omegas) - closed)
+    return CheckResult("series_vs_closed", float(np.max(diff / scale)), 1e-9)
 
 
 def _check_phase_roundtrip(chain: HChain) -> CheckResult:
-    T = chain.T
-    table = build_bk_table(chain, tau_window=2 * T)
-    phases = np.arange(T)
-    pc = pc_counterpart_cov(chain, phases[:, np.newaxis], np.arange(-2 * T, 2 * T + 1))
-    bks = bk_from_pc_cov(pc, phases)
-    recon = np.tensordot(np.exp(2j * np.pi * np.multiply.outer(phases, phases) / T), bks, axes=1).real
-    worst = float(np.max(np.abs(recon - pc) / np.maximum(1.0, np.abs(pc))))
-    n, tau = np.arange(2 * T)[:, np.newaxis], np.arange(-T, T + 1)
-    recon = dsi_cov_from_spectra(chain, n, tau, table)
-    want = cov_table(chain, n, tau)
-    worst = max(worst, float(np.max(np.abs(recon - want) / np.maximum(1.0, np.abs(want)))))
-    return CheckResult("phase_expansion_roundtrip", worst, 1e-10)
+    """Covariances through the ``B_k`` table and back, in units of ``T * eps * max |pc|``."""
+    p, T = chain.params, chain.T
+    n, tau = np.arange(2 * T)[:, np.newaxis], np.arange(-2 * T, 2 * T + 1)
+    factor = p.alpha ** ((2 * n + tau) * p.H)
+    pc = cov_table(chain, n, tau) / factor
+    recon = dsi_cov_from_spectra(chain, n, tau, build_bk_table(chain, tau_window=2 * T)) / factor
+    unit = T * np.finfo(float).eps * np.max(np.abs(pc))
+    return CheckResult("phase_expansion_roundtrip", float(np.max(np.abs(recon - pc)) / unit), 8.0)
 
 
 def run_checks(params: DsiParams, seed: CovarianceSeed) -> list[CheckResult]:

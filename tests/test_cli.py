@@ -12,6 +12,9 @@ import pytest
 from dtsim import (
     CovarianceSeed,
     FrequencyGrid,
+    auto_truncation,
+    bk_from_pc_cov,
+    convergence_ratio,
     cov_table,
     empirical_cov,
     make_chain,
@@ -343,6 +346,61 @@ def test_verify_fault_injection(capsys):
     # structural invariants that hold for ANY admissible chain keep passing
     assert "markov_triangle" not in failing
     assert "hermitian_spectral" not in failing
+
+
+def _failing_checks(out: str) -> list[str]:
+    return [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("H, alpha", [(0.75, 2.0), (0.3, 1.5)])
+@pytest.mark.parametrize("T", [1, 2, 4, 8, 16, 32])
+def test_verify_passes_the_builtin_seed_at_large_periods(capsys, T, H, alpha):
+    """Residuals are scaled to the entries they compare, so valid seeds do not false-fail at large T."""
+    code, out = run_cli(capsys, "verify", "--T", str(T), "--H", str(H), "--alpha", str(alpha), "--json")
+    assert (code, _failing_checks(out)) == (0, [])
+
+
+@pytest.mark.parametrize("T", [2, 8, 32])
+def test_verify_perturbed_seed_fails_at_large_periods(capsys, T):
+    code, out = run_cli(capsys, "verify", "--T", str(T), "--perturb", "1e-3", "--json")
+    assert code == 1
+    assert "oracle_equivalence" in _failing_checks(out)
+
+
+_FFT = np.fft.fft
+
+
+def _truncated_sum(chain, omegas, s_trunc=None):
+    """Half the terms the series needs."""
+    return spectral_sum_grid(chain, omegas, auto_truncation(convergence_ratio(chain)) // 2)
+
+
+def _bk_index_off_by_one(pc, k):
+    return bk_from_pc_cov(pc, np.asarray(k) + 1)
+
+
+def _fft_input_rolled(a, axis=-1):
+    """Lags shifted by one before the transform."""
+    return _FFT(np.roll(a, 1, axis=axis), axis=axis)
+
+
+def _fft_input_conjugated(a, axis=-1):
+    return _FFT(np.conj(a), axis=axis)
+
+
+@pytest.mark.parametrize("T", [8, 32])
+@pytest.mark.parametrize("target, fault, check", [
+    ("dtsim.verify.spectral_sum_grid", _truncated_sum, "series_vs_closed"),
+    ("dtsim.spectral.bk_from_pc_cov", _bk_index_off_by_one, "phase_expansion_roundtrip"),
+    ("numpy.fft.fft", _fft_input_rolled, "hermitian_spectral"),
+    ("numpy.fft.fft", _fft_input_conjugated, "hermitian_spectral"),
+], ids=["truncated_sum", "bk_index_off_by_one", "fft_input_rolled", "fft_input_conjugated"])
+def test_verify_injected_fault_fails_its_check(capsys, monkeypatch, T, target, fault, check):
+    """Each fault is reported by its own check with exit 1, not refused as a bad configuration."""
+    monkeypatch.setattr(target, fault)
+    code, out = run_cli(capsys, "verify", "--T", str(T), "--json")
+    assert code == 1
+    assert check in _failing_checks(out)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

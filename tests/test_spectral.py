@@ -8,10 +8,12 @@ Two distinct objects live here and the tests keep them apart:
   the l-grid, with a two-term closed form and a direct series as independent
   routes.
 
-The closed form's raw output is Hermitian only on j >= r (the two routes
+The closed form's raw output is Hermitian only on j >= r: the two routes
 disagree by the constant (a - b) / 2 pi above the diagonal, mirroring the
-8-vs-4 kernel/covariance split at lag 0); ``spectral_matrix`` therefore
-evaluates below the diagonal and conjugate-fills the rest.
+8-vs-4 kernel/covariance split at lag 0.  ``spectral_matrix_grid`` is the
+density of the process, ``[G0 + M + M^H] / 2 pi`` with the symmetric lag-0
+block ``G0``, and is Hermitian bit for bit; below the diagonal it agrees
+with the closed form to rounding.
 """
 
 import cmath
@@ -48,7 +50,6 @@ from dtsim import (
     simple_bm_spectral,
     spectral_closed_grid,
     spectral_diag,
-    spectral_matrix,
     spectral_matrix_grid,
     spectral_sum,
     spectral_sum_grid,
@@ -355,17 +356,26 @@ def test_hermitian_gap_frozen_example():
     assert gap == pytest.approx(4.0, rel=1e-12)
 
 
+def _hermitian(closed: np.ndarray) -> np.ndarray:
+    """Reference: the closed form's lower triangle, conjugated across the diagonal."""
+    return np.tril(closed) + np.conj(np.swapaxes(np.tril(closed, -1), -1, -2))
+
+
 def test_spectral_matrix_hermitian_and_closed(lattice_params):
+    grid = FrequencyGrid(16)
     for chain in chain_variants(lattice_params):
-        T = lattice_params.T
-        for w in OMEGAS:
-            m = spectral_matrix(chain, w)
-            scale = float(np.max(np.abs(m)))
-            assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(1.0, scale)
-            for j in range(T):
-                for r in range(j + 1):
-                    assert m[j, r] == _closed(chain, j, r, w)
-        spectral_matrix_grid(chain, FrequencyGrid(8))  # constructor re-validates
+        e = spectral_matrix_grid(chain, grid).entries
+        want = _hermitian(spectral_closed_grid(chain, grid.omegas))
+        scale = np.max(np.abs(want), axis=(1, 2))  # each frequency's largest entry
+        assert np.all(np.abs(e - want) <= 2e-15 * scale[:, np.newaxis, np.newaxis])
+
+
+@pytest.mark.parametrize("T", [1, 2, 8, 32])
+def test_spectral_matrix_is_hermitian_bit_for_bit(T):
+    for H, alpha in ((0.75, 2.0), (0.3, 1.5), (1.2, 3.0)):
+        for chain in chain_variants(make_params(H, alpha, T)):
+            e = spectral_matrix_grid(chain, FrequencyGrid(64)).entries
+            assert np.array_equal(e, np.conj(np.swapaxes(e, 1, 2))), (H, alpha)
 
 
 def test_spectral_diag_identities(lattice_params):
