@@ -13,8 +13,8 @@ Text is formatted and written in blocks of about :data:`BLOCK_ROWS` rows
 along the leading axis, so memory does not grow with the row count.  A
 column that is broadcast along an axis of the block is formatted once per
 distinct value and then repeated; a column broadcast along the leading axis
-is formatted once for the whole part.  Full-size columns are handed to one
-``%`` operation per block.  A table of two or more blocks is formatted on
+is formatted once for the whole part.  Full-size columns are formatted once
+per block.  A table of two or more blocks is formatted on
 :data:`_FORMAT_WORKERS` forked worker processes (two where two or more cores
 are usable, none on one core or where ``fork`` is missing), each formatting
 whole blocks, and the writer writes their text in block order; a one-block
@@ -22,16 +22,28 @@ table is formatted by the writer.  No byte of the output depends on the
 number of workers.
 
 CSV is a header line, then one line per row: floats as ``%.17g`` (which
-round-trips), integers and strings as ``str``, absent cells empty.  JSON is
-exactly ``json.dumps(rows, indent=2) + "\\n"`` for one object per row:
-floats as ``repr``, non-finite floats as ``NaN``/``Infinity``/``-Infinity``,
-absent cells ``null``.
+round-trips), integers and strings as ``str``, absent cells empty.  The
+float text is computed in numpy, byte for byte what ``'%.17g' % x`` gives:
+``|x|`` is scaled to 17 digits in double-double arithmetic from exact Dekker
+products with a table of ``10**k``, rounded to an integer, and laid out as
+C's ``%g`` by one gather from a table of layouts.  That covers ``0`` and
+finite ``1e-270 < |x| < 1e270``.  The scaled value is within about 5e-15 of
+exact, so Python formats each value whose fraction lies within 1e-9 of a
+half, and so each is exact; Python also formats ``inf``, ``nan`` and values
+out of that range.  Each column's text is a byte matrix, its cells padded
+with 0xFF, a byte that no UTF-8 text holds.  Columns and literals are
+broadcast into one byte array per block, and one ``np.compress`` of the
+bytes that are not 0xFF gives the block's text.  JSON is exactly
+``json.dumps(rows, indent=2) + "\\n"`` for one object per row: floats as
+``repr``, non-finite floats as ``NaN``/``Infinity``/``-Infinity``, absent
+cells ``null``, each block formatted by one ``%`` operation.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -56,33 +68,182 @@ _FORMAT_WORKERS = 2 if _CORES > 1 else 0
 
 _ABSENT = {"csv": "", "json": "null"}
 
+#: Pads CSV cells to their column's width, and is compressed away from the
+#: block's bytes: no UTF-8 text holds it.
+_PAD = 0xFF
+#: Exponents ``k`` of the ``10**k`` table: ``10**e`` and ``10**(e + 1)``
+#: bracket every ``|x|`` in the kernel's range, and ``10**(16 - e)`` scales it.
+_K_MIN, _K_MAX = -272, 288
+_SPLIT = 2.0**27 + 1  # Dekker's splitter: x * _SPLIT separates the top 26 bits of x
+#: Each float's ``%.17g`` text is gathered from 28 bytes: sign, ``0``, point,
+#: the 17 digits (the last 16 four at a time from a table), ``e``, the
+#: exponent's sign, a pad byte and the exponent's three digits.
+_MINUS, _ZERO, _POINT, _DIGITS, _E, _E_SIGN, _PAD_BYTE, _E_DIGITS, _SOURCE = 0, 1, 2, 3, 20, 21, 22, 24, 28
+_WIDTH = 24  # the longest text, -d.dddddddddddddddde-XXX
+#: Source words 0 and 5 as ``uint32``: ``-0.`` and a ``0`` that the lead digit is
+#: added to, and ``e`` with the exponent's sign and two pad bytes.
+_HEAD, _E_PLUS, _E_MINUS = (int.from_bytes(text, "little") for text in (b"-0.0", b"e+\xff\xff", b"e-\xff\xff"))
 
-def _cells(a: np.ndarray, fmt: str) -> tuple[np.ndarray, str]:
-    """Entries of ``a`` as Python objects for ``%`` formatting, and their conversion spec."""
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """The ``%.17g`` kernel's tables, built on its first call, from Python ints.
+
+    ``10**k`` for ``k`` in ``[_K_MIN, _K_MAX]`` as ``hi + lo`` (``hi`` the
+    nearest double, ``lo`` the nearest double to the rest) with ``hi`` split
+    in two 26-bit halves; the ASCII digits of ``0..9999`` as ``uint32`` and
+    their trailing zeros; the exponents ``0..999`` as three ASCII digits and a
+    pad byte; and every layout of C's ``%g``, as the source byte of each
+    output byte and the text's length.  Layout
+    ``391 * negative + 17 * kind + digits - 1`` has ``digits`` significant
+    digits; kinds 0-20 are fixed notation at exponents -4 to 16, kinds 21 and
+    22 exponent notation with two and three exponent digits.
+    """
+    positive, negative = [], []  # (hi, lo) of 10**m and of 10**-m
+    power = 1
+    for m in range(_K_MAX + 1):
+        hi = float(power)  # int to float rounds to nearest
+        positive.append((hi, float(power - int(hi))))
+        if 0 < m <= -_K_MIN:
+            hi = 1 / power  # and so does int division
+            num, den = hi.as_integer_ratio()  # den = 2**s, and 10**-m - hi = (den - num * power) / power / 2**s
+            negative.append((hi, math.ldexp((den - num * power) / power, 1 - den.bit_length())))
+        power *= 10
+    hi, lo = np.array(negative[::-1] + positive).T
+    split = _SPLIT * hi
+    top = split - (split - hi)
+    pow10 = np.stack([hi, lo, top, hi - top])
+    digit = np.arange(10, dtype=np.uint8) + ord("0")
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)  # quads[a, b, c, d] = "abcd"
+    for place in range(4):
+        quads[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    quads = quads.reshape(10_000, 4)
+    zeros = np.zeros(10_000, np.uint8)  # trailing zeros of "abcd"
+    run = np.ones(10_000, bool)
+    for place in range(3, -1, -1):
+        run &= quads[:, place] == ord("0")
+        zeros += run
+    triples = np.full((1000, 4), _PAD, np.uint8)
+    triples[:, :3] = quads[:1000, 1:]
+    digits = list(range(_DIGITS, _DIGITS + 17))
+    layouts = []
+    for kind in range(23):
+        for n in range(1, 18):
+            e = kind - 4
+            if kind > 20:  # d.ddde+XX
+                point = [_POINT, *digits[1:n]] if n > 1 else []
+                out = [digits[0], *point, _E, _E_SIGN, *range(_E_DIGITS + 1 - (kind - 21), _E_DIGITS + 3)]
+            elif e >= 0:  # ddd.ddd, or ddd00 when there are no more digits than places
+                out = digits[: e + 1] + ([_POINT, *digits[e + 1 : n]] if n > e + 1 else [])
+            else:  # 0.000ddd
+                out = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits[:n]
+            layouts.append(out + [_PAD_BYTE] * (_WIDTH - len(out)))
+    sources = np.empty((2, len(layouts), _WIDTH), np.intp)
+    sources[0] = np.fromiter(itertools.chain.from_iterable(layouts), np.intp).reshape(len(layouts), _WIDTH)
+    sources[1, :, 0] = _MINUS
+    sources[1, :, 1:] = sources[0, :, :-1]
+    sources = sources.reshape(-1, _WIDTH)
+    lengths = np.count_nonzero(sources != _PAD_BYTE, axis=1)
+    return pow10, quads.view(np.uint32).ravel(), zeros, triples.view(np.uint32).ravel(), sources, lengths
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each float ``v`` of the 1-D ``x``, as ASCII padded with :data:`_PAD`: an ``S`` array."""
+    pow10, quads, zeros, triples, sources, lengths = _kernel_tables()
+    n = len(x)
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a > 1e-270) & (a < 1e270)  # False on inf and nan
+    a = np.where(fast, a, 1.0)
+    # e = floor(log10(a)), made exact by comparing a with 10**e and 10**(e + 1) as hi + lo
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = pow10[0].take(e - _K_MIN), pow10[1].take(e - _K_MIN)
+    e -= (a < hi) | ((a == hi) & (lo > 0))
+    hi, lo = pow10[0].take(e + 1 - _K_MIN), pow10[1].take(e + 1 - _K_MIN)
+    e += (a > hi) | ((a == hi) & (lo <= 0))
+    # q = a * 10**(16 - e) in [1e16, 1e17) as qh + ql: a * hi exactly (Dekker), plus a * lo
+    k = 16 - e - _K_MIN
+    hi, lo, hi_top, hi_low = (row.take(k) for row in pow10)
+    prod = a * hi
+    split = _SPLIT * a
+    a_top = split - (split - a)
+    a_low = a - a_top
+    low = ((a_top * hi_top - prod) + a_top * hi_low + a_low * hi_top) + a_low * hi_low + a * lo
+    qh = prod + low
+    ql = low - (qh - prod)
+    # qh >= 2**53 is an integer; a ql within 1e-9 of a half is left to Python below
+    digits = qh.astype(np.int64) + np.rint(ql).astype(np.int64)
+    fast &= np.abs(ql - np.floor(ql) - 0.5) > 1e-9
+    top = digits == 10**17  # rounded up to the next power of ten
+    digits[top] = 10**16
+    e += top
+    digits[zero] = 0
+    e[zero] = 0
+    source = np.empty((n, _SOURCE // 4), np.uint32)
+    lead = digits // 10**16
+    source[:, 0] = _HEAD + (lead.astype(np.uint32) << 24)
+    source[:, _E // 4] = np.where(e < 0, _E_MINUS, _E_PLUS)
+    source[:, _E_DIGITS // 4] = triples.take(np.abs(e))
+    rest = digits - lead * 10**16
+    trailing = np.zeros(n, np.intp)
+    run = np.ones(n, bool)
+    for word in range(4, 0, -1):
+        quad = rest
+        rest = rest // 10_000
+        quad -= rest * 10_000
+        source[:, word] = quads.take(quad)
+        trailing += run * zeros.take(quad)
+        run &= quad == 0
+    kind = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
+    layout = 391 * np.signbit(x) + 17 * kind + (16 - trailing)
+    slow = np.flatnonzero(~(fast | zero))
+    cells = [("%.17g" % v).encode() for v in x[slow].tolist()]
+    width = max(1, int(lengths.take(layout).max(initial=0)), *map(len, cells))
+    text = np.empty((n, width), np.uint8)
+    flat = source.view(np.uint8).ravel()
+    for start in range(0, n, 1024):  # in chunks: a whole (n, 24) index of fresh pages took twice the time
+        index = sources.take(layout[start : start + 1024], axis=0)
+        index += np.arange(start * _SOURCE, (start + len(index)) * _SOURCE, _SOURCE)[:, np.newaxis]
+        text[start : start + 1024] = flat.take(index)[:, :width]
+    for i, cell in zip(slow, cells):
+        text[i] = _PAD
+        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return text.view(f"S{width}").reshape(n)
+
+
+def _csv_text(a: np.ndarray) -> np.ndarray:
+    """CSV text of each entry of ``a``, UTF-8 padded with :data:`_PAD`: an ``S`` array of ``a.shape``."""
+    kind = a.dtype.kind
+    if kind == "f":  # as %-formatting does, the value as a double
+        return _g17(a.astype(np.float64, copy=False).ravel()).reshape(a.shape)
+    if kind not in "iuUO":
+        raise TypeError(f"cannot write a column of dtype {a.dtype}")
+    cells = [str(v).encode() for v in a.ravel().tolist()]
+    width = max([1, *map(len, cells)])
+    text = b"".join(cell.ljust(width, b"\xff") for cell in cells)
+    return np.frombuffer(text, f"S{width}").reshape(a.shape)
+
+
+def _json_cells(a: np.ndarray) -> np.ndarray:
+    """Entries of ``a`` as Python objects whose ``%s`` is their JSON text."""
     kind = a.dtype.kind
     if kind == "f":
         cells = a.astype(object)
-        if fmt == "csv":
-            return cells, "%.17g"
         bad = ~np.isfinite(a)
         if bad.any():  # str() of a finite float is its repr, which json.dumps writes
             cells[bad] = np.where(np.isnan(a[bad]), "NaN", np.where(a[bad] > 0, "Infinity", "-Infinity"))
-        return cells, "%s"
+        return cells
     if kind in "iu":
-        return a.astype(object), "%s"
+        return a.astype(object)
     if kind == "U":
-        cells = a.astype(object)
-        if fmt == "json":
-            cells = np.frompyfunc(json.dumps, 1, 1)(cells)
-        return cells, "%s"
+        return np.frompyfunc(json.dumps, 1, 1)(a.astype(object))
     raise TypeError(f"cannot write a column of dtype {a.dtype}")
 
 
-def _strings(a: np.ndarray, fmt: str) -> np.ndarray:
-    """Formatted text of each entry of ``a``, same shape, as an object array."""
-    cells, spec = _cells(a, fmt)
+def _json_strings(a: np.ndarray) -> np.ndarray:
+    """JSON text of each entry of ``a``, same shape, as an object array."""
     out = np.empty(a.shape, dtype=object)
-    out.ravel()[:] = [spec % v for v in cells.ravel().tolist()]
+    out.ravel()[:] = ["%s" % v for v in _json_cells(a).ravel().tolist()]
     return out
 
 
@@ -90,7 +251,8 @@ def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[s
     """One ``(fmt, literals, block shape, columns)`` job per block of rows, for :func:`_format`.
 
     A column repeated in every block of its part, or absent, is text already,
-    formatted once per part; the others are the block's numeric slices.
+    formatted once per part (an ``S`` array in CSV, an object array in JSON);
+    the others are the block's numeric slices.
     """
     for part in parts:
         if list(part) != names:
@@ -102,7 +264,10 @@ def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[s
             else c.reshape((1,) * (len(shape) - c.ndim) + c.shape)
             for c in cols
         ]
-        cols = [c if c.dtype == object or c.shape[0] > 1 else _strings(c, fmt) for c in cols]
+        if fmt == "csv":
+            cols = [c if c.shape[0] > 1 else _csv_text(c) for c in cols]
+        else:
+            cols = [c if c.dtype == object or c.shape[0] > 1 else _json_strings(c) for c in cols]
         inner = math.prod(shape[1:])
         step = max(1, BLOCK_ROWS // max(inner, 1))
         for lo in range(0, shape[0] if inner else 0, step):
@@ -113,19 +278,33 @@ def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[s
 def _format(job) -> str:
     """Text of one block of rows, every row written as ``literals`` around its cells."""
     fmt, literals, block, cols = job
+    if fmt == "csv":
+        return _format_csv(literals, block, cols)
     n_rows = math.prod(block)
     cells = np.empty(block + (len(cols),), dtype=object)
-    row = literals[0]
     for i, c in enumerate(cols):
         if c.dtype == object:
-            text, spec = c, "%s"
+            cells[..., i] = c
         elif c.size == n_rows:
-            text, spec = _cells(c, fmt)
+            cells[..., i] = _json_cells(c)
         else:
-            text, spec = _strings(c, fmt), "%s"
-        cells[..., i] = text
-        row += spec + literals[i + 1]
-    return (row * n_rows) % tuple(cells.ravel().tolist())
+            cells[..., i] = _json_strings(c)
+    return ("%s".join(literals) * n_rows) % tuple(cells.ravel().tolist())
+
+
+def _format_csv(literals: list[str], block: tuple[int, ...], cols) -> str:
+    """CSV text of one block: literals and each column's text broadcast into one byte array, less its pad bytes."""
+    pieces = [np.frombuffer(literals[0].encode(), np.uint8)]
+    for c, literal in zip(cols, literals[1:]):
+        text = c if c.dtype.kind == "S" else _csv_text(c)
+        pieces += [text[..., np.newaxis].view(np.uint8), np.frombuffer(literal.encode(), np.uint8)]
+    text = np.empty(block + (sum(piece.shape[-1] for piece in pieces),), np.uint8)
+    at = 0
+    for piece in pieces:
+        text[..., at : at + piece.shape[-1]] = piece
+        at += piece.shape[-1]
+    text = text.ravel()
+    return np.compress(text != _PAD, text).tobytes().decode()
 
 
 def _serve(conn, writer_ends) -> None:

@@ -7,6 +7,7 @@ agreement with ``dtsim_cov`` exercises the whole ratio-product route.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dtsim import (
 )
 
 from dtsim.simulate import BATCH_SIZE
+from dtsim.verify import _check_triangle
 
 from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_cov, triangle_residuals
 
@@ -212,6 +214,19 @@ def test_markov_triangle_negative_control():
     assert res == pytest.approx(math.exp(-4.0) - math.exp(-2.0), rel=1e-12)
     assert abs(res) > 1e-3
     assert abs(markov_triangle_residual(gauss, 1.0, 2.0, 4.0)) > 1e-3
+
+
+@pytest.mark.parametrize("T, H, alpha, passes",
+                         [(128, 0.75, 2.0, True), (32, 1.2, 3.0, True), (64, 1.5, 4.0, False)])
+def test_markov_triangle_check_reads_every_triple(T, H, alpha, passes):
+    """Covariances past 1e154 (their products overflow) are measured, not dropped; an overflowed table fails."""
+    p = make_params(H, alpha, T)
+    chain = make_chain(p, simple_bm_seed(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if passes else "ignore", RuntimeWarning)
+        result = _check_triangle(chain)
+    assert result.passed == passes
+    assert passes or math.isnan(result.observed)
 
 
 def _dsi_residual(cov, p, t: float, s: float) -> float:

@@ -392,9 +392,11 @@ def test_fill_threads_do_not_grow_with_the_core_count(cores, threads):
 
 def test_cli_import_leaves_out_queue_and_logging():
     """``queue`` and ``multiprocessing`` are imported on the first threaded pass and the first
-    multi-block table, so commands that do neither do not load them."""
+    multi-block table, so commands that do neither do not load them; the CSV float kernel's
+    tables are built from Python ints, without ``fractions`` or ``decimal``."""
     code = ("import sys, dtsim.cli; "
-            "print(sorted({'queue', 'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules)))")
+            "print(sorted({'queue', 'concurrent.futures', 'logging', 'multiprocessing', 'fractions', 'decimal'}"
+            " & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr

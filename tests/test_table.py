@@ -1,11 +1,15 @@
-"""The table writer's worker processes: same bytes at any worker count, errors raised, no process left."""
+"""The table writer: CSV floats byte for byte ``%.17g``, and its worker processes: same bytes at any
+worker count, errors raised, no process left."""
 
 import multiprocessing
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtsim import table
 from dtsim.cli import main
@@ -122,3 +126,113 @@ def test_one_block_table_starts_no_process(monkeypatch, tmp_path):
     assert main(["embed", "--T", "3", "--format", "json", "--out", str(tmp_path / "embed.json")]) == 0
     with pytest.raises(AssertionError, match="a process was started"):
         write_table(_parts(1), "csv", os.devnull)
+
+
+def _expected_g17(x: np.ndarray) -> list[str]:
+    return ["%.17g" % v for v in x.tolist()]
+
+
+def _g17(x: np.ndarray) -> list[str]:
+    text = table._g17(np.asarray(x, dtype=float))
+    assert text.dtype.kind == "S" and all(b"\xff" not in cell.rstrip(b"\xff") for cell in text.tolist())
+    return [cell.rstrip(b"\xff").decode() for cell in text.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_g17_matches_percent_on_any_bit_pattern(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _g17(x) == _expected_g17(x)
+
+
+def test_g17_matches_percent_on_a_sweep():
+    """1.2e5 values: normals, magnitudes across the whole range, random bit patterns, integers."""
+    rng = np.random.default_rng(20260419)
+    x = np.concatenate([
+        rng.standard_normal(40_000),
+        rng.choice([-1.0, 1.0], 40_000) * 10.0 ** rng.uniform(-320, 308, 40_000),
+        rng.integers(0, 2**64, 30_000, dtype=np.uint64).view(np.float64),
+        rng.integers(-(10**17), 10**17, 10_000).astype(float),
+    ])
+    assert _g17(x) == _expected_g17(x)
+
+
+def _near_ties() -> list[float]:
+    """Doubles ``m * 2**s`` whose 17-digit scaling ``q = m * 5**(16 - e) / 2**j`` is ``1/2 +- 2**-j``
+    past an integer, for ``j`` up to 52: within the kernel's error of a tie for the largest ``j``."""
+    out = []
+    for s in range(-120, -52):
+        for e in range(-25, 1):
+            j = -(s + 16 - e)
+            if not 2 <= j <= 52:
+                continue
+            inverse = pow(5 ** (16 - e), -1, 2**j)
+            for r in (2 ** (j - 1) + 1, 2 ** (j - 1) - 1):
+                m = r * inverse % 2**j
+                m -= (m - 2**52) // 2**j * 2**j  # the least m >= 2**52 of its class
+                if m < 2**53 and 10**16 * 2**j <= m * 5 ** (16 - e) < 10**17 * 2**j:
+                    out.append(m * 2.0**s)
+    return out
+
+
+def test_g17_matches_percent_on_edges():
+    """Exact and near ties, the ends of the kernel's range and of float64, zeros, non-finite values,
+    every power of two, and every power of ten with both its neighbours."""
+    edges = [1234567890123456.75, 1234567890123456.25, 0.5, 2.5, 1e16, 1e17, 1e16 - 2, 1e17 - 16,
+             99999999999999999.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             1e-270, 1e270, 1e-5, 1e-4, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    twos = [2.0**k for k in range(-1074, 1024)]
+    ties = _near_ties()
+    assert len(ties) > 40
+    x = np.array(edges + ties + powers + twos)
+    with np.errstate(over="ignore"):  # the neighbour of the largest float is inf
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+    x = np.concatenate([x, -x])
+    assert _g17(x) == _expected_g17(x)
+    assert _g17(np.array([])) == []
+
+
+def test_csv_cells_are_str_and_percent_g17(tmp_path, monkeypatch):
+    """Strings (non-ASCII and NUL included), ints, floats and absent cells, over two blocks and parts."""
+    words = np.array(["a", "ω-Ünïcode", "x\x00y", "日本", "", "🙂,\"q\""])
+    rng = np.random.default_rng(3)
+
+    def parts():
+        rows = np.arange(BLOCK_ROWS + 5)
+        yield {"s": words[rows % len(words)], "i": rows - 2**60, "x": rng.standard_normal(len(rows)) ** 9,
+               "m": None}
+        yield {"s": np.array("Ωmega"), "i": np.arange(3, dtype=np.uint8), "x": np.array([np.nan, -0.0, 1e300]),
+               "m": np.array([[0.1], [2.5], [-np.inf]], dtype=np.float32)}
+
+    expected = ["s,i,x,m"]
+    for part in parts():
+        cols = np.broadcast_arrays(*[np.asarray(v) for v in part.values() if v is not None])
+        absent = part["m"] is None
+        for row in zip(*(c.ravel().tolist() for c in cols)):
+            cells = [str(v) if not isinstance(v, float) else "%.17g" % v for v in row]
+            expected.append(",".join(cells + [""] if absent else cells))
+    expected = "\n".join(expected) + "\n"
+    for workers in (0, 2):
+        monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
+        rng = np.random.default_rng(3)
+        write_table(parts(), "csv", str(tmp_path / f"{workers}.csv"))
+        assert (tmp_path / f"{workers}.csv").read_text() == expected
+
+
+def test_g17_tables_are_built_on_the_first_csv_float_block():
+    """Not at import: a command that writes no float to CSV does not pay for them."""
+    code = (
+        "import os, numpy as np, dtsim.cli, dtsim.table as t\n"
+        "sizes = [t._kernel_tables.cache_info().currsize]\n"
+        "t.write_table([{'i': np.arange(3), 's': np.array('a')}], 'csv', os.devnull)\n"
+        "t.write_table([{'x': np.array([0.5])}], 'json', os.devnull)\n"
+        "sizes.append(t._kernel_tables.cache_info().currsize)\n"
+        "t.write_table([{'x': np.array([0.5])}], 'csv', os.devnull)\n"
+        "sizes.append(t._kernel_tables.cache_info().currsize)\n"
+        "print(sizes)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 1]"
