@@ -10,11 +10,12 @@ one-step covariance on the grid splits the chain and is rejected.
 An :class:`Ensemble` is a seeded recipe, not a matrix.  Batch ``i`` of its
 paths is drawn from child ``i`` of ``SeedSequence(rng_seed)`` (PCG64) alone,
 so results are byte-for-byte reproducible whichever thread fills a batch.
-With two or more usable cores two threads fill the batches, at most two of
-them allocated and not yet read, and the reader receives them in batch order;
-on one core, and for the table writer, the reader fills them itself.  The
-Monte Carlo estimator and the table writer consume the batches as they come,
-so their memory does not grow with the number of paths.
+Readers of :meth:`Ensemble.blocks`, the table writer among them, fill each
+batch on their own thread as they read it.  The Monte Carlo moments are the
+one threaded pass: with two or more usable cores, two threads fill batches
+and reduce each to its products, which are summed in batch order; on one
+core the calling thread does every batch.  Neither keeps more than a few
+batches, so memory does not grow with the number of paths.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ __all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm",
 #: Paths per generation batch; fixed so batch boundaries never move.
 BATCH_SIZE = 4096
 
-#: Threads that fill path blocks, one block each at a time: two where a second
-#: core can run them, none on one core, where the handoffs cost time and
-#: nothing overlaps.  Two, not one per core, so memory does not grow with the
-#: core count; no bit of a path depends on it.  The same rule on the same
-#: core count sets ``table._FORMAT_WORKERS``, the processes that format a
-#: table of two or more blocks, and no byte of a table depends on that either.
+#: Threads that fill and reduce path blocks in ``Ensemble.moments``, the
+#: calling thread among them: two where a second core can run them, and 0 on
+#: one core, where the calling thread does every block alone.  Two, not one
+#: per core, so memory does not grow with the core count; no bit of the sums
+#: depends on it.  The same rule on the same core count sets
+#: ``table._FORMAT_WORKERS``, the processes that format a table of two or
+#: more blocks, and no byte of a table depends on that either.
 _FILL_THREADS = 2 if _CORES > 1 else 0
 
 
@@ -93,84 +95,27 @@ class Ensemble:
 
         Block ``i`` is drawn from the ``i``-th child of ``SeedSequence(rng_seed)``
         and from nothing else, so a path depends neither on ``n_paths`` nor on
-        which thread filled it.  Each block is a new array, allocated here and
-        filled on one of :data:`_FILL_THREADS` threads that live as long as the
-        iteration (on this thread when there are none).  Blocks come out in
-        block order, at most ``_FILL_THREADS`` of them allocated and not yet
-        yielded.  An exception raised while filling a block is raised here, and
-        the threads are joined when the iteration ends or the generator is closed.
+        which thread filled it.  Each block is a new array, filled on this
+        thread when the iteration asks for it, so a reader holds the blocks
+        it keeps and no others.
         """
-        return self._blocks(_FILL_THREADS)
+        for i, child in enumerate(self._children()):
+            yield self._fill(i, child, np.empty((min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE), self.k_max + 1)))
 
-    def _blocks(self, threads: int) -> Iterator[np.ndarray]:
+    def _children(self) -> list[np.random.SeedSequence]:
+        return np.random.SeedSequence(self.rng_seed).spawn((self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE)
+
+    def _fill(self, i: int, child: np.random.SeedSequence, out: np.ndarray) -> np.ndarray:
+        """Block ``i``, drawn from ``child`` alone, in the first rows of ``out``."""
         scale, amp = self._factors
-        n_batches = (self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
-        children = np.random.SeedSequence(self.rng_seed).spawn(n_batches)
-
-        def new_block(i: int) -> np.ndarray:
-            return np.empty((min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE), self.k_max + 1))
-
-        def fill(block: np.ndarray, child: np.random.SeedSequence) -> None:
-            np.random.default_rng(child).standard_normal(out=block)
-            block *= scale
-            np.cumsum(block, axis=1, out=block)
-            block *= amp
-
-        if not threads:
-            for i, child in enumerate(children):
-                fill(block := new_block(i), child)
-                yield block
-            return
-
-        import queue  # here, not at the top: commands that never simulate do not pay for it
-
-        tasks = queue.SimpleQueue()
-
-        def work() -> None:
-            while (task := tasks.get()) is not None:
-                block, child, done = task
-                try:
-                    fill(block, child)
-                    exc = None
-                except Exception as error:  # handed to the reader, which raises it
-                    exc = error
-                # let go of the block before the reader hears of it, so that
-                # an idle thread does not keep it alive after the reader is done
-                del task, block
-                done.put(exc)
-
-        def hand_out(i: int) -> tuple[np.ndarray, queue.SimpleQueue]:
-            # allocated on this thread: a block allocated on a filling thread
-            # would come from that thread's malloc arena and raise the peak RSS
-            done = queue.SimpleQueue()
-            tasks.put((block := new_block(i), children[i], done))
-            return block, done
-
-        def finished(block: np.ndarray, done: queue.SimpleQueue) -> np.ndarray:
-            if (exc := done.get()) is not None:
-                raise exc
-            return block
-
-        fillers: list[threading.Thread] = []
-        pending: list[tuple[np.ndarray, queue.SimpleQueue]] = []
-        try:
-            for _ in range(min(threads, n_batches)):
-                # daemon: a generator still suspended at exit must not keep the interpreter alive
-                (f := threading.Thread(target=work, daemon=True)).start()
-                fillers.append(f)
-            for i in range(n_batches):
-                if len(pending) == threads:
-                    # the oldest block goes out before the next is allocated,
-                    # so at most `threads` blocks are allocated and not yet yielded
-                    yield finished(*pending.pop(0))
-                pending.append(hand_out(i))
-            while pending:
-                yield finished(*pending.pop(0))
-        finally:
-            for f in fillers:
-                tasks.put(None)
-            for f in fillers:
-                f.join()
+        block = out[: self.n_paths - i * BATCH_SIZE]
+        np.random.default_rng(child).standard_normal(out=block)
+        block *= scale
+        # bit for bit np.cumsum(block, axis=1), and faster on tall blocks of few columns
+        for k in range(1, block.shape[1]):
+            block[:, k] += block[:, k - 1]
+        block *= amp
+        return block
 
     @cached_property
     def paths(self) -> np.ndarray:
@@ -187,19 +132,69 @@ class Ensemble:
     def moments(self) -> np.ndarray:
         """Read-only ``(2, K, K)`` path sums of ``X_a X_b`` and ``X_a**2 X_b**2``, ``K = k_max + 1``.
 
-        One pass over :meth:`blocks` on first access; :func:`empirical_cov`
-        reads it, so repeated estimates do not regenerate the paths.
+        One pass on first access; :func:`empirical_cov` reads it, so repeated
+        estimates do not regenerate the paths.  This thread and up to
+        ``_FILL_THREADS - 1`` helpers each fill the next block and reduce it to
+        its two ``K x K`` products, which are added into the sums in block
+        order, so no bit depends on the thread count.  At most two blocks per
+        thread are taken and not yet added, so the pass holds a few block
+        buffers per thread whatever ``n_paths`` is.  An error in any thread
+        stops the pass and is raised here once the helpers are joined.
         """
         K = self.k_max + 1
+        children = self._children()
+        n_workers = max(min(_FILL_THREADS, len(children)), 1)
+        window = 2 * n_workers
+        # allocated on this thread: buffers allocated on a helper would come
+        # from that thread's malloc arena and raise the peak RSS
+        buffers = np.empty((n_workers, 2, min(BATCH_SIZE, self.n_paths), K))
+        products = np.empty((window, 2, K, K))
         sums = np.zeros((2, K, K))
-        squares = np.empty((BATCH_SIZE, K))
-        for block in self.blocks():
-            sums[0] += block.T @ block
-            sq = np.multiply(block, block, out=squares[: len(block)])
-            # two buffers keep this a general product: numpy sends a.T @ a on
-            # one buffer to a symmetric kernel, whose rounding differs
-            block[...] = sq
-            sums[1] += sq.T @ block
+        state = threading.Condition()
+        taken = added = 0
+        finished: set[int] = set()
+        errors: list[BaseException] = []
+
+        def work(block_buffer: np.ndarray, squares: np.ndarray) -> None:
+            nonlocal taken, added, sums
+            try:
+                while True:
+                    with state:
+                        state.wait_for(lambda: taken - added < window or errors)
+                        if errors or taken == len(children):
+                            return
+                        i, taken = taken, taken + 1
+                    product = products[i % window]  # free: block i - window is added
+                    block = self._fill(i, children[i], block_buffer)
+                    np.matmul(block.T, block, out=product[0])
+                    sq = np.multiply(block, block, out=squares[: len(block)])
+                    # two buffers keep this a general product: numpy sends a.T @ a on
+                    # one buffer to a symmetric kernel, whose rounding differs
+                    block[...] = sq
+                    np.matmul(sq.T, block, out=product[1])
+                    with state:
+                        finished.add(i)
+                        while added in finished:
+                            finished.remove(added)
+                            sums += products[added % window]
+                            added += 1
+                        state.notify_all()
+            except BaseException as error:  # raised on the calling thread
+                with state:
+                    errors.append(error)
+                    state.notify_all()
+
+        helpers: list[threading.Thread] = []
+        try:
+            for pair in buffers[1:]:
+                (helper := threading.Thread(target=work, args=tuple(pair))).start()
+                helpers.append(helper)
+            work(*buffers[0])
+        finally:
+            for helper in helpers:
+                helper.join()
+        if errors:
+            raise errors[0]
         sums.setflags(write=False)
         return sums
 
@@ -207,9 +202,7 @@ class Ensemble:
         """Table parts ``path, k, t, value``, one per block, as ``table.write_table`` takes them."""
         ks, times = np.arange(self.k_max + 1), self.times
         lo = 0
-        # filled here: filling takes a small share of the time that
-        # formatting the text takes, so fill threads would save little
-        for block in self._blocks(threads=0):
+        for block in self.blocks():
             yield {"path": np.arange(lo, lo + len(block))[:, np.newaxis], "k": ks, "t": times, "value": block}
             lo += len(block)
 

@@ -136,12 +136,13 @@ def run_checks(params: DsiParams, seed: CovarianceSeed) -> list[CheckResult]:
     signature.
     """
     chain = make_chain(params, seed)
-    return [
-        _check_commutation(params),
-        _check_roundtrip(params),
-        _check_oracle(chain),
-        _check_triangle(chain),
-        _check_hermitian(chain),
-        _check_series_vs_closed(chain),
-        _check_phase_roundtrip(chain),
-    ]
+    with np.errstate(all="ignore"):  # an overflow reads as a nan or inf residual, which fails its check
+        return [
+            _check_commutation(params),
+            _check_roundtrip(params),
+            _check_oracle(chain),
+            _check_triangle(chain),
+            _check_hermitian(chain),
+            _check_series_vs_closed(chain),
+            _check_phase_roundtrip(chain),
+        ]

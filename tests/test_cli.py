@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,17 @@ def test_verify_passes_the_builtin_seed_at_large_periods(capsys, T, H, alpha):
     """Residuals are scaled to the entries they compare, so valid seeds do not false-fail at large T."""
     code, out = run_cli(capsys, "verify", "--T", str(T), "--H", str(H), "--alpha", str(alpha), "--json")
     assert (code, _failing_checks(out)) == (0, [])
+
+
+def test_verify_overflow_fails_its_checks_without_numpy_warnings(capsys):
+    """At T=64, H=1.5, alpha=4 the covariance table overflows: two checks read nan and fail, and
+    numpy's RuntimeWarnings, which name no check, are not printed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, "verify", "--T", "64", "--H", "1.5", "--alpha", "4", "--json")
+    assert [str(w.message) for w in caught] == []
+    assert (code, _failing_checks(out)) == (1, ["markov_triangle", "phase_expansion_roundtrip"])
+    assert all(math.isnan(c["observed"]) for c in json.loads(out)["checks"] if not c["passed"])
 
 
 @pytest.mark.parametrize("T", [2, 8, 32])

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -276,21 +275,21 @@ def test_streamed_estimator_matches_matrix_reference(n_paths, sim):
 
 
 def test_moments_are_one_cached_pass(monkeypatch):
-    """Repeated estimates read ``Ensemble.moments``: the paths are generated once."""
+    """Repeated estimates read ``Ensemble.moments``: each of the two blocks is filled once."""
     p = make_params(0.75, 2.0, 2)
     ens = simulate_simple_bm(p, n_paths=BATCH_SIZE + 9, k_max=5, rng_seed=3)
-    passes = []
-    blocks = Ensemble.blocks
+    fills = []
+    fill = Ensemble._fill
 
-    def counted(self):
-        passes.append(self)
-        return blocks(self)
+    def counted(self, i, child, out):
+        fills.append(i)
+        return fill(self, i, child, out)
 
-    monkeypatch.setattr(Ensemble, "blocks", counted)
+    monkeypatch.setattr(Ensemble, "_fill", counted)
     first = empirical_cov(ens, np.arange(4), 1)
     for n in range(4):
         assert empirical_cov(ens, n, 1).value == first.value[n]
-    assert len(passes) == 1
+    assert sorted(fills) == [0, 1]
     assert ens.moments.shape == (2, 6, 6)
     with pytest.raises(ValueError):
         ens.moments[0, 0, 0] = 1.0
@@ -316,13 +315,15 @@ def test_streamed_commands_hold_a_few_blocks(tmp_path, monkeypatch, argv):
     assert peak < 8 * BATCH_SIZE * 16 * 8
 
 
-# -- blocks filled on worker threads ------------------------------------------
+# -- moments reduced on worker threads ----------------------------------------
 @pytest.mark.parametrize("threads", [0, 1, 2, 3])
 def test_paths_do_not_depend_on_the_fill_threads(monkeypatch, threads):
-    """Five blocks, filled by the reader or by 1-3 threads, match the one-matrix reference bit for bit."""
+    """Part of one block, or five with a partial last one, reduced by 1-3 threads, match the
+    one-matrix reference bit for bit."""
     monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
-    _assert_matches_reference(simulate_simple_bm(make_params(0.8, 1.5, 3), n_paths=4 * BATCH_SIZE + 7,
-                                                 k_max=10, rng_seed=17))
+    for n_paths in (BATCH_SIZE - 5, 4 * BATCH_SIZE + 7):
+        _assert_matches_reference(simulate_simple_bm(make_params(0.8, 1.5, 3), n_paths=n_paths,
+                                                     k_max=10, rng_seed=17))
 
 
 def test_cli_outputs_do_not_depend_on_the_fill_threads(monkeypatch, tmp_path):
@@ -344,39 +345,16 @@ def test_cli_outputs_do_not_depend_on_the_fill_threads(monkeypatch, tmp_path):
 
 
 def test_many_fill_threads_with_fast_thread_switches(monkeypatch):
-    """More fill threads than cores and a thread switch every microsecond still give the blocks in order."""
+    """More threads than cores and a thread switch every microsecond still add the products in block order."""
     monkeypatch.setattr(simulate, "_FILL_THREADS", 8)
-    ens = simulate_brownian(make_params(0.5, 2.0, 1), n_paths=40 * BATCH_SIZE + 1, k_max=2, rng_seed=23)
+    ens = simulate_brownian(make_params(0.5, 2.0, 1), n_paths=40 * BATCH_SIZE + 1, k_max=9, rng_seed=23)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = np.concatenate(list(ens.blocks()))
+        ens.moments
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got, _ref_paths(ens))
-
-
-def test_at_most_two_blocks_in_flight(monkeypatch):
-    """With two fill threads the reader's block and the next one are the only blocks alive.
-
-    The bound is a constant: the thread count is 2 or 0 whatever the number of cores.
-    """
-    assert simulate._FILL_THREADS in (0, 2)
-    monkeypatch.setattr(simulate, "_FILL_THREADS", 2)
-    made = []
-    empty = np.empty
-
-    def tracked(*args, **kwargs):
-        made.append(weakref.ref(a := empty(*args, **kwargs)))
-        return a
-
-    ens = simulate_brownian(make_params(0.5, 2.0, 1), n_paths=12 * BATCH_SIZE, k_max=3, rng_seed=5)
-    monkeypatch.setattr(np, "empty", tracked)
-    for i, block in enumerate(ens.blocks()):
-        assert len(made) == min(i + 2, 12)
-        assert [r() is not None for r in made[:-2]] == [False] * max(len(made) - 2, 0)
-        assert block is made[i]()
-    assert len(made) == 12
+    _assert_matches_reference(ens)
 
 
 @pytest.mark.parametrize("cores, threads", [(1, 0), (2, 2), (64, 2)])
@@ -391,9 +369,9 @@ def test_fill_threads_do_not_grow_with_the_core_count(cores, threads):
 
 
 def test_cli_import_leaves_out_queue_and_logging():
-    """``queue`` and ``multiprocessing`` are imported on the first threaded pass and the first
-    multi-block table, so commands that do neither do not load them; the CSV float kernel's
-    tables are built from Python ints, without ``fractions`` or ``decimal``."""
+    """No module of the package imports ``queue``, and ``multiprocessing`` is imported on the
+    first multi-block table, so commands that write none do not load it; the CSV float
+    kernel's tables are built from Python ints, without ``fractions`` or ``decimal``."""
     code = ("import sys, dtsim.cli; "
             "print(sorted({'queue', 'concurrent.futures', 'logging', 'multiprocessing', 'fractions', 'decimal'}"
             " & set(sys.modules)))")
@@ -405,41 +383,40 @@ def test_cli_import_leaves_out_queue_and_logging():
 
 @pytest.mark.parametrize("threads", [0, 2])
 def test_moments_hold_a_few_blocks(monkeypatch, threads):
-    """20 blocks of 16 grid points, a 10.5 MB path matrix: peak below 8 blocks either way."""
+    """200 blocks of 32 grid points, a 210 MB path matrix: peak below two blocks per thread and two more.
+
+    The 200 product pairs of 16 KB, 3.2 blocks, would break that bound if they piled up.
+    """
     monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
-    ens = simulate_simple_bm(make_params(0.75, 2.0, 4), n_paths=20 * BATCH_SIZE, k_max=15, rng_seed=2)
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 4), n_paths=200 * BATCH_SIZE, k_max=31, rng_seed=2)
     tracemalloc.start()
     try:
-        assert ens.moments.shape == (2, 16, 16)
+        assert ens.moments.shape == (2, 32, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * BATCH_SIZE * 16 * 8
+    assert peak < (2 * max(threads, 1) + 2) * BATCH_SIZE * 32 * 8
 
 
-@pytest.mark.parametrize("end", ["exhausted", "closed", "paths", "reader_error"])
+class _CountedThread(threading.Thread):
+    started: list[threading.Thread] = []
+
+    def start(self):
+        self.started.append(self)
+        super().start()
+
+
+@pytest.mark.parametrize("end", ["paths", "moments"])
 def test_fill_threads_end_with_the_iteration(monkeypatch, end):
+    """``paths`` fills on the calling thread; ``moments`` starts one helper and joins it before it returns."""
     monkeypatch.setattr(simulate, "_FILL_THREADS", 2)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", [])
     base = threading.active_count()
     ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=3 * BATCH_SIZE, k_max=3, rng_seed=1)
-    if end == "paths":
-        assert ens.paths.shape == (3 * BATCH_SIZE, 4)
-    elif end == "reader_error":
-        def read():
-            for block in ens.blocks():
-                assert threading.active_count() == base + 2
-                raise OSError(28, "No space left on device")
-
-        with pytest.raises(OSError):
-            read()
-    else:
-        it = ens.blocks()
-        next(it)
-        assert threading.active_count() == base + 2
-        if end == "closed":
-            it.close()
-        else:
-            assert sum(1 for _ in it) == 2
+    assert getattr(ens, end).shape[-1] == 4
+    assert len(_CountedThread.started) == (end == "moments")
+    assert not any(t.is_alive() for t in _CountedThread.started)
     assert threading.active_count() == base
 
 
@@ -474,4 +451,23 @@ def test_fill_error_reaches_the_reader(monkeypatch, threads):
         for block in ens.blocks():
             got.append(block)
     assert len(got) == 2
+    assert threading.active_count() == base
+
+
+@pytest.mark.parametrize("threads", [0, 2, 8])
+def test_fill_error_leaves_moments(monkeypatch, threads):
+    """A block that cannot be filled stops the pass: its error is raised and every helper is joined."""
+    monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
+    base = threading.active_count()
+    default_rng = np.random.default_rng
+
+    def failing(seed):
+        if seed.spawn_key == (2,):
+            raise RuntimeError("cannot seed the third child")
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", failing)
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=20 * BATCH_SIZE, k_max=3, rng_seed=4)
+    with pytest.raises(RuntimeError, match="third child"):
+        ens.moments
     assert threading.active_count() == base
