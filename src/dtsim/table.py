@@ -22,21 +22,25 @@ table is formatted by the writer.  No byte of the output depends on the
 number of workers.
 
 CSV is a header line, then one line per row: floats as ``%.17g`` (which
-round-trips), integers and strings as ``str``, absent cells empty.  The
-float text is computed in numpy, byte for byte what ``'%.17g' % x`` gives:
-``|x|`` is scaled to 17 digits in double-double arithmetic from exact Dekker
-products with a table of ``10**k``, rounded to an integer, and laid out as
-C's ``%g`` by one gather from a table of layouts.  That covers ``0`` and
-finite ``1e-270 < |x| < 1e270``.  The scaled value is within about 5e-15 of
-exact, so Python formats each value whose fraction lies within 1e-9 of a
-half, and so each is exact; Python also formats ``inf``, ``nan`` and values
-out of that range.  Each column's text is a byte matrix, its cells padded
-with 0xFF, a byte that no UTF-8 text holds.  Columns and literals are
-broadcast into one byte array per block, and one ``np.compress`` of the
-bytes that are not 0xFF gives the block's text.  JSON is exactly
-``json.dumps(rows, indent=2) + "\\n"`` for one object per row: floats as
-``repr``, non-finite floats as ``NaN``/``Infinity``/``-Infinity``, absent
-cells ``null``, each block formatted by one ``%`` operation.
+round-trips), integers, strings and other objects as ``str``, absent cells
+empty.  JSON is exactly ``json.dumps(rows, indent=2) + "\\n"`` for one
+object per row: floats as ``repr``, non-finite floats as
+``NaN``/``Infinity``/``-Infinity``, integers as ``str``, strings and other
+objects as ``json.dumps`` of each cell, absent cells ``null``.
+
+Both formats build a block the same way.  Each column's text is a byte
+matrix, its cells padded with 0xFF, a byte that no UTF-8 text holds.
+Columns and literals (the separators, and JSON's keys) are broadcast into
+one byte array per block, and one ``np.compress`` of the bytes that are not
+0xFF gives the block's text.  The CSV float text is computed in numpy, byte
+for byte what ``'%.17g' % x`` gives: ``|x|`` is scaled to 17 digits in
+double-double arithmetic from exact Dekker products with a table of
+``10**k``, rounded to an integer, and laid out as C's ``%g`` by one gather
+from a table of layouts.  That covers ``0`` and finite
+``1e-270 < |x| < 1e270``.  The scaled value is within about 5e-15 of exact,
+so Python formats each value whose fraction lies within 1e-9 of a half, and
+so each is exact; Python also formats ``inf``, ``nan`` and values out of
+that range.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ _FORMAT_WORKERS = 2 if _CORES > 1 else 0
 
 _ABSENT = {"csv": "", "json": "null"}
 
-#: Pads CSV cells to their column's width, and is compressed away from the
+#: Pads cells to their column's width, and is compressed away from the
 #: block's bytes: no UTF-8 text holds it.
 _PAD = 0xFF
 #: Exponents ``k`` of the ``10**k`` table: ``10**e`` and ``10**(e + 1)``
@@ -211,63 +215,50 @@ def _g17(x: np.ndarray) -> np.ndarray:
     return text.view(f"S{width}").reshape(n)
 
 
-def _csv_text(a: np.ndarray) -> np.ndarray:
-    """CSV text of each entry of ``a``, UTF-8 padded with :data:`_PAD`: an ``S`` array of ``a.shape``."""
-    kind = a.dtype.kind
-    if kind == "f":  # as %-formatting does, the value as a double
-        return _g17(a.astype(np.float64, copy=False).ravel()).reshape(a.shape)
-    if kind not in "iuUO":
-        raise TypeError(f"cannot write a column of dtype {a.dtype}")
-    cells = [str(v).encode() for v in a.ravel().tolist()]
+def _text(a: np.ndarray | None, fmt: str) -> np.ndarray:
+    """``fmt`` text of each entry of ``a``, UTF-8 padded with :data:`_PAD`: an ``S`` array of ``a.shape``.
+
+    Floats are ``%.17g`` in CSV and ``repr`` in JSON, integers ``str``, and
+    strings and objects ``str`` in CSV and ``json.dumps`` in JSON.  ``None``
+    is an absent column: one cell, empty in CSV and ``null`` in JSON.
+    """
+    if a is None:
+        cells = [_ABSENT[fmt]]
+    elif a.dtype.kind == "f":  # as %-formatting does, the value as a double
+        x = a.astype(np.float64, copy=False).ravel()
+        if fmt == "csv":
+            return _g17(x).reshape(a.shape)
+        cells = list(map(repr, x.tolist()))  # what json.dumps writes for a finite float
+        for i in np.flatnonzero(~np.isfinite(x)):
+            cells[i] = json.dumps(x[i].item())
+    elif a.dtype.kind in "iu" or fmt == "csv":
+        cells = list(map(str, a.ravel().tolist()))
+    else:
+        cells = list(map(json.dumps, a.ravel().tolist()))
+    cells = [cell.encode() for cell in cells]
     width = max([1, *map(len, cells)])
     text = b"".join(cell.ljust(width, b"\xff") for cell in cells)
-    return np.frombuffer(text, f"S{width}").reshape(a.shape)
-
-
-def _json_cells(a: np.ndarray) -> np.ndarray:
-    """Entries of ``a`` as Python objects whose ``%s`` is their JSON text."""
-    kind = a.dtype.kind
-    if kind == "f":
-        cells = a.astype(object)
-        bad = ~np.isfinite(a)
-        if bad.any():  # str() of a finite float is its repr, which json.dumps writes
-            cells[bad] = np.where(np.isnan(a[bad]), "NaN", np.where(a[bad] > 0, "Infinity", "-Infinity"))
-        return cells
-    if kind in "iu":
-        return a.astype(object)
-    if kind == "U":
-        return np.frompyfunc(json.dumps, 1, 1)(a.astype(object))
-    raise TypeError(f"cannot write a column of dtype {a.dtype}")
-
-
-def _json_strings(a: np.ndarray) -> np.ndarray:
-    """JSON text of each entry of ``a``, same shape, as an object array."""
-    out = np.empty(a.shape, dtype=object)
-    out.ravel()[:] = ["%s" % v for v in _json_cells(a).ravel().tolist()]
-    return out
+    return np.frombuffer(text, f"S{width}").reshape(() if a is None else a.shape)
 
 
 def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[str]):
     """One ``(fmt, literals, block shape, columns)`` job per block of rows, for :func:`_format`.
 
     A column repeated in every block of its part, or absent, is text already,
-    formatted once per part (an ``S`` array in CSV, an object array in JSON);
-    the others are the block's numeric slices.
+    formatted once per part by :func:`_text`; the others are the block's
+    slices of the part's arrays.
     """
     for part in parts:
         if list(part) != names:
             raise ValueError(f"table part has columns {list(part)}, expected {names}")
         cols = [None if v is None else np.asarray(v) for v in part.values()]
-        shape = np.broadcast_shapes(*(c.shape for c in cols if c is not None)) or (1,)
-        cols = [
-            np.array(_ABSENT[fmt], dtype=object).reshape((1,) * len(shape)) if c is None
-            else c.reshape((1,) * (len(shape) - c.ndim) + c.shape)
-            for c in cols
-        ]
-        if fmt == "csv":
-            cols = [c if c.shape[0] > 1 else _csv_text(c) for c in cols]
-        else:
-            cols = [c if c.dtype == object or c.shape[0] > 1 else _json_strings(c) for c in cols]
+        for c in cols:
+            if c is not None and c.dtype.kind not in "fiuUO":  # an S array is text already
+                raise TypeError(f"cannot write a column of dtype {c.dtype}")
+        cols = [_text(None, fmt) if c is None else c for c in cols]
+        shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
+        cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
+        cols = [c if c.shape[0] > 1 or c.dtype.kind == "S" else _text(c, fmt) for c in cols]
         inner = math.prod(shape[1:])
         step = max(1, BLOCK_ROWS // max(inner, 1))
         for lo in range(0, shape[0] if inner else 0, step):
@@ -276,27 +267,15 @@ def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[s
 
 
 def _format(job) -> str:
-    """Text of one block of rows, every row written as ``literals`` around its cells."""
+    """Text of one block of rows, every row written as ``literals`` around its cells.
+
+    The literals and each column's text are broadcast into one byte array,
+    and the block's text is that array less its pad bytes.
+    """
     fmt, literals, block, cols = job
-    if fmt == "csv":
-        return _format_csv(literals, block, cols)
-    n_rows = math.prod(block)
-    cells = np.empty(block + (len(cols),), dtype=object)
-    for i, c in enumerate(cols):
-        if c.dtype == object:
-            cells[..., i] = c
-        elif c.size == n_rows:
-            cells[..., i] = _json_cells(c)
-        else:
-            cells[..., i] = _json_strings(c)
-    return ("%s".join(literals) * n_rows) % tuple(cells.ravel().tolist())
-
-
-def _format_csv(literals: list[str], block: tuple[int, ...], cols) -> str:
-    """CSV text of one block: literals and each column's text broadcast into one byte array, less its pad bytes."""
     pieces = [np.frombuffer(literals[0].encode(), np.uint8)]
     for c, literal in zip(cols, literals[1:]):
-        text = c if c.dtype.kind == "S" else _csv_text(c)
+        text = c if c.dtype.kind == "S" else _text(c, fmt)
         pieces += [text[..., np.newaxis].view(np.uint8), np.frombuffer(literal.encode(), np.uint8)]
     text = np.empty(block + (sum(piece.shape[-1] for piece in pieces),), np.uint8)
     at = 0
@@ -403,7 +382,7 @@ def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
         literals = ["", *[","] * (len(names) - 1), "\n"]
     else:
         # each JSON row opens with the ",\n" that separates it from the previous one
-        keys = [f"{json.dumps(name)}: ".replace("%", "%%") for name in names]
+        keys = [f"{json.dumps(name)}: " for name in names]
         literals = [",\n  {\n    " + keys[0], *[",\n    " + k for k in keys[1:]], "\n  }"]
     # closed here, not when the frame is freed: a failed write stops the workers before it is raised
     with contextlib.closing(_blocks(parts, names, fmt, literals)) as blocks:

@@ -1,6 +1,7 @@
 """The table writer: CSV floats byte for byte ``%.17g``, and its worker processes: same bytes at any
 worker count, errors raised, no process left."""
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -194,30 +195,44 @@ def test_g17_matches_percent_on_edges():
 
 
 def test_csv_cells_are_str_and_percent_g17(tmp_path, monkeypatch):
-    """Strings (non-ASCII and NUL included), ints, floats and absent cells, over two blocks and parts."""
+    """Strings (non-ASCII, NUL and quotes included), ints, floats and absent cells, over two blocks and
+    parts: CSV cells are ``str`` and ``%.17g``, and JSON is ``json.dumps(rows, indent=2)``, ``%`` in a key too."""
     words = np.array(["a", "ω-Ünïcode", "x\x00y", "日本", "", "🙂,\"q\""])
     rng = np.random.default_rng(3)
 
     def parts():
         rows = np.arange(BLOCK_ROWS + 5)
         yield {"s": words[rows % len(words)], "i": rows - 2**60, "x": rng.standard_normal(len(rows)) ** 9,
-               "m": None}
+               "m": None, '50% "q"': rows % 3}
         yield {"s": np.array("Ωmega"), "i": np.arange(3, dtype=np.uint8), "x": np.array([np.nan, -0.0, 1e300]),
-               "m": np.array([[0.1], [2.5], [-np.inf]], dtype=np.float32)}
+               "m": np.array([[0.1], [2.5], [-np.inf]], dtype=np.float32), '50% "q"': np.array(-1)}
 
-    expected = ["s,i,x,m"]
+    lines, rows = ['s,i,x,m,50% "q"'], []
     for part in parts():
-        cols = np.broadcast_arrays(*[np.asarray(v) for v in part.values() if v is not None])
-        absent = part["m"] is None
+        cols = np.broadcast_arrays(*[np.array(None if v is None else v) for v in part.values()])
         for row in zip(*(c.ravel().tolist() for c in cols)):
-            cells = [str(v) if not isinstance(v, float) else "%.17g" % v for v in row]
-            expected.append(",".join(cells + [""] if absent else cells))
-    expected = "\n".join(expected) + "\n"
+            lines.append(",".join("" if v is None else "%.17g" % v if isinstance(v, float) else str(v) for v in row))
+            rows.append(dict(zip(part, row)))
+    expected = {"csv": "\n".join(lines) + "\n", "json": json.dumps(rows, indent=2) + "\n"}
     for workers in (0, 2):
         monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
-        rng = np.random.default_rng(3)
-        write_table(parts(), "csv", str(tmp_path / f"{workers}.csv"))
-        assert (tmp_path / f"{workers}.csv").read_text() == expected
+        for fmt in ("csv", "json"):
+            rng = np.random.default_rng(3)
+            write_table(parts(), fmt, str(tmp_path / f"{workers}.{fmt}"))
+            assert (tmp_path / f"{workers}.{fmt}").read_text() == expected[fmt], (workers, fmt)
+
+
+def test_json_object_cells_are_json_dumps(tmp_path):
+    """An object column is ``json.dumps`` of each cell in JSON, sliced per block or formatted once for its
+    part; a bytes column is refused."""
+    col = np.array(["a", 'b"c', None, 1.5], dtype=object)
+    rows = [{"s": v, "k": 0} for v in col.tolist()]
+    for part in ({"s": col, "k": np.zeros(4, int)}, {"s": col, "k": np.zeros((1, 1), int)}):
+        write_table([part], "json", str(tmp_path / "t.json"))
+        assert (tmp_path / "t.json").read_text() == json.dumps(rows, indent=2) + "\n"
+    for fmt in ("csv", "json"):
+        with pytest.raises(TypeError, match="dtype"):
+            write_table([{"b": np.array([b"a", b"bc"])}], fmt, os.devnull)
 
 
 def test_g17_tables_are_built_on_the_first_csv_float_block():
