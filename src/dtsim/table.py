@@ -14,12 +14,19 @@ along the leading axis, so memory does not grow with the row count.  A
 column that is broadcast along an axis of the block is formatted once per
 distinct value and then repeated; a column broadcast along the leading axis
 is formatted once for the whole part.  Full-size columns are formatted once
-per block.  A table of two or more blocks is formatted on
-:data:`_FORMAT_WORKERS` forked worker processes (two where two or more cores
-are usable, none on one core or where ``fork`` is missing), each formatting
-whole blocks, and the writer writes their text in block order; a one-block
-table is formatted by the writer.  No byte of the output depends on the
-number of workers.
+per block.  A table of two or more blocks written to a stream with a file
+descriptor is formatted on :data:`_FORMAT_WORKERS` forked worker processes
+(two where two or more cores are usable, none on one core or where
+``fork`` is missing).  The writer pickles each block's job to a worker,
+and the worker formats the block and writes its bytes straight to the
+descriptor: the text never comes back to the writer.  Blocks are written in
+order because the write turn goes round a ring of pipes, one byte handed
+from each worker to the next once its block is written.  A block that fails
+never hands the turn on, so the output holds exactly the blocks before it,
+and its error is raised in the writer.  A one-block table, every table on
+one core, and a stream without a descriptor (``StringIO``) are formatted
+and written by the writer.  No byte of the output depends on the number of
+workers.
 
 CSV is a header line, then one line per row: floats as ``%.17g`` (which
 round-trips), integers, strings and other objects as ``str``, absent cells
@@ -31,12 +38,12 @@ objects as ``json.dumps`` of each cell, absent cells ``null``.
 Both formats build a block the same way.  Each column's text is a byte
 matrix, its cells padded with 0xFF, a byte that no UTF-8 text holds.
 Columns and literals (the separators, and JSON's keys) are broadcast into
-one byte array per block, and one ``np.compress`` of the bytes that are not
-0xFF gives the block's text.  The CSV float text is computed in numpy, byte
-for byte what ``'%.17g' % x`` gives: ``|x|`` is scaled to 17 digits in
-double-double arithmetic from exact Dekker products with a table of
-``10**k``, rounded to an integer, and laid out as C's ``%g`` by one gather
-from a table of layouts.  That covers ``0`` and finite
+one byte array per block, and ``np.compress`` of the bytes that are not
+0xFF, 64 KiB at a time, gives the block's text.  The CSV float text is
+computed in numpy, byte for byte what ``'%.17g' % x`` gives: ``|x|`` is
+scaled to 17 digits in double-double arithmetic from exact Dekker products
+with a table of ``10**k``, rounded to an integer, and laid out as C's ``%g``
+by one gather from a table of layouts.  That covers ``0`` and finite
 ``1e-270 < |x| < 1e270``.  The scaled value is within about 5e-15 of exact,
 so Python formats each value whose fraction lies within 1e-9 of a half, and
 so each is exact; Python also formats ``inf``, ``nan`` and values out of
@@ -52,6 +59,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 from collections.abc import Iterable, Mapping
 
@@ -64,17 +72,22 @@ BLOCK_ROWS = 8192
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-#: Processes that format the blocks of a table of two or more blocks, one
-#: block each at a time: two where a second core can run them, none on one
-#: core, where the writer formats every block itself.  Two, not one per core,
-#: so memory does not grow with the core count; no byte of a table depends on it.
-_FORMAT_WORKERS = 2 if _CORES > 1 else 0
+#: Processes that format and write the blocks of a table of two or more
+#: blocks: two where a second core can run them, none on one core or without
+#: ``fork``, where the writer formats every block itself.  Two, not one per
+#: core, so memory does not grow with the core count; no byte of a table
+#: depends on it.
+_FORMAT_WORKERS = 2 if _CORES > 1 and hasattr(os, "fork") else 0
+#: A worker's acknowledgement of a block written.
+_DONE = pickle.dumps(None)
 
 _ABSENT = {"csv": "", "json": "null"}
 
 #: Pads cells to their column's width, and is compressed away from the
 #: block's bytes: no UTF-8 text holds it.
 _PAD = 0xFF
+#: Bytes of a block compacted at a time when its pad bytes are taken out.
+_CHUNK = 1 << 16
 #: Exponents ``k`` of the ``10**k`` table: ``10**e`` and ``10**(e + 1)``
 #: bracket every ``|x|`` in the kernel's range, and ``10**(16 - e)`` scales it.
 _K_MIN, _K_MAX = -272, 288
@@ -266,8 +279,8 @@ def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[s
             yield fmt, literals, block, [c if c.shape[0] == 1 else c[lo : lo + block[0]] for c in cols]
 
 
-def _format(job) -> str:
-    """Text of one block of rows, every row written as ``literals`` around its cells.
+def _format(job) -> bytes:
+    """UTF-8 text of one block of rows, every row written as ``literals`` around its cells.
 
     The literals and each column's text are broadcast into one byte array,
     and the block's text is that array less its pad bytes.
@@ -283,91 +296,139 @@ def _format(job) -> str:
         text[..., at : at + piece.shape[-1]] = piece
         at += piece.shape[-1]
     text = text.ravel()
-    return np.compress(text != _PAD, text).tobytes().decode()
+    at = 0
+    # compacted in place, a chunk at a time: np.compress builds an 8-byte index per kept byte
+    for lo in range(0, len(text), _CHUNK):
+        chunk = text[lo : lo + _CHUNK]
+        kept = np.compress(chunk != _PAD, chunk)
+        text[at : at + len(kept)] = kept
+        at += len(kept)
+    return text[:at].tobytes()
 
 
-def _serve(conn, writer_ends) -> None:
-    """Worker process: format each job that ``conn`` brings until ``None``, and send back its text or error."""
-    import signal  # here, not at the top: only workers need it
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
-    for end in writer_ends:  # inherited: closed, so that the writer's exit ends this worker
-        end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the writer stops its workers on an interrupt
+
+def _work(out: int, jobs: int, acks: int, turn: int, next_turn: int, skip: int):
+    """Worker process: format each block that ``jobs`` brings and write it to ``out`` on its turn.
+
+    The turn is a byte read from ``turn`` and passed on to ``next_turn``
+    once the block is written; each block is acknowledged on ``acks`` with a
+    pickled ``None``, or with its error, after which the worker stops without
+    passing the turn on.  The first block loses its first ``skip`` bytes.
+    The worker closes every other descriptor it inherits but the standard
+    streams: a pipe end held here, even a read end of ``out``, would keep
+    EOF or a broken pipe from showing.  It leaves only through
+    ``os._exit``: it flushes none of the writer's buffers and never returns
+    into the writer's stack.
+    """
+    status = 1
     try:
-        while (job := conn.recv()) is not None:
-            try:
-                reply = _format(job), None
-            except Exception as error:  # raised again in the writer
-                reply = None, error
-            conn.send(reply)
-    except (EOFError, ConnectionError):  # the writer is gone
-        pass
+        import signal  # here, not at the top: the CLI does not load it at startup
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the writer stops its workers on an interrupt
+        keep = sorted({0, 1, 2, out, jobs, acks, turn, next_turn})
+        for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
+            if lo + 1 < hi:  # an empty range would close every descriptor on some Pythons
+                os.closerange(lo + 1, hi)
+        with open(jobs, "rb") as reader:
+            while True:
+                try:
+                    job = pickle.load(reader)
+                except EOFError:  # every block is sent
+                    break
+                try:
+                    data = memoryview(_format(job))[skip:]
+                    skip = 0
+                    if not os.read(turn, 1):  # the worker before this one is gone
+                        return
+                    _write_all(out, data)
+                except Exception as error:  # raised again in the writer
+                    _write_all(acks, pickle.dumps(error))
+                    return
+                with contextlib.suppress(BrokenPipeError):  # the next worker has stopped and takes no more turns
+                    os.write(next_turn, b"\0")
+                os.write(acks, _DONE)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _blocks(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[str]):
-    """Formatted text of each block of rows, in block order.
+def _write_on_workers(out: int, jobs: Iterable, skip: int) -> None:
+    """Format ``jobs`` on :data:`_FORMAT_WORKERS` forked workers that write each block to ``out``, in job order.
 
-    A table of two or more blocks is formatted on :data:`_FORMAT_WORKERS`
-    forked processes; a one-block table, and every table on a host with one
-    core or without ``fork``, is formatted here.  The text is the same.
+    The jobs are pickled to the workers round-robin, two in flight per
+    worker, and each worker acknowledges each block once it is written.
+    The write turn goes round a ring of pipes, one byte passed from each
+    worker to the next.  A worker's error, a write error included, is
+    raised here once every block before it is written, and no block after
+    it is.  Every worker is reaped before this returns or raises; when it
+    raises, each is killed first.
     """
-    jobs = _jobs(parts, names, fmt, literals)
-    head = list(itertools.islice(jobs, 2 if _FORMAT_WORKERS else 0))
-    jobs = itertools.chain(head, jobs)
-    if len(head) == 2:
-        import multiprocessing  # here, not at the top: one-block tables do not pay for it
+    n = _FORMAT_WORKERS
+    held: set[int] = set()  # pipe ends open here
+    pids: list[int] = []
+    acks = []  # each worker's acknowledgements, read here
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            yield from _format_on_workers(multiprocessing.get_context("fork"), jobs)
-            return
-    yield from map(_format, jobs)
+    def pipe() -> tuple[int, int]:
+        ends = os.pipe()
+        held.update(ends)
+        return ends
 
+    def close(*ends: int) -> None:
+        for end in ends:
+            held.remove(end)
+            os.close(end)
 
-def _format_on_workers(ctx, jobs):
-    """Text of each job, formatted on worker processes dealt the jobs round-robin, in job order.
-
-    Each worker has at most one job in flight: with two, a result larger than
-    the pipe buffer and the next send could wait for each other forever.  A
-    worker's error is raised here.  Every worker is sent ``None`` and joined
-    when the jobs end, an error is raised or the generator is closed; in the
-    last two cases it is terminated first, as it may be blocked sending text
-    that will not be read, or reading a job whose send was cut short.
-    """
-    workers, conns = [], []
-    pending = collections.deque()  # connections with a job in flight, oldest first
-
-    def result() -> str:
-        text, error = pending.popleft().recv()
+    def acknowledged(w: int) -> None:
+        try:
+            error = pickle.load(acks[w])
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"table format worker {pids[w]} exited without writing its block") from None
         if error is not None:
             raise error
-        return text
 
     try:
-        for _ in range(_FORMAT_WORKERS):
-            conn, child = ctx.Pipe()
-            # daemon: a table abandoned at exit must not keep the interpreter waiting
-            worker = ctx.Process(target=_serve, args=(child, [*conns, conn]), daemon=True)
-            worker.start()
-            child.close()
-            workers.append(worker)
-            conns.append(conn)
+        job_pipes, ack_pipes, turns = ([pipe() for _ in range(n)] for _ in range(3))
+        for r, _ in ack_pipes:
+            acks.append(open(r, "rb"))
+            held.remove(r)
+        os.write(turns[0][1], b"\0")  # block 0's turn
+        for w in range(n):
+            pid = os.fork()
+            if pid == 0:
+                _work(out, job_pipes[w][0], ack_pipes[w][1], turns[w][0], turns[(w + 1) % n][1], skip if w == 0 else 0)
+            pids.append(pid)
+        close(*(r for r, _ in job_pipes), *(w for _, w in ack_pipes), *(end for turn in turns for end in turn))
+        pending = collections.deque()  # the worker of each block in flight, oldest first
         for i, job in enumerate(jobs):
-            if len(pending) == len(conns):
-                yield result()  # the job in flight on the next worker
-            (conn := conns[i % len(conns)]).send(job)
-            pending.append(conn)
+            if len(pending) == 2 * n:
+                acknowledged(pending.popleft())
+            pending.append(i % n)
+            try:
+                _write_all(job_pipes[i % n][1], pickle.dumps(job, pickle.HIGHEST_PROTOCOL))
+            except BrokenPipeError:  # the worker has stopped: the acknowledgements say why
+                while pending:
+                    acknowledged(pending.popleft())
+                raise
+        close(*(w for _, w in job_pipes))  # EOF: each worker exits after its last block
         while pending:
-            yield result()
+            acknowledged(pending.popleft())
     except BaseException:
-        for worker in workers:
-            worker.terminate()
+        import signal  # here, not at the top: the CLI does not load it at startup
+
+        for pid in pids:  # a worker may wait for a turn that will not come
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for worker, conn in zip(workers, conns):
-            with contextlib.suppress(OSError):  # the worker is gone already
-                conn.send(None)
-            worker.join()
-            conn.close()
+        close(*held)
+        for reader in acks:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
@@ -384,17 +445,26 @@ def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
         # each JSON row opens with the ",\n" that separates it from the previous one
         keys = [f"{json.dumps(name)}: " for name in names]
         literals = [",\n  {\n    " + keys[0], *[",\n    " + k for k in keys[1:]], "\n  }"]
-    # closed here, not when the frame is freed: a failed write stops the workers before it is raised
-    with contextlib.closing(_blocks(parts, names, fmt, literals)) as blocks:
-        if fmt == "csv":
-            for text in blocks:
-                fh.write(text)
-            return
-        opened = False
-        for text in blocks:
-            fh.write(text if opened else "[\n" + text[2:])
-            opened = True
-    fh.write("\n]\n" if opened else "[]\n")
+    jobs = _jobs(parts, names, fmt, literals)
+    try:
+        out = fh.fileno() if _FORMAT_WORKERS else None
+    except (AttributeError, OSError, ValueError):  # a stream without one, such as StringIO
+        out = None
+    head = list(itertools.islice(jobs, 1 if out is None else 2))
+    skip = 0
+    if fmt == "json":
+        fh.write("[\n" if head else "[]\n")
+        skip = 2  # the first row has no row before it
+    jobs = itertools.chain(head, jobs)
+    if len(head) == 2:
+        fh.flush()
+        _write_on_workers(out, jobs, skip)
+    else:
+        for job in jobs:
+            fh.write(_format(job)[skip:].decode())
+            skip = 0
+    if fmt == "json" and head:
+        fh.write("\n]\n")
 
 
 def write_table(parts: Iterable[Mapping], fmt: str, out: str | None) -> None:

@@ -24,6 +24,7 @@ from dtsim import (
 import dtsim.simulate as simulate
 from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
+from dtsim.table import BLOCK_ROWS
 
 from conftest import correlated_seed
 
@@ -368,17 +369,20 @@ def test_fill_threads_do_not_grow_with_the_core_count(cores, threads):
     assert out.stdout.split() == [str(threads)] * 2
 
 
-def test_cli_import_leaves_out_queue_and_logging():
-    """No module of the package imports ``queue``, and ``multiprocessing`` is imported on the
-    first multi-block table, so commands that write none do not load it; the CSV float
-    kernel's tables are built from Python ints, without ``fractions`` or ``decimal``."""
-    code = ("import sys, dtsim.cli; "
+def test_cli_import_leaves_out_queue_and_logging(tmp_path):
+    """No module of the package imports ``queue`` or ``multiprocessing``, not even to write a table of
+    several blocks on format workers; the CSV float kernel's tables are built from Python ints, without
+    ``fractions`` or ``decimal``."""
+    out = tmp_path / "out.csv"
+    code = ("import sys, dtsim.cli, dtsim.table as t; t._FORMAT_WORKERS = 2; "
+            f"assert dtsim.cli.main(['simulate', '--paths', '9000', '--kmax', '3', '--out', {str(out)!r}]) == 0; "
             "print(sorted({'queue', 'concurrent.futures', 'logging', 'multiprocessing', 'fractions', 'decimal'}"
             " & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    assert out.read_text().count("\n") == 1 + 9000 * 4 > BLOCK_ROWS
 
 
 @pytest.mark.parametrize("threads", [0, 2])

@@ -1,11 +1,13 @@
 """The table writer: CSV floats byte for byte ``%.17g``, and its worker processes: same bytes at any
-worker count, errors raised, no process left."""
+worker count, errors raised, no process or pipe left."""
 
+import contextlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,47 +35,49 @@ def _parts(n_parts: int = 2):
         yield {"i": rows, "x": rng.standard_normal(len(rows)), "y": rng.standard_normal(len(rows))}
 
 
-class _FailingStdout:
-    """A stream whose third write fails, as on a full disk."""
-
-    def __init__(self) -> None:
-        self.writes = 0
-
-    def write(self, text: str) -> int:
-        self.writes += 1
-        if self.writes == 3:
-            raise OSError(28, "No space left on device")
-        return len(text)
-
-    def flush(self) -> None:
-        pass
+def _no_child_left() -> bool:
+    """True when this process has no child process, running or exited (``waitpid`` would reap an exited one)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
-class _NoProcess:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process was started")
+def _open_fds() -> set[str]:
+    return set(os.listdir("/dev/fd"))
 
 
 def test_outputs_do_not_depend_on_the_format_workers(monkeypatch, tmp_path, capsys):
-    """Every command spans two or more blocks; 0-3 workers write the same bytes, to a file and to stdout."""
+    """Every command spans two or more blocks; 0-3 workers write the same bytes to a file, through a
+    pipe (the CLI's stdout in a child process) and to ``capsys``, which has no file descriptor."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for workers in (0, 1, 2, 3):
         monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
         for name, argv in _COMMANDS.items():
             assert main(argv + ["--out", str(tmp_path / f"{workers}-{name}")]) == 0
         assert main(_COMMANDS["simulate.csv"]) == 0
-        (tmp_path / f"{workers}-stdout.csv").write_text(capsys.readouterr().out)
-        assert multiprocessing.active_children() == []
-    for name in [*_COMMANDS, "stdout.csv"]:
+        (tmp_path / f"{workers}-capsys.csv").write_text(capsys.readouterr().out)
+        code = (f"import json, sys, dtsim.table as t; t._FORMAT_WORKERS = {workers}; from dtsim.cli import main; "
+                "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
+        piped = subprocess.run([sys.executable, "-c", code, json.dumps(list(_COMMANDS.values()))],
+                               stdout=subprocess.PIPE, env=env, timeout=120)
+        assert piped.returncode == 0
+        (tmp_path / f"{workers}-pipe").write_bytes(piped.stdout)
+        assert _no_child_left()
+    for name in [*_COMMANDS, "capsys.csv", "pipe"]:
         one = (tmp_path / f"0-{name}").read_bytes()
         assert one.count(b"\n") > BLOCK_ROWS, name
         for workers in (1, 2, 3):
             assert (tmp_path / f"{workers}-{name}").read_bytes() == one, (workers, name)
-    assert (tmp_path / "0-stdout.csv").read_bytes() == (tmp_path / "0-simulate.csv").read_bytes()
+    assert (tmp_path / "0-capsys.csv").read_bytes() == (tmp_path / "0-simulate.csv").read_bytes()
+    assert (tmp_path / "0-pipe").read_bytes() == b"".join((tmp_path / f"0-{name}").read_bytes() for name in _COMMANDS)
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_format_error_reaches_the_writer(monkeypatch, capsys, workers):
-    """The fourth block fails to format, in a worker process when there are workers."""
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])
+def test_format_error_reaches_the_writer(monkeypatch, tmp_path, workers):
+    """The fourth block fails to format, in a worker process when there are workers: the file holds
+    exactly the three blocks before it, and nothing is left behind."""
     monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
     format_block = table._format
 
@@ -83,46 +87,79 @@ def test_format_error_reaches_the_writer(monkeypatch, capsys, workers):
         return format_block(job)
 
     monkeypatch.setattr(table, "_format", failing)
+    fds = _open_fds()
     with pytest.raises(RuntimeError, match="cannot format") as raised:
-        write_table(_parts(), "csv", None)
+        write_table(_parts(), "csv", str(tmp_path / "t.csv"))
     in_writer = str(raised.value).endswith(f" {os.getpid()}")
     assert in_writer == (workers == 0)
-    assert capsys.readouterr().out.count("\n") == 1 + 3 * BLOCK_ROWS
-    assert multiprocessing.active_children() == []
+    text = (tmp_path / "t.csv").read_bytes()
+    assert text.count(b"\n") == 1 + 3 * BLOCK_ROWS and text.endswith(b"\n")
+    assert _no_child_left() and _open_fds() == fds
 
 
-@pytest.mark.parametrize("end", ["exhausted", "closed", "parts_error", "write_error"])
-def test_format_workers_end_with_the_table(monkeypatch, end):
+@pytest.mark.parametrize("end", ["exhausted", "interrupted", "parts_error", "write_error"])
+def test_format_workers_end_with_the_table(monkeypatch, tmp_path, end):
+    """Two workers run while the second part is read; none, and no pipe, is left when the table ends,
+    when the writer is interrupted, when a part raises, or when a worker's write fails."""
     monkeypatch.setattr(table, "_FORMAT_WORKERS", 2)
-    if end in ("exhausted", "closed"):
-        blocks = table._blocks(_parts(), ["i", "x", "y"], "csv", ["", ",", ",", "\n"])
-        next(blocks)
-        assert len(multiprocessing.active_children()) == 2
-        if end == "closed":  # with a result larger than the pipe buffer still in flight
-            blocks.close()
-        else:
-            assert sum(1 for _ in blocks) == 5
-    elif end == "parts_error":
-        def parts():
-            yield from _parts(1)
-            assert len(multiprocessing.active_children()) == 2
-            raise ValueError("no second part")
+    fds = _open_fds()
 
+    def parts():
+        yield from _parts(1)
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # children, none exited
+        if end == "interrupted":
+            raise KeyboardInterrupt
+        if end == "parts_error":
+            raise ValueError("no second part")
+        yield from _parts(2)
+
+    if end == "exhausted":
+        write_table(parts(), "json", str(tmp_path / "t.json"))
+        assert len(json.loads((tmp_path / "t.json").read_text())) == 9 * BLOCK_ROWS
+    elif end == "interrupted":
+        with pytest.raises(KeyboardInterrupt):
+            write_table(parts(), "csv", os.devnull)
+    elif end == "parts_error":
         with pytest.raises(ValueError, match="no second part"):
             write_table(parts(), "json", os.devnull)
-    else:
-        monkeypatch.setattr(sys, "stdout", _FailingStdout())
-        with pytest.raises(OSError, match="No space") as raised:
-            write_table(_parts(), "csv", None)
-        # stopped before the error was raised, not when its traceback lets go of the writer's frame
-        assert raised.traceback and multiprocessing.active_children() == []
-    assert multiprocessing.active_children() == []
+    else:  # a reader that leaves after the first block or so
+        r, w = os.pipe()
+
+        def read_some():
+            with open(r, "rb") as pipe:
+                pipe.read(500_000)
+
+        reader = threading.Thread(target=read_some)
+        reader.start()
+        stdout = open(w, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            with pytest.raises(BrokenPipeError):
+                write_table(parts(), "csv", None)
+        finally:
+            with contextlib.suppress(BrokenPipeError):
+                stdout.close()
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+    assert _no_child_left() and _open_fds() == fds
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])
+def test_full_device_exits_3(workers, monkeypatch, capsys):
+    monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
+    assert main(_COMMANDS["simulate.csv"] + ["--out", "/dev/full"]) == 3
+    assert "No space" in capsys.readouterr().err
+    assert _no_child_left()
 
 
 def test_one_block_table_starts_no_process(monkeypatch, tmp_path):
     """``cov`` and ``embed`` at these ranges write one block: no worker, whatever the worker count."""
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
     monkeypatch.setattr(table, "_FORMAT_WORKERS", 2)
-    monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Process", _NoProcess)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert main(["cov", "--T", "4", "--mc-paths", str(2 * BATCH_SIZE), "--out", str(tmp_path / "cov.csv")]) == 0
     assert main(["embed", "--T", "3", "--format", "json", "--out", str(tmp_path / "embed.json")]) == 0
     with pytest.raises(AssertionError, match="a process was started"):
@@ -233,6 +270,23 @@ def test_json_object_cells_are_json_dumps(tmp_path):
     for fmt in ("csv", "json"):
         with pytest.raises(TypeError, match="dtype"):
             write_table([{"b": np.array([b"a", b"bc"])}], fmt, os.devnull)
+
+
+def test_format_compacts_a_large_block_in_chunks():
+    """A 0.6 MB block, 40% pad bytes: the text is the cells less their pads, and the peak stays below three
+    bytes per byte of the padded block; one ``np.compress`` over the block builds 8 bytes per kept byte."""
+    rng = np.random.default_rng(5)
+    n = 1 << 16
+    cells = [str(v).encode() for v in rng.integers(0, 10 ** rng.integers(1, 9, n)).tolist()]
+    job = ("csv", ["", "\n"], (n,), [np.array([cell.ljust(8, b"\xff") for cell in cells], "S8")])
+    assert table._format(job) == b"".join(cell + b"\n" for cell in cells)
+    tracemalloc.start()
+    try:
+        table._format(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * 9
 
 
 def test_g17_tables_are_built_on_the_first_csv_float_block():
