@@ -267,9 +267,22 @@ def _cov_kernel(params: DsiParams, period: float, b, s, a):
 
     With ``period = htilde_period`` and ``a = A[j, r]`` this is the
     covariance between the grid points ``bT + r`` and ``(b + s)T + j``
-    (``s >= 0``): the one place where either power is formed.
+    (``s >= 0``): the one place where either power is formed.  Where ``2TH``
+    is not an integer, the float ``e`` of the exponent ``2THb`` may be
+    rounded, so the remainder of that rounding, ``rest``, is carried apart:
+    it is exact for ``|2Tb| < 2**26``, as ``H = hi + lo`` in 26-bit halves
+    makes ``2Tb hi`` and ``2Tb lo`` exact, and ``alpha**rest`` is applied to
+    the mantissa of ``alpha**e``, whose bits stay as they are where ``e`` is
+    exact.
     """
-    m_l, k_l = _pow2(params.alpha, 2 * params.T * params.H * b)
+    e = 2 * params.T * params.H * b
+    m_l, k_l = _pow2(params.alpha, e)
+    num, den = params.H.as_integer_ratio()
+    if (2 * params.T * num) % den:
+        m, x = math.frexp(params.H)
+        hi = math.ldexp(round(m * 2**26), x - 26)
+        rest = (2 * params.T * b * hi - e) + 2 * params.T * b * (params.H - hi)
+        m_l = m_l + m_l * np.expm1(rest * math.log(params.alpha))
     m_h, k_h = _pow2(period, s)
     return np.ldexp(m_l * m_h * a, k_l + k_h)
 

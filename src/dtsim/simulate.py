@@ -16,6 +16,17 @@ one threaded pass: with two or more usable cores, two threads fill batches
 and reduce each to its products, which are summed in batch order; on one
 core the calling thread does every batch.  Neither keeps more than a few
 batches, so memory does not grow with the number of paths.
+
+A batch is filled rows last, ``(K, rows)`` with ``K = k_max + 1``, so its
+cumulative sum along the grid is ``K - 1`` contiguous row adds, and the
+moments pass reduces it with two one-buffer products, ``x @ x.T`` and
+``sq @ sq.T`` with ``sq = x * x``.  numpy sends those to BLAS ``syrk``,
+which OpenBLAS runs on the calling thread below ``K = 128``, so the fill
+threads do not share the cores with a BLAS pool there; from ``K = 128``
+``syrk`` itself starts BLAS's threads and the threaded pass is no faster
+than one thread.  ``syrk`` rounds the fourth-moment sums differently from
+a general product, so ``mc_stderr`` may move by that rounding, which is held
+to 4e-15 relative; the second-moment sums are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -97,27 +108,35 @@ class Ensemble:
 
         Block ``i`` is drawn from the ``i``-th child of ``SeedSequence(rng_seed)``
         and from nothing else, so a path depends neither on ``n_paths`` nor on
-        which thread filled it.  Each block is a new array, filled on this
-        thread when the iteration asks for it, so a reader holds the blocks
-        it keeps and no others.
+        which thread filled it.  Each block is a new array, the transpose of
+        the rows-last block :meth:`_fill` makes, filled on this thread when the
+        iteration asks for it, so a reader holds the blocks it keeps and no
+        others.
         """
+        K = self.k_max + 1
+        normals = np.empty(min(BATCH_SIZE, self.n_paths) * K)
         for i, child in enumerate(self._children()):
-            yield self._fill(i, child, np.empty((min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE), self.k_max + 1)))
+            yield self._fill(i, child, normals, np.empty(min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE) * K)).T
 
     def _children(self) -> list[np.random.SeedSequence]:
         return np.random.SeedSequence(self.rng_seed).spawn((self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE)
 
-    def _fill(self, i: int, child: np.random.SeedSequence, out: np.ndarray) -> np.ndarray:
-        """Block ``i``, drawn from ``child`` alone, in the first rows of ``out``."""
+    def _fill(self, i: int, child: np.random.SeedSequence, normals: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Block ``i``, drawn from ``child`` alone, rows last: a ``(K, rows)`` view of the start of ``out``.
+
+        The normals are drawn into the start of ``normals`` as ``(rows, K)``,
+        so path ``p`` takes the ``K`` draws from ``p K`` on of the block's
+        stream; the scaling, the cumulative sum along the grid and the
+        amplitudes then run one contiguous row of ``out`` at a time.
+        """
         scale, amp = self._factors
-        block = out[: self.n_paths - i * BATCH_SIZE]
-        np.random.default_rng(child).standard_normal(out=block)
-        block *= scale
-        # bit for bit np.cumsum(block, axis=1), and faster on tall blocks of few columns
-        for k in range(1, block.shape[1]):
-            block[:, k] += block[:, k - 1]
-        block *= amp
-        return block
+        K, rows = len(scale), min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
+        z = np.random.default_rng(child).standard_normal(out=normals[: rows * K].reshape(rows, K))
+        x = np.multiply(z.T, scale[:, np.newaxis], out=out[: rows * K].reshape(K, rows))
+        for k in range(1, K):
+            x[k] += x[k - 1]
+        x *= amp[:, np.newaxis]
+        return x
 
     @cached_property
     def paths(self) -> np.ndarray:
@@ -138,9 +157,12 @@ class Ensemble:
         estimates do not regenerate the paths.  This thread and up to
         ``_FILL_THREADS - 1`` helpers each fill the next block and reduce it to
         its two ``K x K`` products, which are added into the sums in block
-        order, so no bit depends on the thread count.  At most two blocks per
-        thread are taken and not yet added, so the pass holds a few block
-        buffers per thread whatever ``n_paths`` is.  An error in any thread
+        order, so no bit depends on the thread count.  Each thread holds two
+        block buffers: the rows-last block ``x`` and the normals it was drawn
+        from, which then take ``sq = x * x``; the products are the symmetric
+        ``x @ x.T`` and ``sq @ sq.T`` (see the module docstring).  At most two
+        blocks per thread are taken and not yet added, so the pass holds a few
+        products besides, whatever ``n_paths`` is.  An error in any thread
         stops the pass and is raised here once the helpers are joined.
         """
         K = self.k_max + 1
@@ -149,7 +171,7 @@ class Ensemble:
         window = 2 * n_workers
         # allocated on this thread: buffers allocated on a helper would come
         # from that thread's malloc arena and raise the peak RSS
-        buffers = np.empty((n_workers, 2, min(BATCH_SIZE, self.n_paths), K))
+        buffers = np.empty((n_workers, 2, min(BATCH_SIZE, self.n_paths) * K))
         products = np.empty((window, 2, K, K))
         sums = np.zeros((2, K, K))
         state = threading.Condition()
@@ -157,7 +179,7 @@ class Ensemble:
         finished: set[int] = set()
         errors: list[BaseException] = []
 
-        def work(block_buffer: np.ndarray, squares: np.ndarray) -> None:
+        def work(normals: np.ndarray, block_buffer: np.ndarray) -> None:
             nonlocal taken, added, sums
             try:
                 while True:
@@ -167,13 +189,10 @@ class Ensemble:
                             return
                         i, taken = taken, taken + 1
                     product = products[i % window]  # free: block i - window is added
-                    block = self._fill(i, children[i], block_buffer)
-                    np.matmul(block.T, block, out=product[0])
-                    sq = np.multiply(block, block, out=squares[: len(block)])
-                    # two buffers keep this a general product: numpy sends a.T @ a on
-                    # one buffer to a symmetric kernel, whose rounding differs
-                    block[...] = sq
-                    np.matmul(sq.T, block, out=product[1])
+                    x = self._fill(i, children[i], normals, block_buffer)
+                    np.matmul(x, x.T, out=product[0])
+                    sq = np.multiply(x, x, out=normals[: x.size].reshape(x.shape))
+                    np.matmul(sq, sq.T, out=product[1])
                     with state:
                         finished.add(i)
                         while added in finished:

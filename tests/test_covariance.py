@@ -6,8 +6,10 @@ computed directly from the time points.  It never touches the h-chain, so
 agreement with ``dtsim_cov`` exercises the whole ratio-product route.
 """
 
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -384,3 +386,21 @@ def test_cov_table_matches_scalar_and_is_symmetric(case):
             assert_exact(got, exact_cov(chain, a, b))
     # broadcasting: a column of base indices against a row of lags
     assert np.array_equal(np.diagonal(grid), table)
+
+
+@pytest.mark.parametrize("H, alpha, T, n, tau", [(1.1, 3.0, 32, -624, 2520), (0.3, 2.0, 3, 500, 1900),
+                                                 (1 / 3, 1.1, 2, -700, 40)])
+def test_cov_table_carries_the_exponent_remainder(H, alpha, T, n, tau):
+    """``2THb`` is not a float at these entries.  Rounded once, it put the first
+    1.25e-13 (896 ulps) from a 60-digit evaluation on the chain's own floats;
+    its remainder, carried apart, holds each to a few ulps."""
+    chain = make_chain(make_params(H, alpha, T), simple_bm_seed(make_params(H, alpha, T)))
+    b, r = divmod(min(n, n + tau), T)
+    s, j = divmod(r + abs(tau), T)
+    a = chain._prefix[j] / chain._prefix[r] * chain.seed.r0[r]
+    got = cov_table(chain, n, tau)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        want = ((2 * T * Decimal(H) * b * Decimal(alpha).ln()).exp()
+                * Decimal(chain.htilde_period) ** s * Decimal(a))
+        assert abs(Decimal(got) - want) <= 6 * Decimal(np.spacing(got)), float((Decimal(got) - want) / want)

@@ -242,14 +242,20 @@ def test_builtin_and_brownian_paths_match_their_closed_forms(H, alpha, T):
         assert np.all(np.abs(ens.paths - want) <= 2e-15 * np.max(np.abs(want), axis=0)), sim.__name__
 
 
-def _ref_empirical_cov(paths: np.ndarray, n, tau) -> tuple[np.ndarray, np.ndarray]:
-    """``empirical_cov`` as it read the whole path matrix: value and standard error."""
+def _ref_empirical_cov(paths: np.ndarray, n, tau, general: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``empirical_cov`` as it read the whole path matrix: value and standard error.
+
+    Each product is on one buffer, which numpy sends to a symmetric kernel as
+    ``moments`` does; ``general`` takes the fourth moments from two buffers,
+    a general product, instead.
+    """
     n, m = np.asarray(n), np.asarray(n) + tau
     k = paths.shape[1]
     sums = np.zeros((2, k, k))
     for lo in range(0, len(paths), BATCH_SIZE):
         block = paths[lo : lo + BATCH_SIZE]
-        sums += [block.T @ block, (block * block).T @ (block * block)]
+        sq = block * block
+        sums += [block.T @ block, sq.T @ (sq.copy() if general else sq)]
     count = len(paths)
     value = sums[0, m, n] / count
     var = np.maximum(sums[1, m, n] - count * value * value, 0.0) / max(count - 1, 1)
@@ -257,14 +263,14 @@ def _ref_empirical_cov(paths: np.ndarray, n, tau) -> tuple[np.ndarray, np.ndarra
 
 
 def _assert_matches_reference(ens: Ensemble) -> None:
-    """``paths``, ``blocks()`` and ``empirical_cov`` equal the one-matrix references bit for bit."""
+    """``paths``, ``blocks()`` and ``empirical_cov`` at every pair of grid points equal the one-matrix
+    references bit for bit."""
     ref = _ref_paths(ens)
     assert np.array_equal(ens.paths, ref)
     assert np.array_equal(np.concatenate(list(ens.blocks())), ref)
-    n, tau = np.meshgrid(np.arange(6), np.arange(-2, 5), indexing="ij")
-    keep = n + tau >= 0
-    est = empirical_cov(ens, n[keep], tau[keep])
-    value, se = _ref_empirical_cov(ref, n[keep], tau[keep])
+    n, m = np.meshgrid(np.arange(ens.k_max + 1), np.arange(ens.k_max + 1), indexing="ij")
+    est = empirical_cov(ens, n, m - n)
+    value, se = _ref_empirical_cov(ref, n, m - n)
     assert np.array_equal(est.value, value)
     assert np.array_equal(est.std_error, se)
 
@@ -282,9 +288,9 @@ def test_moments_are_one_cached_pass(monkeypatch):
     fills = []
     fill = Ensemble._fill
 
-    def counted(self, i, child, out):
+    def counted(self, i, child, normals, out):
         fills.append(i)
-        return fill(self, i, child, out)
+        return fill(self, i, child, normals, out)
 
     monkeypatch.setattr(Ensemble, "_fill", counted)
     first = empirical_cov(ens, np.arange(4), 1)
@@ -325,6 +331,24 @@ def test_paths_do_not_depend_on_the_fill_threads(monkeypatch, threads):
     for n_paths in (BATCH_SIZE - 5, 4 * BATCH_SIZE + 7):
         _assert_matches_reference(simulate_simple_bm(make_params(0.8, 1.5, 3), n_paths=n_paths,
                                                      k_max=10, rng_seed=17))
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_wide_blocks_match_the_reference(monkeypatch, threads):
+    """64 grid points, where a general product of the fourth moments would go to BLAS's own threads:
+    the rows-last blocks and their symmetric products still match the references bit for bit."""
+    monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
+    _assert_matches_reference(simulate_simple_bm(make_params(0.75, 2.0, 16), n_paths=2 * BATCH_SIZE + 3,
+                                                 k_max=63, rng_seed=5))
+
+
+@pytest.mark.parametrize("k_max", [7, 15, 31, 63])
+def test_std_error_is_the_general_products_to_rounding(k_max):
+    """The symmetric fourth-moment product moves ``std_error`` from a general product's by rounding only."""
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 4), n_paths=3 * BATCH_SIZE + 5, k_max=k_max, rng_seed=12)
+    n, m = np.meshgrid(np.arange(k_max + 1), np.arange(k_max + 1), indexing="ij")
+    _, se = _ref_empirical_cov(_ref_paths(ens), n, m - n, general=True)
+    np.testing.assert_allclose(empirical_cov(ens, n, m - n).std_error, se, rtol=4e-15, atol=0)
 
 
 def test_cli_outputs_do_not_depend_on_the_fill_threads(monkeypatch, tmp_path):
@@ -442,6 +466,8 @@ def test_fill_error_reaches_the_reader(monkeypatch, threads):
     monkeypatch.setattr(simulate, "_FILL_THREADS", threads)
     base = threading.active_count()
     default_rng = np.random.default_rng
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=5 * BATCH_SIZE, k_max=3, rng_seed=4)
+    want = _ref_paths(ens)[: 2 * BATCH_SIZE]
 
     def failing(seed):
         if seed.spawn_key == (2,):
@@ -449,12 +475,12 @@ def test_fill_error_reaches_the_reader(monkeypatch, threads):
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", failing)
-    ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=5 * BATCH_SIZE, k_max=3, rng_seed=4)
     got = []
     with pytest.raises(RuntimeError, match="third child"):
         for block in ens.blocks():
             got.append(block)
-    assert len(got) == 2
+    # the blocks handed out before the error are whole: filling the next one reused none of them
+    assert np.array_equal(np.concatenate(got), want)
     assert threading.active_count() == base
 
 
