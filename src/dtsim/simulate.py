@@ -53,10 +53,10 @@ BATCH_SIZE = 4096
 #: one core, where the calling thread does every block alone.  Two, not one
 #: per core, so memory does not grow with the core count; no bit of the sums
 #: depends on it.  The same rule on the same core count sets
-#: ``table._FORMAT_WORKERS``, the forked processes that format the blocks of
-#: a table of two or more blocks and write them straight to its file or
-#: pipe, taking turns in block order; no byte of a table depends on that
-#: either.
+#: ``table._FORMAT_WORKERS``, the forked processes that each read a table of
+#: two or more blocks themselves (filling every block of an ``Ensemble``) and
+#: format and write their share of its blocks straight to its file or pipe,
+#: taking turns in block order; no byte of a table depends on that either.
 _FILL_THREADS = 2 if _CORES > 1 else 0
 
 

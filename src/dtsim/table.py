@@ -1,13 +1,12 @@
 """Column-wise CSV and JSON table writer behind every ``dtsim`` table.
 
 A table is an iterable of parts written one after another under one header.
-It is read once, so parts may be generated while the table is written
-(``Ensemble.columns`` yields one per block of paths).  A part maps each
-column name, in header order, to a numpy array (int, float or str) or to
-``None`` for a column that is absent there.  A part's arrays
-broadcast against each other and its rows are the entries of the broadcast
-shape in C order, so a label that repeats along an axis is passed once at
-its own shape.
+Parts may be generated while the table is written (``Ensemble.columns``
+yields one per block of paths).  A part maps each column name, in header
+order, to a numpy array (int, float or str) or to ``None`` for a column
+that is absent there.  A part's arrays broadcast against each other and its
+rows are the entries of the broadcast shape in C order, so a label that
+repeats along an axis is passed once at its own shape.
 
 Text is formatted and written in blocks of about :data:`BLOCK_ROWS` rows
 along the leading axis, so memory does not grow with the row count.  A
@@ -17,16 +16,20 @@ is formatted once for the whole part.  Full-size columns are formatted once
 per block.  A table of two or more blocks written to a stream with a file
 descriptor is formatted on :data:`_FORMAT_WORKERS` forked worker processes
 (two where two or more cores are usable, none on one core or where
-``fork`` is missing).  The writer pickles each block's job to a worker,
-and the worker formats the block and writes its bytes straight to the
-descriptor: the text never comes back to the writer.  Blocks are written in
-order because the write turn goes round a ring of pipes, one byte handed
-from each worker to the next once its block is written.  A block that fails
-never hands the turn on, so the output holds exactly the blocks before it,
-and its error is raised in the writer.  A one-block table, every table on
-one core, and a stream without a descriptor (``StringIO``) are formatted
-and written by the writer.  No byte of the output depends on the number of
-workers.
+``fork`` is missing).  The writer reads the table up to its second block
+and forks the workers; each then reads the rest itself, formats the blocks
+whose index is its own modulo the worker count and writes their bytes
+straight to the descriptor, so nothing is sent to a worker and no text
+comes back.  Parts past the second block are therefore read once in each
+worker, and a part generator must not depend on state outside its process
+(a thread it started, say).  Blocks are written in order because the write
+turn goes round a ring of pipes, one byte handed from each worker to the
+next once its block is written.  When a part raises or a block fails to
+format or write, the output holds exactly the blocks before it, at any
+worker count, and the error is raised in the writer.  A one-block table,
+every table on one core, and a stream without a descriptor (``StringIO``)
+are formatted and written by the writer.  No byte of the output depends on
+the number of workers.
 
 CSV is a header line, then one line per row: floats as ``%.17g`` (which
 round-trips), integers, strings and other objects as ``str``, absent cells
@@ -52,7 +55,6 @@ that range.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -78,8 +80,6 @@ _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else o
 #: core, so memory does not grow with the core count; no byte of a table
 #: depends on it.
 _FORMAT_WORKERS = 2 if _CORES > 1 and hasattr(os, "fork") else 0
-#: A worker's acknowledgement of a block written.
-_DONE = pickle.dumps(None)
 
 _ABSENT = {"csv": "", "json": "null"}
 
@@ -259,7 +259,8 @@ def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[s
 
     A column repeated in every block of its part, or absent, is text already,
     formatted once per part by :func:`_text`; the others are the block's
-    slices of the part's arrays.
+    slices of the part's arrays.  Each format worker runs its own copy of
+    the generator from the fork on (see :func:`_work`).
     """
     for part in parts:
         if list(part) != names:
@@ -312,66 +313,64 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _work(out: int, jobs: int, acks: int, turn: int, next_turn: int, skip: int):
-    """Worker process: format each block that ``jobs`` brings and write it to ``out`` on its turn.
+def _work(out: int, jobs: Iterable, w: int, n: int, status: int, turn: int, next_turn: int, skip: int):
+    """Worker ``w`` of ``n``: format block ``i`` of ``jobs`` when ``i % n == w`` and write it to ``out`` on its turn.
 
-    The turn is a byte read from ``turn`` and passed on to ``next_turn``
-    once the block is written; each block is acknowledged on ``acks`` with a
-    pickled ``None``, or with its error, after which the worker stops without
-    passing the turn on.  The first block loses its first ``skip`` bytes.
-    The worker closes every other descriptor it inherits but the standard
-    streams: a pipe end held here, even a read end of ``out``, would keep
-    EOF or a broken pipe from showing.  It leaves only through
-    ``os._exit``: it flushes none of the writer's buffers and never returns
-    into the writer's stack.
+    The worker reads ``jobs`` itself, from where the fork left it.  The turn
+    is a byte read from ``turn`` and passed on to ``next_turn`` once the
+    block is written.  The first error, from ``jobs`` or from the worker's
+    own block, is pickled to ``status`` with that block's index once both
+    ring ends are closed: the workers after it then read EOF for a turn and
+    stop, and none is left waiting to report.  Block 0 loses its first
+    ``skip`` bytes.  The worker closes every other descriptor it inherits
+    but the standard streams: a pipe end held here, even a read end of
+    ``out``, would keep EOF or a broken pipe from showing.  It leaves only
+    through ``os._exit``: it flushes none of the writer's buffers and never
+    returns into the writer's stack.
     """
-    status = 1
+    code = 1
     try:
         import signal  # here, not at the top: the CLI does not load it at startup
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the writer stops its workers on an interrupt
-        keep = sorted({0, 1, 2, out, jobs, acks, turn, next_turn})
+        keep = sorted({0, 1, 2, out, status, turn, next_turn})
         for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
             if lo + 1 < hi:  # an empty range would close every descriptor on some Pythons
                 os.closerange(lo + 1, hi)
-        with open(jobs, "rb") as reader:
-            while True:
-                try:
-                    job = pickle.load(reader)
-                except EOFError:  # every block is sent
-                    break
-                try:
-                    data = memoryview(_format(job))[skip:]
-                    skip = 0
-                    if not os.read(turn, 1):  # the worker before this one is gone
-                        return
+        i = 0  # counted by hand, not by enumerate: an error from jobs carries the index of the block it stops
+        try:
+            for job in jobs:
+                if i % n == w:
+                    data = memoryview(_format(job))[skip if i == 0 else 0 :]
+                    if not os.read(turn, 1):  # a worker before this one has stopped: its report or exit says why
+                        break
                     _write_all(out, data)
-                except Exception as error:  # raised again in the writer
-                    _write_all(acks, pickle.dumps(error))
-                    return
-                with contextlib.suppress(BrokenPipeError):  # the next worker has stopped and takes no more turns
-                    os.write(next_turn, b"\0")
-                os.write(acks, _DONE)
-        status = 0
+                    with contextlib.suppress(BrokenPipeError):  # the next worker has stopped and takes no more turns
+                        os.write(next_turn, b"\0")
+                i += 1
+        except BaseException as error:  # raised again in the writer, a part's KeyboardInterrupt too
+            os.close(turn)
+            os.close(next_turn)
+            _write_all(status, pickle.dumps((i, error)))
+        code = 0
     finally:
-        os._exit(status)
+        os._exit(code)
 
 
 def _write_on_workers(out: int, jobs: Iterable, skip: int) -> None:
-    """Format ``jobs`` on :data:`_FORMAT_WORKERS` forked workers that write each block to ``out``, in job order.
+    """Format ``jobs`` on :data:`_FORMAT_WORKERS` forked workers that each read them and write their blocks to ``out``.
 
-    The jobs are pickled to the workers round-robin, two in flight per
-    worker, and each worker acknowledges each block once it is written.
     The write turn goes round a ring of pipes, one byte passed from each
-    worker to the next.  A worker's error, a write error included, is
-    raised here once every block before it is written, and no block after
-    it is.  Every worker is reaped before this returns or raises; when it
-    raises, each is killed first.
+    worker to the next, so the blocks are written in order.  Once every
+    worker's status pipe is at EOF and every worker is reaped, the reported
+    error of the lowest block, a write error included, is raised here: every
+    block before it is written, and no block after it is.  When this raises
+    on its own account, such as on an interrupt, each worker is killed first.
     """
     n = _FORMAT_WORKERS
     held: set[int] = set()  # pipe ends open here
     pids: list[int] = []
-    acks = []  # each worker's acknowledgements, read here
+    errors = {}  # each reported error, by the index of the block it stops
 
     def pipe() -> tuple[int, int]:
         ends = os.pipe()
@@ -383,40 +382,24 @@ def _write_on_workers(out: int, jobs: Iterable, skip: int) -> None:
             held.remove(end)
             os.close(end)
 
-    def acknowledged(w: int) -> None:
-        try:
-            error = pickle.load(acks[w])
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"table format worker {pids[w]} exited without writing its block") from None
-        if error is not None:
-            raise error
-
     try:
-        job_pipes, ack_pipes, turns = ([pipe() for _ in range(n)] for _ in range(3))
-        for r, _ in ack_pipes:
-            acks.append(open(r, "rb"))
-            held.remove(r)
+        turns = [pipe() for _ in range(n)]
         os.write(turns[0][1], b"\0")  # block 0's turn
+        statuses = []  # each worker's status, read here
         for w in range(n):
+            r, s = pipe()
             pid = os.fork()
             if pid == 0:
-                _work(out, job_pipes[w][0], ack_pipes[w][1], turns[w][0], turns[(w + 1) % n][1], skip if w == 0 else 0)
+                _work(out, jobs, w, n, s, turns[w][0], turns[(w + 1) % n][1], skip)
             pids.append(pid)
-        close(*(r for r, _ in job_pipes), *(w for _, w in ack_pipes), *(end for turn in turns for end in turn))
-        pending = collections.deque()  # the worker of each block in flight, oldest first
-        for i, job in enumerate(jobs):
-            if len(pending) == 2 * n:
-                acknowledged(pending.popleft())
-            pending.append(i % n)
-            try:
-                _write_all(job_pipes[i % n][1], pickle.dumps(job, pickle.HIGHEST_PROTOCOL))
-            except BrokenPipeError:  # the worker has stopped: the acknowledgements say why
-                while pending:
-                    acknowledged(pending.popleft())
-                raise
-        close(*(w for _, w in job_pipes))  # EOF: each worker exits after its last block
-        while pending:
-            acknowledged(pending.popleft())
+            close(s)
+            statuses.append(r)
+        close(*(end for turn in turns for end in turn))
+        for r in statuses:
+            report = b"".join(iter(functools.partial(os.read, r, 1 << 16), b""))
+            if report:
+                i, error = pickle.loads(report)
+                errors.setdefault(i, error)
     except BaseException:
         import signal  # here, not at the top: the CLI does not load it at startup
 
@@ -425,10 +408,12 @@ def _write_on_workers(out: int, jobs: Iterable, skip: int) -> None:
         raise
     finally:
         close(*held)
-        for reader in acks:
-            reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+        exits = [os.waitpid(pid, 0)[1] for pid in pids]
+    if errors:
+        raise errors[min(errors)]
+    for pid, status in zip(pids, exits):
+        if status:
+            raise RuntimeError(f"table format worker {pid} exited without writing its block")
 
 
 def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
@@ -468,7 +453,12 @@ def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
 
 
 def write_table(parts: Iterable[Mapping], fmt: str, out: str | None) -> None:
-    """Write ``parts`` as one ``fmt`` (``"csv"`` or ``"json"``) table to the file ``out``, or stdout."""
+    """Write ``parts`` as one ``fmt`` (``"csv"`` or ``"json"``) table to the file ``out``, or stdout.
+
+    Past its second block, a table written by format workers is read once in
+    each worker process (see the module docstring).  When a part raises or a
+    block fails, the output holds exactly the blocks before it.
+    """
     if fmt not in _ABSENT:
         raise ValueError(f"table format must be csv or json, got {fmt!r}")
     if out:

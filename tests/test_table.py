@@ -4,9 +4,11 @@ worker count, errors raised, no process or pipe left."""
 import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -74,43 +76,65 @@ def test_outputs_do_not_depend_on_the_format_workers(monkeypatch, tmp_path, caps
     assert (tmp_path / "0-pipe").read_bytes() == b"".join((tmp_path / f"0-{name}").read_bytes() for name in _COMMANDS)
 
 
-@pytest.mark.parametrize("workers", [0, 1, 2, 3])
-def test_format_error_reaches_the_writer(monkeypatch, tmp_path, workers):
-    """The fourth block fails to format, in a worker process when there are workers: the file holds
-    exactly the three blocks before it, and nothing is left behind."""
+@pytest.mark.parametrize(("site", "workers"), [
+    *(pytest.param("format", w, id=str(w)) for w in range(4)),
+    *(pytest.param("parts", w, id=f"parts-{w}") for w in range(4)),
+    *(pytest.param("exit", w, id=f"exit-{w}") for w in range(1, 4)),
+])
+def test_format_error_reaches_the_writer(monkeypatch, tmp_path, site, workers):
+    """The fourth block fails to format (and the part after it raises), the second part raises before
+    it, or the fourth block's worker exits without a report: the file holds exactly the three blocks
+    before it, the fourth block's error is raised in the writer (from a worker process when there are
+    workers), and nothing is left behind."""
     monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
     format_block = table._format
 
     def failing(job):
         if job[3][0][0] == 3 * BLOCK_ROWS:
+            if site == "exit":
+                os._exit(7)
             raise RuntimeError(f"cannot format in process {os.getpid()}")
         return format_block(job)
 
+    def parts():
+        yield from _parts(1)
+        if site == "format":  # the fourth block alone, so that another worker reads the next part's error
+            rows = np.arange(3 * BLOCK_ROWS, 4 * BLOCK_ROWS)
+            yield {"i": rows, "x": rows / 7, "y": rows / 9}
+        raise ValueError(f"no further part in process {os.getpid()}")
+
     monkeypatch.setattr(table, "_format", failing)
+    match = "exited without writing its block" if site == "exit" else " in process "
     fds = _open_fds()
-    with pytest.raises(RuntimeError, match="cannot format") as raised:
-        write_table(_parts(), "csv", str(tmp_path / "t.csv"))
-    in_writer = str(raised.value).endswith(f" {os.getpid()}")
-    assert in_writer == (workers == 0)
+    with pytest.raises(ValueError if site == "parts" else RuntimeError, match=match) as raised:
+        write_table(_parts() if site == "exit" else parts(), "csv", str(tmp_path / "t.csv"))
+    if site != "exit":
+        assert str(raised.value).endswith(f" {os.getpid()}") == (workers == 0)
     text = (tmp_path / "t.csv").read_bytes()
     assert text.count(b"\n") == 1 + 3 * BLOCK_ROWS and text.endswith(b"\n")
     assert _no_child_left() and _open_fds() == fds
 
 
-@pytest.mark.parametrize("end", ["exhausted", "interrupted", "parts_error", "write_error"])
+@pytest.mark.parametrize("end", ["exhausted", "interrupted", "parts_error", "write_error", "writer_interrupted"])
 def test_format_workers_end_with_the_table(monkeypatch, tmp_path, end):
-    """Two workers run while the second part is read; none, and no pipe, is left when the table ends,
-    when the writer is interrupted, when a part raises, or when a worker's write fails."""
+    """Two workers read the second part themselves; none, and no pipe, is left when the table ends, when
+    a part raises ``KeyboardInterrupt`` or another error, when a worker's write fails, or when the
+    writer is interrupted while the workers run."""
     monkeypatch.setattr(table, "_FORMAT_WORKERS", 2)
     fds = _open_fds()
+    writer = os.getpid()
+    asleep = tmp_path / "asleep"
 
     def parts():
         yield from _parts(1)
-        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # children, none exited
+        assert os.getppid() == writer  # read in a worker
         if end == "interrupted":
             raise KeyboardInterrupt
         if end == "parts_error":
             raise ValueError("no second part")
+        if end == "writer_interrupted":
+            asleep.touch()
+            time.sleep(60)
         yield from _parts(2)
 
     if end == "exhausted":
@@ -122,6 +146,20 @@ def test_format_workers_end_with_the_table(monkeypatch, tmp_path, end):
     elif end == "parts_error":
         with pytest.raises(ValueError, match="no second part"):
             write_table(parts(), "json", os.devnull)
+    elif end == "writer_interrupted":  # Ctrl-C once a worker waits in the second part
+        def interrupt():
+            deadline = time.monotonic() + 60
+            while not asleep.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        interrupter = threading.Thread(target=interrupt)
+        interrupter.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                write_table(parts(), "csv", os.devnull)
+        finally:
+            interrupter.join()
     else:  # a reader that leaves after the first block or so
         r, w = os.pipe()
 
