@@ -224,11 +224,12 @@ def cmd_embed(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     params = _resolve_params(args, cfg)
-    seed, _ = _resolve_seed(args, cfg, params)
+    seed, is_builtin = _resolve_seed(args, cfg, params)
+    reference = None if is_builtin else seed  # a seed file is checked against itself, unperturbed
     out, fmt = _out_and_format(args, cfg)
     if args.perturb:
         seed = perturb_seed(seed, args.perturb, int(args.seed or 0))
-    results = run_checks(params, seed)
+    results = run_checks(params, seed, reference)
     ok = all(r.passed for r in results)
     if args.json or fmt == "json":
         payload = {

@@ -12,10 +12,11 @@ paths is drawn from child ``i`` of ``SeedSequence(rng_seed)`` (PCG64) alone,
 so results are byte-for-byte reproducible whichever thread fills a batch.
 Readers of :meth:`Ensemble.blocks`, the table writer among them, fill each
 batch on their own thread as they read it.  The Monte Carlo moments are the
-one threaded pass: with two or more usable cores, two threads fill batches
-and reduce each to its products, which are summed in batch order; on one
-core the calling thread does every batch.  Neither keeps more than a few
-batches, so memory does not grow with the number of paths.
+one threaded pass: with two or more usable cores and fewer than 128 grid
+points, two threads fill batches and reduce each to its products, which
+are summed in batch order; otherwise the calling thread does every batch.
+Neither keeps more than a few batches, so memory does not grow with the
+number of paths.
 
 A batch is filled rows last, ``(K, rows)`` with ``K = k_max + 1``, so its
 cumulative sum along the grid is ``K - 1`` contiguous row adds, and the
@@ -23,10 +24,11 @@ moments pass reduces it with two one-buffer products, ``x @ x.T`` and
 ``sq @ sq.T`` with ``sq = x * x``.  numpy sends those to BLAS ``syrk``,
 which OpenBLAS runs on the calling thread below ``K = 128``, so the fill
 threads do not share the cores with a BLAS pool there; from ``K = 128``
-``syrk`` itself starts BLAS's threads and the threaded pass is no faster
-than one thread.  ``syrk`` rounds the fourth-moment sums differently from
-a general product, so ``mc_stderr`` may move by that rounding, which is held
-to 4e-15 relative; the second-moment sums are the same bit for bit.
+``syrk`` itself starts BLAS's threads, a threaded pass is slower than one
+thread, and the calling thread does every batch.  ``syrk`` rounds the
+fourth-moment sums differently from a general product, so ``mc_stderr`` may
+move by that rounding, which is held to 4e-15 relative; the second-moment
+sums are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ BATCH_SIZE = 4096
 #: format and write their share of its blocks straight to its file or pipe,
 #: taking turns in block order; no byte of a table depends on that either.
 _FILL_THREADS = 2 if _CORES > 1 else 0
+#: Grid points from which BLAS ``syrk`` runs on threads of its own, and
+#: ``Ensemble.moments`` starts no fill thread.
+_BLAS_THREADS_K = 128
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,8 @@ class Ensemble:
         estimates do not regenerate the paths.  This thread and up to
         ``_FILL_THREADS - 1`` helpers each fill the next block and reduce it to
         its two ``K x K`` products, which are added into the sums in block
-        order, so no bit depends on the thread count.  Each thread holds two
+        order, so no bit depends on the thread count; from ``K = 128`` this
+        thread works alone (see the module docstring).  Each thread holds two
         block buffers: the rows-last block ``x`` and the normals it was drawn
         from, which then take ``sq = x * x``; the products are the symmetric
         ``x @ x.T`` and ``sq @ sq.T`` (see the module docstring).  At most two
@@ -167,7 +173,7 @@ class Ensemble:
         """
         K = self.k_max + 1
         children = self._children()
-        n_workers = max(min(_FILL_THREADS, len(children)), 1)
+        n_workers = max(min(_FILL_THREADS if K < _BLAS_THREADS_K else 0, len(children)), 1)
         window = 2 * n_workers
         # allocated on this thread: buffers allocated on a helper would come
         # from that thread's malloc arena and raise the peak RSS

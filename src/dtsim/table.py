@@ -42,15 +42,25 @@ Both formats build a block the same way.  Each column's text is a byte
 matrix, its cells padded with 0xFF, a byte that no UTF-8 text holds.
 Columns and literals (the separators, and JSON's keys) are broadcast into
 one byte array per block, and ``np.compress`` of the bytes that are not
-0xFF, 64 KiB at a time, gives the block's text.  The CSV float text is
-computed in numpy, byte for byte what ``'%.17g' % x`` gives: ``|x|`` is
-scaled to 17 digits in double-double arithmetic from exact Dekker products
-with a table of ``10**k``, rounded to an integer, and laid out as C's ``%g``
-by one gather from a table of layouts.  That covers ``0`` and finite
-``1e-270 < |x| < 1e270``.  The scaled value is within about 5e-15 of exact,
-so Python formats each value whose fraction lies within 1e-9 of a half, and
-so each is exact; Python also formats ``inf``, ``nan`` and values out of
-that range.
+0xFF, 64 KiB at a time, gives the block's text.
+
+Float and integer text is computed in numpy, byte for byte what Python
+gives, and laid out by one gather from a table of layouts.  A float ``x``
+with ``1e-270 < |x| < 1e270`` is scaled to ``[1e16, 1e17)`` in
+double-double arithmetic from exact Dekker products with a table of
+``10**k``, within about 5e-15 of exact.  CSV's ``%.17g`` rounds that to an
+integer, and Python formats each value whose fraction lies within 1e-9 of a
+half.  JSON's ``repr`` is the nearest 15-, 16- or 17-digit decimal, the
+shortest that lies strictly inside ``x``'s rounding interval; Python formats
+each value whose candidate lies within 1e-9 of the interval's end or of a
+rounding tie, and each power of two, whose interval is narrower below.
+Python also formats ``inf``, ``nan`` and floats out of that range, in both
+formats.  Integers are written from their digits four at a time, over the
+whole int64 and uint64 range.  A numeric column of fewer than
+:data:`_KERNEL_CELLS` cells (a label broadcast along the rows, say) is
+formatted by Python, which is faster there.  The kernels' tables are built
+on the first column they format, never at import, and by the writer before
+it forks the format workers, which then share them.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ import math
 import os
 import pickle
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -89,114 +99,163 @@ _PAD = 0xFF
 #: Bytes of a block compacted at a time when its pad bytes are taken out.
 _CHUNK = 1 << 16
 #: Exponents ``k`` of the ``10**k`` table: ``10**e`` and ``10**(e + 1)``
-#: bracket every ``|x|`` in the kernel's range, and ``10**(16 - e)`` scales it.
+#: bracket every ``|x|`` in the float kernels' range, and ``10**(16 - e)`` scales it.
 _K_MIN, _K_MAX = -272, 288
 _SPLIT = 2.0**27 + 1  # Dekker's splitter: x * _SPLIT separates the top 26 bits of x
-#: Each float's ``%.17g`` text is gathered from 28 bytes: sign, ``0``, point,
-#: the 17 digits (the last 16 four at a time from a table), ``e``, the
-#: exponent's sign, a pad byte and the exponent's three digits.
-_MINUS, _ZERO, _POINT, _DIGITS, _E, _E_SIGN, _PAD_BYTE, _E_DIGITS, _SOURCE = 0, 1, 2, 3, 20, 21, 22, 24, 28
+#: Each float's text is gathered from 28 bytes: sign, ``0``, point, the 17
+#: digits (the last 16 four at a time from a table), ``e``, the exponent's
+#: sign, a pad byte and the exponent's three digits.
+_MINUS, _ZERO, _POINT, _DIGITS, _E, _E_SIGN, _PAD_BYTE, _E_DIGITS = 0, 1, 2, 3, 20, 21, 22, 24
 _WIDTH = 24  # the longest text, -d.dddddddddddddddde-XXX
 #: Source words 0 and 5 as ``uint32``: ``-0.`` and a ``0`` that the lead digit is
 #: added to, and ``e`` with the exponent's sign and two pad bytes.
 _HEAD, _E_PLUS, _E_MINUS = (int.from_bytes(text, "little") for text in (b"-0.0", b"e+\xff\xff", b"e-\xff\xff"))
+#: An integer's text is gathered from 24 bytes: its 20 digits, four at a time
+#: from a table, then source word 5, a minus sign and pad bytes (so the pad is
+#: byte 22, as for a float).
+_INT_MINUS, _INT_SIGN = 20, int.from_bytes(b"-\xff\xff\xff", "little")
+#: Cells of a numeric column from which the kernels build its text: a kernel
+#: call costs 0.1-0.4 ms at any size, and Python formats ints and ``%.17g``
+#: floats faster up to about 200 cells (``repr`` up to about 70).
+_KERNEL_CELLS = 128
+#: First rows in the table of layouts of ``%.17g``, of ``repr`` and of integers.
+_G17_LAYOUTS, _REPR_LAYOUTS, _INT_LAYOUTS = 0, 2 * 23 * 17, 2 * 23 * 17 + 2 * 22 * 17
+
+
+def _float_layouts(fixed: int, point_zero: bool) -> Iterator[list[int]]:
+    """Source bytes of each float layout, fixed notation at exponents -4 to ``fixed``, then ``d.ddde+XX``.
+
+    Layout ``17 * kind + digits - 1`` has ``digits`` significant digits; kinds
+    up to ``fixed + 4`` are fixed notation, the next two exponent notation with
+    two and three exponent digits.  With ``point_zero`` a fixed number with no
+    digit after its point ends in ``.0``, as ``repr`` writes it.
+    """
+    digits = list(range(_DIGITS, _DIGITS + 17))
+    for kind in range(fixed + 7):
+        for n in range(1, 18):
+            e = kind - 4
+            if e > fixed:  # d.ddde+XX
+                point = [_POINT, *digits[1:n]] if n > 1 else []
+                out = [digits[0], *point, _E, _E_SIGN, *range(_E_DIGITS + fixed + 6 - kind, _E_DIGITS + 3)]
+            elif e >= 0:  # ddd.ddd, or ddd00 (ddd00.0) when there are no more digits than places
+                out = digits[: e + 1] + ([_POINT, *digits[e + 1 : n]] if n > e + 1 else [_POINT, _ZERO] * point_zero)
+            else:  # 0.000ddd
+                out = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits[:n]
+            yield out
 
 
 @functools.cache
 def _kernel_tables() -> tuple[np.ndarray, ...]:
-    """The ``%.17g`` kernel's tables, built on its first call, from Python ints.
+    """The text kernels' tables, built on their first call, from Python ints.
 
     ``10**k`` for ``k`` in ``[_K_MIN, _K_MAX]`` as ``hi + lo`` (``hi`` the
     nearest double, ``lo`` the nearest double to the rest) with ``hi`` split
     in two 26-bit halves; the ASCII digits of ``0..9999`` as ``uint32`` and
     their trailing zeros; the exponents ``0..999`` as three ASCII digits and a
-    pad byte; and every layout of C's ``%g``, as the source byte of each
-    output byte and the text's length.  Layout
-    ``391 * negative + 17 * kind + digits - 1`` has ``digits`` significant
-    digits; kinds 0-20 are fixed notation at exponents -4 to 16, kinds 21 and
-    22 exponent notation with two and three exponent digits.
+    pad byte; and every layout, as the source byte of each output byte and the
+    text's length.  The layouts are C's ``%g`` from :data:`_G17_LAYOUTS`, at
+    ``391 * negative + 17 * kind + digits - 1`` (kinds 0-20 fixed notation at
+    exponents -4 to 16); ``repr`` from :data:`_REPR_LAYOUTS`, at ``374 *
+    negative + 17 * kind + digits - 1`` (kinds 0-19 fixed at -4 to 15); and
+    integers from :data:`_INT_LAYOUTS`, at ``20 * negative + digits - 1``.
     """
-    positive, negative = [], []  # (hi, lo) of 10**m and of 10**-m
+    hi, lo = np.empty((2, _K_MAX - _K_MIN + 1))  # 10**k, at k - _K_MIN
     power = 1
     for m in range(_K_MAX + 1):
-        hi = float(power)  # int to float rounds to nearest
-        positive.append((hi, float(power - int(hi))))
+        hi[m - _K_MIN] = float(power)  # int to float rounds to nearest
+        lo[m - _K_MIN] = float(power - int(hi[m - _K_MIN]))
         if 0 < m <= -_K_MIN:
-            hi = 1 / power  # and so does int division
-            num, den = hi.as_integer_ratio()  # den = 2**s, and 10**-m - hi = (den - num * power) / power / 2**s
-            negative.append((hi, math.ldexp((den - num * power) / power, 1 - den.bit_length())))
+            hi[-m - _K_MIN] = up = 1 / power  # and so does int division
+            num, den = up.as_integer_ratio()  # den = 2**s, and 10**-m - up = (den - num * power) / power / 2**s
+            lo[-m - _K_MIN] = math.ldexp((den - num * power) / power, 1 - den.bit_length())
         power *= 10
-    hi, lo = np.array(negative[::-1] + positive).T
     split = _SPLIT * hi
     top = split - (split - hi)
     pow10 = np.stack([hi, lo, top, hi - top])
-    digit = np.arange(10, dtype=np.uint8) + ord("0")
+    # by copies and fills alone: the writer builds these before it forks, and a ufunc run here
+    # would page in numpy code that a writer which formats no block itself needs nowhere else
+    digit = np.frombuffer(b"0123456789", np.uint8)
     quads = np.empty((10, 10, 10, 10, 4), np.uint8)  # quads[a, b, c, d] = "abcd"
     for place in range(4):
         quads[..., place] = digit.reshape((10,) + (1,) * (3 - place))
     quads = quads.reshape(10_000, 4)
-    zeros = np.zeros(10_000, np.uint8)  # trailing zeros of "abcd"
-    run = np.ones(10_000, bool)
-    for place in range(3, -1, -1):
-        run &= quads[:, place] == ord("0")
-        zeros += run
+    zeros = np.zeros((10, 10, 10, 10), np.uint8)  # trailing zeros of "abcd"
+    zeros[..., 0] = 1
+    zeros[..., 0, 0] = 2
+    zeros[:, 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
     triples = np.full((1000, 4), _PAD, np.uint8)
     triples[:, :3] = quads[:1000, 1:]
-    digits = list(range(_DIGITS, _DIGITS + 17))
-    layouts = []
-    for kind in range(23):
-        for n in range(1, 18):
-            e = kind - 4
-            if kind > 20:  # d.ddde+XX
-                point = [_POINT, *digits[1:n]] if n > 1 else []
-                out = [digits[0], *point, _E, _E_SIGN, *range(_E_DIGITS + 1 - (kind - 21), _E_DIGITS + 3)]
-            elif e >= 0:  # ddd.ddd, or ddd00 when there are no more digits than places
-                out = digits[: e + 1] + ([_POINT, *digits[e + 1 : n]] if n > e + 1 else [])
-            else:  # 0.000ddd
-                out = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits[:n]
-            layouts.append(out + [_PAD_BYTE] * (_WIDTH - len(out)))
-    sources = np.empty((2, len(layouts), _WIDTH), np.intp)
-    sources[0] = np.fromiter(itertools.chain.from_iterable(layouts), np.intp).reshape(len(layouts), _WIDTH)
-    sources[1, :, 0] = _MINUS
-    sources[1, :, 1:] = sources[0, :, :-1]
-    sources = sources.reshape(-1, _WIDTH)
-    lengths = np.count_nonzero(sources != _PAD_BYTE, axis=1)
-    return pow10, quads.view(np.uint32).ravel(), zeros, triples.view(np.uint32).ravel(), sources, lengths
+    sources = np.full((_INT_LAYOUTS + 2 * 20, _WIDTH), _PAD_BYTE, np.uint8)
+    lengths = np.empty(len(sources), np.uint8)
+    ints = (list(range(20 - n, 20)) for n in range(1, 21))
+    for start, count, layouts, minus in ((_G17_LAYOUTS, 17 * 23, _float_layouts(16, False), _MINUS),
+                                         (_REPR_LAYOUTS, 17 * 22, _float_layouts(15, True), _MINUS),
+                                         (_INT_LAYOUTS, 20, ints, _INT_MINUS)):
+        for row, out in enumerate(layouts, start):  # each layout, then the same negative one ``count`` rows on
+            sources[row, : len(out)] = out
+            sources[row + count, : len(out) + 1] = [minus, *out]
+            lengths[row], lengths[row + count] = len(out), len(out) + 1
+    return pow10, quads.view(np.uint32).ravel(), zeros.ravel(), triples.view(np.uint32).ravel(), sources, lengths
 
 
-def _g17(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` for each float ``v`` of the 1-D ``x``, as ASCII padded with :data:`_PAD`: an ``S`` array."""
-    pow10, quads, zeros, triples, sources, lengths = _kernel_tables()
-    n = len(x)
-    a = np.abs(x)
-    zero = a == 0
-    fast = (a > 1e-270) & (a < 1e270)  # False on inf and nan
-    a = np.where(fast, a, 1.0)
-    # e = floor(log10(a)), made exact by comparing a with 10**e and 10**(e + 1) as hi + lo
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``e = floor(log10(a))``, ``q = a * 10**(16 - e)`` in ``[1e16, 1e17)`` as ``qh + ql``, and ``10**(16 - e)``.
+
+    For ``1e-270 < a < 1e270``; the power is the nearest double.  ``e`` is
+    exact: ``a`` is compared with ``10**e`` and ``10**(e + 1)`` as ``hi +
+    lo``.  ``q`` is ``a * hi`` exactly (Dekker) plus ``a * lo``, within about
+    5e-15 of exact; ``qh >= 2**53`` is an integer.
+    """
+    pow10 = _kernel_tables()[0]
     e = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = pow10[0].take(e - _K_MIN), pow10[1].take(e - _K_MIN)
     e -= (a < hi) | ((a == hi) & (lo > 0))
     hi, lo = pow10[0].take(e + 1 - _K_MIN), pow10[1].take(e + 1 - _K_MIN)
     e += (a > hi) | ((a == hi) & (lo <= 0))
-    # q = a * 10**(16 - e) in [1e16, 1e17) as qh + ql: a * hi exactly (Dekker), plus a * lo
-    k = 16 - e - _K_MIN
-    hi, lo, hi_top, hi_low = (row.take(k) for row in pow10)
+    hi, lo, hi_top, hi_low = (row.take(16 - e - _K_MIN) for row in pow10)
     prod = a * hi
     split = _SPLIT * a
     a_top = split - (split - a)
     a_low = a - a_top
     low = ((a_top * hi_top - prod) + a_top * hi_low + a_low * hi_top) + a_low * hi_low + a * lo
     qh = prod + low
-    ql = low - (qh - prod)
-    # qh >= 2**53 is an integer; a ql within 1e-9 of a half is left to Python below
-    digits = qh.astype(np.int64) + np.rint(ql).astype(np.int64)
-    fast &= np.abs(ql - np.floor(ql) - 0.5) > 1e-9
+    return e, qh, low - (qh - prod), hi
+
+
+def _gather(layout: np.ndarray, source: np.ndarray, slow: Sequence[int] = (), cells: Sequence[bytes] = ()):
+    """The text of each value, its row of ``source`` bytes picked by its ``layout``; ``cells`` at the indices ``slow``.
+
+    An ``S`` array (``np.ndarray``) padded with :data:`_PAD`.
+    """
+    sources, lengths = _kernel_tables()[4:]
+    n, stride = len(layout), source.shape[1] * source.itemsize
+    width = max(1, int(lengths.take(layout).max(initial=0)), *map(len, cells))
+    sources = sources[:, :width]
+    text = np.empty((n, width), np.uint8)
+    flat = source.view(np.uint8).ravel()
+    for start in range(0, n, 1024):  # in chunks: a whole (n, 24) index of fresh pages took twice the time
+        index = sources.take(layout[start : start + 1024], axis=0)
+        index = np.arange(start * stride, (start + len(index)) * stride, stride)[:, np.newaxis] + index
+        text[start : start + 1024] = flat.take(index)
+    for i, cell in zip(slow, cells):
+        text[i] = _PAD
+        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return text.view(f"S{width}").reshape(n)
+
+
+def _float_text(x: np.ndarray, digits: np.ndarray, e: np.ndarray, slow: np.ndarray, style: int, fmt) -> np.ndarray:
+    """Text of the floats ``x`` with the 17 significant digits ``digits * 10**(e - 16)``, ``fmt(v)`` at ``slow``.
+
+    ``style`` is :data:`_G17_LAYOUTS` or :data:`_REPR_LAYOUTS`; trailing zero
+    digits are not written.
+    """
+    _, quads, zeros, triples, *_ = _kernel_tables()
+    n = len(x)
     top = digits == 10**17  # rounded up to the next power of ten
     digits[top] = 10**16
     e += top
-    digits[zero] = 0
-    e[zero] = 0
-    source = np.empty((n, _SOURCE // 4), np.uint32)
+    source = np.empty((n, 7), np.uint32)
     lead = digits // 10**16
     source[:, 0] = _HEAD + (lead.astype(np.uint32) << 24)
     source[:, _E // 4] = np.where(e < 0, _E_MINUS, _E_PLUS)
@@ -211,43 +270,109 @@ def _g17(x: np.ndarray) -> np.ndarray:
         source[:, word] = quads.take(quad)
         trailing += run * zeros.take(quad)
         run &= quad == 0
-    kind = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
-    layout = 391 * np.signbit(x) + 17 * kind + (16 - trailing)
-    slow = np.flatnonzero(~(fast | zero))
-    cells = [("%.17g" % v).encode() for v in x[slow].tolist()]
-    width = max(1, int(lengths.take(layout).max(initial=0)), *map(len, cells))
-    text = np.empty((n, width), np.uint8)
-    flat = source.view(np.uint8).ravel()
-    for start in range(0, n, 1024):  # in chunks: a whole (n, 24) index of fresh pages took twice the time
-        index = sources.take(layout[start : start + 1024], axis=0)
-        index += np.arange(start * _SOURCE, (start + len(index)) * _SOURCE, _SOURCE)[:, np.newaxis]
-        text[start : start + 1024] = flat.take(index)[:, :width]
-    for i, cell in zip(slow, cells):
-        text[i] = _PAD
-        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)
-    return text.view(f"S{width}").reshape(n)
+    fixed = 16 if style == _G17_LAYOUTS else 15
+    kind = np.where((e >= -4) & (e <= fixed), e + 4, fixed + 5 + (np.abs(e) >= 100))
+    layout = style + 17 * (fixed + 7) * np.signbit(x) + 17 * kind + (16 - trailing)
+    slow = np.flatnonzero(slow)
+    return _gather(layout, source, slow, [fmt(v).encode() for v in x[slow].tolist()])
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each float ``v`` of the 1-D ``x``, as ASCII padded with :data:`_PAD`: an ``S`` array."""
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a > 1e-270) & (a < 1e270)  # False on inf and nan
+    e, qh, ql, _ = _scaled(np.where(fast, a, 1.0))
+    # a ql within 1e-9 of a half is left to Python
+    digits = qh.astype(np.int64) + np.rint(ql).astype(np.int64)
+    fast &= np.abs(ql - np.floor(ql) - 0.5) > 1e-9
+    digits[zero] = 0
+    e[zero] = 0
+    return _float_text(x, digits, e, ~(fast | zero), _G17_LAYOUTS, "%.17g".__mod__)
+
+
+def _repr(x: np.ndarray) -> np.ndarray:
+    """``json.dumps(v)`` for each float ``v`` of the 1-D ``x`` (``repr`` when finite), as for :func:`_g17`.
+
+    The digits are the nearest 15-digit decimal to ``v`` when that lies
+    strictly inside ``v``'s rounding interval (half an ulp each side), else
+    the nearest 16-digit one when inside, else the nearest 17-digit one: the
+    shortest text that reads back as ``v``, and the nearest of those, as
+    ``repr`` writes it.  Each candidate is rounded from the scaled ``qh +
+    ql``, never from a rounded candidate.  Python formats each value whose
+    candidate lies within 1e-9 of its interval's end or of a rounding tie,
+    each power of two (its interval is narrower below), and each value
+    :func:`_g17` leaves to Python.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a > 1e-270) & (a < 1e270) & (np.frexp(a)[0] != 0.5)  # False on inf, nan and powers of two
+    a = np.where(fast, a, 1.5)
+    e, qh, ql, scale = _scaled(a)
+    half = 0.5 * np.spacing(a) * scale  # half an ulp at the scale of q, in (0.55, 11.1)
+    whole = qh.astype(np.int64)
+    digits = whole + np.rint(ql).astype(np.int64)  # 17 digits, inside the interval
+    slow = ~(fast | zero) | (np.abs(ql - np.floor(ql) - 0.5) <= 1e-9)  # a 17-digit tie, as in _g17
+    open_ = fast & ~slow  # not yet given its digits
+    for unit in (100, 10):  # 15 digits, then 16
+        kept = whole // unit
+        rest = (whole - kept * unit) + ql  # q - kept * unit
+        step = np.rint(rest / unit)
+        off = np.abs(rest - step * unit)  # from q to the candidate
+        margin = half - off
+        unsure = (np.abs(margin) <= 1e-9) | (np.abs(off - unit / 2) <= 1e-9)
+        slow |= open_ & unsure & (margin > -1e-9)
+        take = open_ & (margin > 1e-9) & ~unsure
+        digits[take] = ((kept + step.astype(np.int64)) * unit)[take]
+        open_ &= ~(take | (margin > -1e-9))
+    digits[zero] = 0
+    e[zero] = 0
+    return _float_text(x, digits, e, slow, _REPR_LAYOUTS, json.dumps)
+
+
+def _decimal(a: np.ndarray) -> np.ndarray:
+    """``str(v)`` for each integer ``v`` of the 1-D ``a`` (any int or uint dtype), as for :func:`_g17`."""
+    quads = _kernel_tables()[1]
+    n = len(a)
+    negative = a < 0
+    magnitude = a.astype(np.uint64)  # -v as 2**64 - v ...
+    np.negative(magnitude, out=magnitude, where=negative)  # ... and then v, -2**63 included
+    places = len(str(int(magnitude.max(initial=0))))
+    length = np.ones(n, np.intp)
+    for place in range(1, places):
+        length += magnitude >= 10**place
+    source = np.empty((n, 6), np.uint32)
+    source[:, 5] = _INT_SIGN
+    rest = magnitude
+    for word in range(4, 4 - (places + 3) // 4, -1):
+        quad = rest
+        rest = rest // 10_000
+        quad -= rest * 10_000
+        source[:, word] = quads.take(quad)
+    return _gather(_INT_LAYOUTS + 20 * negative + length - 1, source)
 
 
 def _text(a: np.ndarray | None, fmt: str) -> np.ndarray:
     """``fmt`` text of each entry of ``a``, UTF-8 padded with :data:`_PAD`: an ``S`` array of ``a.shape``.
 
-    Floats are ``%.17g`` in CSV and ``repr`` in JSON, integers ``str``, and
-    strings and objects ``str`` in CSV and ``json.dumps`` in JSON.  ``None``
-    is an absent column: one cell, empty in CSV and ``null`` in JSON.
+    Floats are ``%.17g`` in CSV (:func:`_g17`) and ``repr`` in JSON
+    (:func:`_repr`, non-finite ones ``json.dumps``), integers ``str``
+    (:func:`_decimal`): from :data:`_KERNEL_CELLS` cells on, all three are
+    built in numpy, and the floats each kernel cannot settle exactly are
+    formatted by Python.  Strings and objects are ``str`` in CSV and
+    ``json.dumps`` in JSON.  ``None`` is an absent column: one cell, empty in
+    CSV and ``null`` in JSON.
     """
     if a is None:
         cells = [_ABSENT[fmt]]
-    elif a.dtype.kind == "f":  # as %-formatting does, the value as a double
-        x = a.astype(np.float64, copy=False).ravel()
-        if fmt == "csv":
-            return _g17(x).reshape(a.shape)
-        cells = list(map(repr, x.tolist()))  # what json.dumps writes for a finite float
-        for i in np.flatnonzero(~np.isfinite(x)):
-            cells[i] = json.dumps(x[i].item())
-    elif a.dtype.kind in "iu" or fmt == "csv":
-        cells = list(map(str, a.ravel().tolist()))
     else:
-        cells = list(map(json.dumps, a.ravel().tolist()))
+        if a.dtype.kind == "f":  # as %-formatting does, the value as a double
+            a = a.astype(np.float64, copy=False)
+        if a.dtype.kind in "fiu" and a.size >= _KERNEL_CELLS:
+            kernel = _decimal if a.dtype.kind != "f" else _g17 if fmt == "csv" else _repr
+            return kernel(a.ravel()).reshape(a.shape)
+        cell = "%.17g".__mod__ if fmt == "csv" and a.dtype.kind == "f" else str if fmt == "csv" else json.dumps
+        cells = list(map(cell, a.ravel().tolist()))
     cells = [cell.encode() for cell in cells]
     width = max([1, *map(len, cells)])
     text = b"".join(cell.ljust(width, b"\xff") for cell in cells)
@@ -442,6 +567,8 @@ def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
         skip = 2  # the first row has no row before it
     jobs = itertools.chain(head, jobs)
     if len(head) == 2:
+        if any(c.dtype.kind in "fiu" for job in head for c in job[3]):
+            _kernel_tables()  # built once here, and shared by the forked workers
         fh.flush()
         _write_on_workers(out, jobs, skip)
     else:

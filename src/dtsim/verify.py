@@ -83,6 +83,15 @@ def _check_oracle(chain: HChain) -> CheckResult:
     return CheckResult("oracle_equivalence", float(worst), 1e-12)
 
 
+def _check_seed(chain: HChain, reference: CovarianceSeed) -> CheckResult:
+    """``cov_table`` at lags 0 and 1 on the first period against ``reference``'s ``r0`` and ``r1``."""
+    j = np.arange(chain.T)
+    closed = np.concatenate([cov_table(chain, j, 0), cov_table(chain, j, 1)])
+    seed = np.concatenate([reference.r0, reference.r1])
+    scale = np.maximum(np.maximum(np.abs(closed), np.abs(seed)), np.finfo(float).tiny)
+    return CheckResult("seed_reproduction", float(np.max(np.abs(closed - seed) / scale)), 1e-12)
+
+
 def _check_triangle(chain: HChain) -> CheckResult:
     idx = np.arange(4 * chain.T + 1)
     table = cov_table(chain, np.minimum.outer(idx, idx), np.abs(np.subtract.outer(idx, idx)))
@@ -126,21 +135,25 @@ def _check_phase_roundtrip(chain: HChain) -> CheckResult:
     return CheckResult("phase_expansion_roundtrip", float(np.max(np.abs(recon - pc)) / unit), 8.0)
 
 
-def run_checks(params: DsiParams, seed: CovarianceSeed) -> list[CheckResult]:
+def run_checks(params: DsiParams, seed: CovarianceSeed, reference: CovarianceSeed | None = None) -> list[CheckResult]:
     """Run every suite against ``seed`` under ``params``.
 
-    The oracle-equivalence suite always compares against the exact simple-BM
-    covariance for ``params``; feeding a perturbed or foreign seed makes that
-    suite fail while the structural suites (triangle, Hermitian, series
-    against closed form) still hold, which is the intended fault-injection
-    signature.
+    Without a ``reference``, the third suite, ``oracle_equivalence``,
+    compares against the exact simple-BM covariance for ``params``, so a
+    perturbed or foreign seed fails it.  With one, that suite is
+    ``seed_reproduction``: the chain's covariances at lags 0 and 1 on the
+    first period must give back ``reference.r0`` and ``reference.r1``, so any
+    admissible seed passes against itself and a seed perturbed away from its
+    reference fails.  Either way the structural suites (triangle, Hermitian,
+    series against closed form) still hold on a perturbed seed, which is the
+    intended fault-injection signature.
     """
     chain = make_chain(params, seed)
     with np.errstate(all="ignore"):  # an overflow reads as a nan or inf residual, which fails its check
         return [
             _check_commutation(params),
             _check_roundtrip(params),
-            _check_oracle(chain),
+            _check_oracle(chain) if reference is None else _check_seed(chain, reference),
             _check_triangle(chain),
             _check_hermitian(chain),
             _check_series_vs_closed(chain),

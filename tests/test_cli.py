@@ -379,6 +379,41 @@ def test_verify_perturbed_seed_fails_at_large_periods(capsys, T):
     assert "oracle_equivalence" in _failing_checks(out)
 
 
+_VALID_SEEDS = {
+    "ratio-0.95": ([1.0, 1.0], [0.95 ** 0.5, 0.95 ** 0.5 * 2 ** 1.5]),
+    "ratio-0.98": ([1.0, 1.0], [0.98 ** 0.5, 0.98 ** 0.5 * 2 ** 1.5]),
+    "uneven": ([1.0, 1.0], [0.5, 1.2]),
+    "T4": ([1.0, 2.0, 0.5, 3.0], [0.3, -0.4, 0.9, 1.1]),
+}
+
+
+@pytest.mark.parametrize("name", _VALID_SEEDS)
+def test_verify_seed_file_passes_valid_seeds(capsys, tmp_path, name):
+    """A seed file is checked against itself: ``seed_reproduction`` takes the place of the simple-BM oracle,
+    every check passes, and ``--perturb`` fails that check alone."""
+    r0, r1 = _VALID_SEEDS[name]
+    CovarianceSeed(r0=np.array(r0), r1=np.array(r1)).to_csv(tmp_path / "seed.csv")
+    argv = ["verify", "--T", str(len(r0)), "--seed-file", str(tmp_path / "seed.csv"), "--json"]
+    code, out = run_cli(capsys, *argv)
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert (code, _failing_checks(out)) == (0, [])
+    assert "seed_reproduction" in names and "oracle_equivalence" not in names
+    code, out = run_cli(capsys, *argv, "--perturb", "1e-3")
+    assert (code, _failing_checks(out)) == (1, ["seed_reproduction"])
+
+
+def test_verify_builtin_and_run_checks_keep_the_oracle(capsys):
+    """``--builtin`` and ``run_checks`` without a reference compare with the simple-BM oracle, so a foreign
+    seed still fails it; with the seed as its own reference it passes."""
+    code, out = run_cli(capsys, "verify", "--builtin", "--json")
+    assert code == 0 and "oracle_equivalence" in [c["name"] for c in json.loads(out)["checks"]]
+    p = make_params(0.75, 2.0, 2)
+    seed = CovarianceSeed(r0=np.ones(2), r1=np.array([0.95 ** 0.5, 0.95 ** 0.5 * 2 ** 1.5]))
+    assert [r.name for r in dtsim.run_checks(p, seed) if not r.passed] == ["oracle_equivalence"]
+    assert all(r.passed for r in dtsim.run_checks(p, seed, seed))
+    assert [r.name for r in dtsim.run_checks(p, simple_bm_seed(p), seed) if not r.passed] == ["seed_reproduction"]
+
+
 _FFT = np.fft.fft
 
 

@@ -453,6 +453,21 @@ class _NoThread:
         raise AssertionError("a thread was started")
 
 
+@pytest.mark.parametrize("k_max", [126, 127])
+def test_moments_fill_alone_from_128_grid_points(monkeypatch, k_max):
+    """From K = 128, where BLAS ``syrk`` runs on threads of its own, ``moments`` starts no fill thread;
+    below it one helper starts.  The sums equal the one-thread pass bit for bit either way."""
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=2 * BATCH_SIZE + 3, k_max=k_max, rng_seed=4)
+    monkeypatch.setattr(simulate, "_FILL_THREADS", 0)
+    expected = ens.moments
+    monkeypatch.setattr(simulate, "_FILL_THREADS", 2)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", [])
+    sums = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=2 * BATCH_SIZE + 3, k_max=k_max, rng_seed=4).moments
+    assert len(_CountedThread.started) == (k_max + 1 < 128)
+    assert np.array_equal(sums, expected)
+
+
 def test_table_writer_fills_inline(monkeypatch, tmp_path):
     """``dtsim simulate`` fills the blocks on the writing thread, fill threads or not."""
     monkeypatch.setattr(simulate, "_FILL_THREADS", 2)

@@ -3,6 +3,7 @@ worker count, errors raised, no process or pipe left."""
 
 import contextlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -221,15 +222,18 @@ def test_g17_matches_percent_on_any_bit_pattern(bits):
     assert _g17(x) == _expected_g17(x)
 
 
-def test_g17_matches_percent_on_a_sweep():
+def _sweep(rng: np.random.Generator) -> np.ndarray:
     """1.2e5 values: normals, magnitudes across the whole range, random bit patterns, integers."""
-    rng = np.random.default_rng(20260419)
-    x = np.concatenate([
+    return np.concatenate([
         rng.standard_normal(40_000),
         rng.choice([-1.0, 1.0], 40_000) * 10.0 ** rng.uniform(-320, 308, 40_000),
         rng.integers(0, 2**64, 30_000, dtype=np.uint64).view(np.float64),
         rng.integers(-(10**17), 10**17, 10_000).astype(float),
     ])
+
+
+def test_g17_matches_percent_on_a_sweep():
+    x = _sweep(np.random.default_rng(20260419))
     assert _g17(x) == _expected_g17(x)
 
 
@@ -251,9 +255,9 @@ def _near_ties() -> list[float]:
     return out
 
 
-def test_g17_matches_percent_on_edges():
-    """Exact and near ties, the ends of the kernel's range and of float64, zeros, non-finite values,
-    every power of two, and every power of ten with both its neighbours."""
+def _edges(extra: list[float]) -> np.ndarray:
+    """Exact and near ties, the ends of the kernels' range and of float64, zeros, non-finite values,
+    every power of two, every power of ten, and ``extra``, each with both its neighbours and negated."""
     edges = [1234567890123456.75, 1234567890123456.25, 0.5, 2.5, 1e16, 1e17, 1e16 - 2, 1e17 - 16,
              99999999999999999.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
              1e-270, 1e270, 1e-5, 1e-4, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
@@ -261,12 +265,120 @@ def test_g17_matches_percent_on_edges():
     twos = [2.0**k for k in range(-1074, 1024)]
     ties = _near_ties()
     assert len(ties) > 40
-    x = np.array(edges + ties + powers + twos)
+    x = np.array(edges + extra + ties + powers + twos)
     with np.errstate(over="ignore"):  # the neighbour of the largest float is inf
         x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
-    x = np.concatenate([x, -x])
+    return np.concatenate([x, -x])
+
+
+def test_g17_matches_percent_on_edges():
+    x = _edges([])
     assert _g17(x) == _expected_g17(x)
     assert _g17(np.array([])) == []
+
+
+def _expected_repr(x: np.ndarray) -> list[str]:
+    return [json.dumps(v) for v in x.tolist()]
+
+
+def _repr(x: np.ndarray) -> list[str]:
+    text = table._repr(np.asarray(x, dtype=float))
+    assert text.dtype.kind == "S" and all(b"\xff" not in cell.rstrip(b"\xff") for cell in text.tolist())
+    return [cell.rstrip(b"\xff").decode() for cell in text.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_repr_matches_json_on_any_bit_pattern(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _repr(x) == _expected_repr(x)
+
+
+def test_repr_matches_json_on_a_sweep():
+    """The ``%.17g`` sweep, float32 values, and decimals of 1 to 17 digits with both their neighbours,
+    which lie near the ends of their rounding intervals."""
+    rng = np.random.default_rng(20261019)
+    places = rng.integers(1, 18, 10_000)
+    mantissas = (rng.random(10_000) * 10.0**places).astype(np.int64) + 1
+    exponents = rng.integers(-300, 290, 10_000)
+    short = np.array([float(f"{m}e{k}") for m, k in zip(mantissas.tolist(), exponents.tolist())])
+    x = np.concatenate([_sweep(rng), rng.standard_normal(20_000).astype(np.float32),
+                        short, np.nextafter(short, 0), np.nextafter(short, np.inf)])
+    assert _repr(x) == _expected_repr(x)
+
+
+def test_repr_matches_json_on_edges():
+    """The ``%.17g`` edges, and repr's own: the switch to exponent notation, ``.0`` after an integer."""
+    x = _edges([1000.0, 123456789012345.0, 1234567890123456.0, 9999999999999998.0, 1e15, 0.1, 0.3, 1e23, 5e-5])
+    assert _repr(x) == _expected_repr(x)
+    assert _repr(np.array([])) == []
+    assert _repr(np.array([0.0, -0.0, 1e16, 1e-5, 1000.0])) == ["0.0", "-0.0", "1e+16", "1e-05", "1000.0"]
+
+
+def test_integer_cells_are_str_over_every_dtype():
+    """Each int and uint dtype's extremes, -2**63 and 2**64 - 1 among them, powers of ten and their
+    neighbours, and random values over the whole int64 and uint64 ranges: the kernel, and ``_text`` in
+    both formats, whether a column is too short for the kernel or not."""
+    rng = np.random.default_rng(8)
+    cases = [np.array([info.min, info.min + 1, -1 if info.min else 1, 0, 9, 10, info.max - 1, info.max], dtype)
+             for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+             for info in [np.iinfo(dtype)]]
+    tens = np.array([10**k for k in range(19)])
+    cases += [np.concatenate([tens - 1, tens, tens + 1, -tens - 1, -tens, 1 - tens]),
+              np.array([10**19 - 1, 10**19, 10**19 + 1], np.uint64),
+              rng.integers(-(2**63), 2**63 - 1, 20_000, endpoint=True),
+              rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True),
+              np.zeros(0, np.int64), rng.integers(-99, 100, (3, 4))]
+    for a in cases:
+        expected = list(map(str, a.ravel().tolist()))
+        assert [cell.rstrip(b"\xff").decode() for cell in table._decimal(a.ravel()).tolist()] == expected
+        for fmt in ("csv", "json"):
+            text = table._text(a, fmt)
+            assert text.shape == a.shape and text.dtype.kind == "S"
+            assert [cell.rstrip(b"\xff").decode() for cell in text.ravel().tolist()] == expected
+    for n in (table._KERNEL_CELLS - 1, table._KERNEL_CELLS):  # Python's text, then the kernels'
+        for a in (rng.integers(-(2**63), 2**63 - 1, n), rng.standard_normal(n) ** 9):
+            csv = ["%.17g" % v for v in a.tolist()] if a.dtype.kind == "f" else list(map(str, a.tolist()))
+            for fmt, expected in (("csv", csv), ("json", list(map(json.dumps, a.tolist())))):
+                assert [cell.rstrip(b"\xff").decode() for cell in table._text(a, fmt).tolist()] == expected
+
+
+_DIFFERENTIAL = {
+    "simulate": ["simulate", "--paths", str(BATCH_SIZE + 3), "--kmax", "3", "--seed", "6"],
+    "cov": ["cov", "--T", "4", "--mc-paths", "3000", "--n-max", "100", "--tau-min", "-100", "--tau-max", "100"],
+    "spectra": ["spectra", "--T", "4", "--n-omega", "600", "--methods", "closed,sum,diag"],
+    "embed": ["embed", "--T", "3", "--n-max", "40", "--tau-max", "40"],
+}
+
+
+@pytest.mark.parametrize("command", _DIFFERENTIAL)
+def test_json_and_csv_write_the_same_values(monkeypatch, tmp_path, command):
+    """Every JSON float equals the float its CSV cell reads as, and every integer and string cell is
+    the same, at 0 and 2 format workers, which write the same bytes."""
+    outputs = {}
+    for workers in (0, 2):
+        monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"{workers}.{fmt}"
+            assert main(_DIFFERENTIAL[command] + ["--format", fmt, "--out", str(path)]) == 0
+            outputs[workers, fmt] = path.read_bytes()
+    assert outputs[0, "csv"] == outputs[2, "csv"] and outputs[0, "json"] == outputs[2, "json"]
+    lines = outputs[0, "csv"].decode().splitlines()
+    rows = json.loads(outputs[0, "json"])
+    assert len(rows) == len(lines) - 1 > BLOCK_ROWS
+    names = lines[0].split(",")
+    floats = 0
+    for line, row in zip(lines[1:], rows):
+        assert list(row) == names
+        for cell, value in zip(line.split(","), row.values()):
+            if isinstance(value, float):
+                floats += 1
+                assert float(cell) == value or (math.isnan(value) and math.isnan(float(cell))), (cell, value)
+            elif isinstance(value, int):
+                assert int(cell) == value and cell == str(value)
+            else:
+                assert cell == ("" if value is None else value)
+    assert floats >= len(rows)
 
 
 def test_csv_cells_are_str_and_percent_g17(tmp_path, monkeypatch):
@@ -327,19 +439,27 @@ def test_format_compacts_a_large_block_in_chunks():
     assert peak < 3 * n * 9
 
 
-def test_g17_tables_are_built_on_the_first_csv_float_block():
-    """Not at import: a command that writes no float to CSV does not pay for them."""
+def test_text_tables_are_built_on_the_first_numeric_block():
+    """Not at import, nor by ``verify``, nor for a table of strings or of numeric columns too short for
+    the kernels: the first int or float block they format builds them, in either format.  The writer
+    builds them before it forks its format workers."""
     code = (
         "import os, numpy as np, dtsim.cli, dtsim.table as t\n"
-        "sizes = [t._kernel_tables.cache_info().currsize]\n"
-        "t.write_table([{'i': np.arange(3), 's': np.array('a')}], 'csv', os.devnull)\n"
-        "t.write_table([{'x': np.array([0.5])}], 'json', os.devnull)\n"
-        "sizes.append(t._kernel_tables.cache_info().currsize)\n"
-        "t.write_table([{'x': np.array([0.5])}], 'csv', os.devnull)\n"
-        "sizes.append(t._kernel_tables.cache_info().currsize)\n"
+        "size = t._kernel_tables.cache_info\n"
+        "sizes = [size().currsize]\n"
+        "dtsim.cli.main(['verify', '--out', os.devnull])\n"
+        "t.write_table([{'s': np.array(['a', 'b'])}], 'csv', os.devnull)\n"
+        "t.write_table([{'i': np.arange(t._KERNEL_CELLS - 1), 'x': np.array(0.5)}], 'json', os.devnull)\n"
+        "sizes.append(size().currsize)\n"
+        "t.write_table([{'i': np.arange(t._KERNEL_CELLS)}], 'json', os.devnull)\n"
+        "sizes.append(size().currsize)\n"
+        "t._kernel_tables.cache_clear()\n"
+        "t._FORMAT_WORKERS = 2\n"
+        f"t.write_table([{{'x': np.ones(2 * {BLOCK_ROWS})}}], 'json', os.devnull)\n"
+        "sizes.append(size().currsize)\n"
         "print(sizes)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 1]"
+    assert out.stdout.strip() == "[0, 0, 1, 1]"
