@@ -24,12 +24,14 @@ from .multidim import q_cov
 from .simulate import Ensemble, empirical_cov, simulate_brownian, simulate_simple_bm
 from .spectral import (
     FrequencyGrid,
+    _closed_ratio,
+    _sum_truncation,
     simple_bm_spectral,
     spectral_closed_grid,
     spectral_diag,
     spectral_sum_grid,
 )
-from .table import write_table
+from .table import BLOCK_ROWS, _Parts, write_table
 from .verify import perturb_seed, run_checks
 
 _METHODS = ("closed", "sum", "example", "diag")
@@ -181,24 +183,35 @@ def cmd_spectra(args) -> int:
     n_omega = _opt(args.n_omega, cfg, ("spectra", "n_omega"), 256, int)
     trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None, int)
     omegas = FrequencyGrid(n_omega).omegas
-    idx = np.arange(params.T)
-    parts = []
-    for method in methods:
+    for method in methods:  # each method's errors, before the output file opens: O(n_omega), not the grid
         if method == "closed":
-            vals = spectral_closed_grid(chain, omegas)
+            _closed_ratio(chain, omegas)
         elif method == "sum":
-            vals = spectral_sum_grid(chain, omegas, trunc)
+            _sum_truncation(chain, trunc)
+        elif method == "diag":
+            spectral_diag(chain, 0, omegas)
+    T = params.T
+    idx = np.arange(T)
+    js, rs = np.divmod(np.arange(T**2), T)
+    step = max(1, BLOCK_ROWS // T**2)  # frequencies per part: a part is about one block of rows
+    chunks = -(-n_omega // step)
+
+    def part(i: int) -> tuple[np.ndarray, ...]:
+        method, w = methods[i // chunks], omegas[i % chunks * step :][:step]
+        if method == "closed":
+            vals = spectral_closed_grid(chain, w)
+        elif method == "sum":
+            vals = spectral_sum_grid(chain, w, trunc)
         elif method == "example":
-            vals = simple_bm_spectral(params, idx[:, np.newaxis], idx, omegas[:, np.newaxis, np.newaxis])
+            vals = simple_bm_spectral(params, idx[:, np.newaxis], idx, w[:, np.newaxis, np.newaxis])
         else:  # diag: real values, one row per component
-            vals = spectral_diag(chain, idx, omegas[:, np.newaxis])
-        js, rs = (idx, idx) if method == "diag" else np.divmod(np.arange(params.T ** 2), params.T)
-        vals = vals.reshape(len(omegas), -1)
-        parts.append({
-            "omega": omegas[:, np.newaxis], "j": js, "r": rs,
-            "re": vals.real, "im": vals.imag, "method": np.array(method),
-        })
-    write_table(parts, fmt, out)
+            vals = spectral_diag(chain, idx, w[:, np.newaxis])
+        vals = vals.reshape(len(w), -1)
+        return (w[:, np.newaxis], *((idx, idx) if method == "diag" else (js, rs)), vals.real, vals.imag,
+                np.array(method))
+
+    rows = n_omega * sum(T if method == "diag" else T**2 for method in methods)
+    write_table(_Parts(["omega", "j", "r", "re", "im", "method"], len(methods) * chunks, part, rows), fmt, out)
     return 0
 
 
@@ -209,15 +222,19 @@ def cmd_embed(args) -> int:
     chain = make_chain(params, seed)
     out, fmt = _out_and_format(args, cfg)
     ns, taus = _ranges(args, 2, 0, 3)
-    idx = np.arange(params.T)
-    table = {
-        "n": ns[:, np.newaxis, np.newaxis, np.newaxis],
-        "tau": taus[:, np.newaxis, np.newaxis],
-        "j": idx[:, np.newaxis],
-        "k": idx,
-        "value": q_cov(chain, ns[:, np.newaxis], taus),
-    }
-    write_table([table], fmt, out)
+    T = params.T
+    idx = np.arange(T)
+    q_cov(chain, 0, 0)  # a chain it cannot serve fails here, before the output file opens
+    step = max(1, BLOCK_ROWS // T**2)  # (n, tau) pairs per part: a part is about one block of rows
+    pairs = len(ns) * len(taus)
+
+    def part(i: int) -> tuple[np.ndarray, ...]:
+        n, tau = np.divmod(np.arange(i * step, min((i + 1) * step, pairs)), len(taus))
+        n, tau = ns[n], taus[tau]
+        value = q_cov(chain, n, tau)  # one T x T matrix per pair
+        return n[:, np.newaxis, np.newaxis], tau[:, np.newaxis, np.newaxis], idx[:, np.newaxis], idx, value
+
+    write_table(_Parts(["n", "tau", "j", "k", "value"], -(-pairs // step), part, pairs * T**2), fmt, out)
     return 0
 
 

@@ -9,14 +9,15 @@ one-step covariance on the grid splits the chain and is rejected.
 
 An :class:`Ensemble` is a seeded recipe, not a matrix.  Batch ``i`` of its
 paths is drawn from child ``i`` of ``SeedSequence(rng_seed)`` (PCG64) alone,
-so results are byte-for-byte reproducible whichever thread fills a batch.
-Readers of :meth:`Ensemble.blocks`, the table writer among them, fill each
-batch on their own thread as they read it.  The Monte Carlo moments are the
-one threaded pass: with two or more usable cores and fewer than 128 grid
-points, two threads fill batches and reduce each to its products, which
-are summed in batch order; otherwise the calling thread does every batch.
-Neither keeps more than a few batches, so memory does not grow with the
-number of paths.
+so results are byte-for-byte reproducible whichever thread or process fills
+a batch, and any batch can be filled without the others.  Readers of :meth:`Ensemble.blocks` fill each
+batch on their own thread as they read it, and the table parts of
+:meth:`Ensemble.columns` are filled by the process that writes them.  The
+Monte Carlo moments are the one threaded pass: with two or more usable
+cores and fewer than 128 grid points, two threads fill batches and reduce
+each to its products, which are summed in batch order; otherwise the
+calling thread does every batch.  Neither keeps more than a few batches, so
+memory does not grow with the number of paths.
 
 A batch is filled rows last, ``(K, rows)`` with ``K = k_max + 1``, so its
 cumulative sum along the grid is ``K - 1`` contiguous row adds, and the
@@ -28,13 +29,16 @@ threads do not share the cores with a BLAS pool there; from ``K = 128``
 thread, and the calling thread does every batch.  ``syrk`` rounds the
 fourth-moment sums differently from a general product, so ``mc_stderr`` may
 move by that rounding, which is held to 4e-15 relative; the second-moment
-sums are the same bit for bit.
+sums are the same bit for bit.  The pass scales each grid point's paths by
+a power of two near their standard deviation, folded into the amplitudes,
+so the fourth-moment sums stay in range wherever the covariances do, and
+the estimates are scaled back exactly.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +47,7 @@ import numpy as np
 from .core import DsiParams, HChain, make_chain, make_params
 from .covariance import cov_table, simple_bm_seed
 from .errors import DomainError
-from .table import _CORES, write_table
+from .table import _CORES, _Parts, write_table
 
 __all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm", "empirical_cov"]
 
@@ -55,10 +59,9 @@ BATCH_SIZE = 4096
 #: one core, where the calling thread does every block alone.  Two, not one
 #: per core, so memory does not grow with the core count; no bit of the sums
 #: depends on it.  The same rule on the same core count sets
-#: ``table._FORMAT_WORKERS``, the forked processes that each read a table of
-#: two or more blocks themselves (filling every block of an ``Ensemble``) and
-#: format and write their share of its blocks straight to its file or pipe,
-#: taking turns in block order; no byte of a table depends on that either.
+#: ``table._FORMAT_WORKERS``, the forked processes that each fill and write
+#: their share of an ``Ensemble``'s batches straight to its file or pipe,
+#: taking turns in batch order; no byte of a table depends on that either.
 _FILL_THREADS = 2 if _CORES > 1 else 0
 #: Grid points from which BLAS ``syrk`` runs on threads of its own, and
 #: ``Ensemble.moments`` starts no fill thread.
@@ -96,8 +99,12 @@ class Ensemble:
         return self.chain.params.alpha ** np.arange(self.k_max + 1)
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(scale, amp)`` of ``X_k = amp_k W(clock_k)``: a path is ``cumsum(normals * scale) * amp``."""
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(scale, amp, shift)``: a path is ``cumsum(normals * scale) * amp``, and ``2**shift`` its scale.
+
+        ``scale`` and ``amp`` are those of ``X_k = amp_k W(clock_k)``;
+        ``2**shift_k`` is within a factor of two of ``X_k``'s standard deviation.
+        """
         ks = np.arange(self.k_max + 1)
         with np.errstate(all="ignore"):  # a zero step or an overflow is a DomainError
             var, step = cov_table(self.chain, ks, 0), cov_table(self.chain, ks[:-1], 1)
@@ -106,35 +113,37 @@ class Ensemble:
             scale = np.sqrt(np.maximum(np.diff(var / amp**2, prepend=0.0), 0.0))
             if not (step.all() and np.isfinite([scale, amp**2]).all()):
                 raise DomainError(f"one-step covariance 0 or path factor overflow at some k <= {self.k_max}")
-        return scale, amp
+        return scale, amp, np.frexp(np.sqrt(var))[1]
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Rows of the path matrix in blocks of ``BATCH_SIZE`` (the last may be shorter).
 
-        Block ``i`` is drawn from the ``i``-th child of ``SeedSequence(rng_seed)``
-        and from nothing else, so a path depends neither on ``n_paths`` nor on
-        which thread filled it.  Each block is a new array, the transpose of
-        the rows-last block :meth:`_fill` makes, filled on this thread when the
-        iteration asks for it, so a reader holds the blocks it keeps and no
-        others.
+        Block ``i`` is :meth:`_batch` ``i``, drawn from child ``i`` of
+        ``SeedSequence(rng_seed)`` alone, so a path depends neither on
+        ``n_paths`` nor on which thread or process filled it.  Each block is a
+        new array, filled on this thread when the iteration asks for it, so a
+        reader holds the blocks it keeps and no others.
         """
-        K = self.k_max + 1
-        normals = np.empty(min(BATCH_SIZE, self.n_paths) * K)
-        for i, child in enumerate(self._children()):
-            yield self._fill(i, child, normals, np.empty(min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE) * K)).T
+        return (self._batch(i, child) for i, child in enumerate(self._children()))
 
     def _children(self) -> list[np.random.SeedSequence]:
         return np.random.SeedSequence(self.rng_seed).spawn((self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE)
 
-    def _fill(self, i: int, child: np.random.SeedSequence, normals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _batch(self, i: int, child: np.random.SeedSequence) -> np.ndarray:
+        """Block ``i`` of :meth:`blocks`, drawn from ``child``: the transpose of :meth:`_fill`'s rows-last block."""
+        size = min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE) * (self.k_max + 1)
+        return self._fill(i, child, np.empty(size), np.empty(size), self._factors[1]).T
+
+    def _fill(self, i: int, child: np.random.SeedSequence, normals: np.ndarray, out: np.ndarray,
+              amp: np.ndarray) -> np.ndarray:
         """Block ``i``, drawn from ``child`` alone, rows last: a ``(K, rows)`` view of the start of ``out``.
 
         The normals are drawn into the start of ``normals`` as ``(rows, K)``,
         so path ``p`` takes the ``K`` draws from ``p K`` on of the block's
         stream; the scaling, the cumulative sum along the grid and the
-        amplitudes then run one contiguous row of ``out`` at a time.
+        amplitudes ``amp`` then run one contiguous row of ``out`` at a time.
         """
-        scale, amp = self._factors
+        scale = self._factors[0]
         K, rows = len(scale), min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
         z = np.random.default_rng(child).standard_normal(out=normals[: rows * K].reshape(rows, K))
         x = np.multiply(z.T, scale[:, np.newaxis], out=out[: rows * K].reshape(K, rows))
@@ -158,21 +167,40 @@ class Ensemble:
     def moments(self) -> np.ndarray:
         """Read-only ``(2, K, K)`` path sums of ``X_a X_b`` and ``X_a**2 X_b**2``, ``K = k_max + 1``.
 
-        One pass on first access; :func:`empirical_cov` reads it, so repeated
-        estimates do not regenerate the paths.  This thread and up to
-        ``_FILL_THREADS - 1`` helpers each fill the next block and reduce it to
-        its two ``K x K`` products, which are added into the sums in block
-        order, so no bit depends on the thread count; from ``K = 128`` this
-        thread works alone (see the module docstring).  Each thread holds two
-        block buffers: the rows-last block ``x`` and the normals it was drawn
-        from, which then take ``sq = x * x``; the products are the symmetric
-        ``x @ x.T`` and ``sq @ sq.T`` (see the module docstring).  At most two
-        blocks per thread are taken and not yet added, so the pass holds a few
-        products besides, whatever ``n_paths`` is.  An error in any thread
-        stops the pass and is raised here once the helpers are joined.
+        :attr:`_scaled_moments` times the exact powers of two it was scaled by;
+        a sum out of float range is ``inf``.
         """
+        sums, shift = self._scaled_moments
+        e = shift[:, np.newaxis] + shift
+        with np.errstate(over="ignore"):
+            sums = np.ldexp(sums, np.stack([e, 2 * e]))
+        sums.setflags(write=False)
+        return sums
+
+    @cached_property
+    def _scaled_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`moments` of the paths scaled by ``2**-shift`` (``shift`` of :attr:`_factors`), and ``shift``.
+
+        The scale folds into the amplitudes, so the paths are about 1 at every
+        grid point and their fourth moments stay in range wherever the
+        covariances do; a power of two scales every sum exactly.  One pass on
+        first access; :func:`empirical_cov` reads it, so repeated estimates do
+        not regenerate the paths.  This thread and up to ``_FILL_THREADS - 1``
+        helpers each fill the next block and reduce it to its two ``K x K``
+        products, which are added into the sums in block order, so no bit
+        depends on the thread count; from ``K = 128`` this thread works alone
+        (see the module docstring).  Each thread holds two block buffers: the
+        rows-last block ``x`` and the normals it was drawn from, which then
+        take ``sq = x * x``; the products are the symmetric ``x @ x.T`` and
+        ``sq @ sq.T`` (see the module docstring).  At most two blocks per
+        thread are taken and not yet added, so the pass holds a few products
+        besides, whatever ``n_paths`` is.  An error in any thread stops the
+        pass and is raised here once the helpers are joined.
+        """
+        _, amp, shift = self._factors
+        amp = np.ldexp(amp, -shift)
         K = self.k_max + 1
-        children = self._children()
+        children = self._children()  # made on this thread, as the buffers below are
         n_workers = max(min(_FILL_THREADS if K < _BLAS_THREADS_K else 0, len(children)), 1)
         window = 2 * n_workers
         # allocated on this thread: buffers allocated on a helper would come
@@ -195,7 +223,7 @@ class Ensemble:
                             return
                         i, taken = taken, taken + 1
                     product = products[i % window]  # free: block i - window is added
-                    x = self._fill(i, children[i], normals, block_buffer)
+                    x = self._fill(i, children[i], normals, block_buffer, amp)
                     np.matmul(x, x.T, out=product[0])
                     sq = np.multiply(x, x, out=normals[: x.size].reshape(x.shape))
                     np.matmul(sq, sq.T, out=product[1])
@@ -223,15 +251,23 @@ class Ensemble:
         if errors:
             raise errors[0]
         sums.setflags(write=False)
-        return sums
+        return sums, shift
 
-    def columns(self) -> Iterator[dict[str, np.ndarray]]:
-        """Table parts ``path, k, t, value``, one per block, as ``table.write_table`` takes them."""
-        ks, times = np.arange(self.k_max + 1), self.times
-        lo = 0
-        for block in self.blocks():
-            yield {"path": np.arange(lo, lo + len(block))[:, np.newaxis], "k": ks, "t": times, "value": block}
-            lo += len(block)
+    def columns(self) -> Sequence[dict[str, np.ndarray]]:
+        """Table parts ``path, k, t, value`` for ``table.write_table``: part ``i`` is block ``i``, built when read.
+
+        The children are made here, so ``numpy.random`` is loaded before the
+        table writer forks its workers, not once in each (where loading it
+        paged in about 8 MB of code).
+        """
+        ks = np.arange(self.k_max + 1)
+        children = self._children()
+
+        def part(i: int) -> tuple[np.ndarray, ...]:
+            block = self._batch(i, children[i])
+            return np.arange(i * BATCH_SIZE, i * BATCH_SIZE + len(block))[:, np.newaxis], ks, self.times, block
+
+        return _Parts(["path", "k", "t", "value"], len(children), part, self.n_paths * len(ks))
 
     def to_csv(self, path) -> None:
         """Write rows ``path,k,t,value`` with 17-significant-digit floats, as ``dtsim simulate`` does."""
@@ -279,9 +315,11 @@ def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:
     if np.any(bad):
         a, b = (int(x[bad].flat[0]) for x in np.broadcast_arrays(n, m))
         raise IndexError(f"(n, n + tau) = ({a}, {b}) outside grid indices 0..{ensemble.k_max}")
-    sums = ensemble.moments
+    sums, shift = ensemble._scaled_moments
     count = ensemble.n_paths
     value = sums[0, m, n] / count
     var = np.maximum(sums[1, m, n] - count * value * value, 0.0) / max(count - 1, 1)
     se = np.sqrt(var / count) * (count > 1)  # 0 for a single path
-    return CovEstimate(value=value, std_error=se, n_paths=count)
+    e = shift[m] + shift[n]  # undoes the scaling exactly: both estimates scale as the sums of X_a X_b
+    with np.errstate(over="ignore"):
+        return CovEstimate(value=np.ldexp(value, e), std_error=np.ldexp(se, e), n_paths=count)

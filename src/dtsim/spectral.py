@@ -308,6 +308,15 @@ def _closed_ratio(chain: HChain, omegas) -> tuple[np.ndarray, np.ndarray]:
     return zr, denom
 
 
+def _sum_truncation(chain: HChain, s_trunc: int | None) -> tuple[float, int]:
+    """``rho`` and the truncation ``S`` of :func:`spectral_sum_grid`, which raise as it states."""
+    rho = _convergent_ratio(chain)
+    S = auto_truncation(rho) if s_trunc is None else s_trunc
+    if S < 0:
+        raise DomainError(f"truncation must be >= 0, got {S}")
+    return rho, S
+
+
 def spectral_sum_grid(
     chain: HChain, omegas: np.ndarray, s_trunc: int | None = None
 ) -> np.ndarray:
@@ -323,10 +332,7 @@ def spectral_sum_grid(
     ConvergenceError
         If ``|rho| >= 1``.
     """
-    rho = _convergent_ratio(chain)
-    S = auto_truncation(rho) if s_trunc is None else s_trunc
-    if S < 0:
-        raise DomainError(f"truncation must be >= 0, got {S}")
+    rho, S = _sum_truncation(chain, s_trunc)
     zr = rho * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
     powers = np.zeros_like(zr)  # sum_{s=1..S} zr**s
     for _ in range(S):
@@ -344,8 +350,8 @@ def spectral_sum(
 ) -> SeriesValue:
     """Entry (j, r) of :func:`spectral_sum_grid` at ``omega``, with its geometric tail bound."""
     value = spectral_sum_grid(chain, [omega], s_trunc)[0, j, r]
-    rho = abs(convergence_ratio(chain))
-    S = auto_truncation(rho) if s_trunc is None else s_trunc
+    rho, S = _sum_truncation(chain, s_trunc)
+    rho = abs(rho)
     A = q_cov(chain, 0, 0)
     tail = rho ** (S + 1) * (abs(A[j, r]) + abs(A[r, j])) / ((1 - rho) * 2 * math.pi)
     return SeriesValue(value=complex(value), tail_bound=float(tail))
@@ -369,9 +375,17 @@ def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
     zr, denom = _closed_ratio(chain, omegas)
     A = q_cov(chain, 0, 0)
     out = A / denom[:, np.newaxis, np.newaxis]
-    out += A.T * (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
+    w = (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
+    for lo, chunk in _chunks(out):  # no second grid-sized temporary
+        chunk += A.T * w[lo : lo + len(chunk)]
     out /= 2 * math.pi
     return out
+
+
+def _chunks(out: np.ndarray):
+    """``(start, view)`` of consecutive runs of frequencies of ``out`` (n, T, T), about 2**16 entries each."""
+    step = max(1, (1 << 16) // out[0].size) if len(out) else 1
+    return ((lo, out[lo : lo + step]) for lo in range(0, len(out), step))
 
 
 def spectral_diag(chain: HChain, k, omega):
@@ -437,7 +451,8 @@ def _density_entries(chain: HChain, omegas) -> np.ndarray:
     zr, denom = _closed_ratio(chain, omegas)
     A = q_cov(chain, 0, 0)
     out = (zr / denom)[:, np.newaxis, np.newaxis] * A  # M: the lags s >= 1
-    out += np.conj(np.swapaxes(out, 1, 2))  # before G0, so out[j, r] == conj(out[r, j])
+    for _, chunk in _chunks(out):  # before G0, so out[j, r] == conj(out[r, j])
+        chunk += np.conj(np.swapaxes(chunk, 1, 2))
     out += np.tril(A) + np.tril(A, -1).T
     out /= 2 * math.pi
     return out

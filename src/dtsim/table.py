@@ -1,35 +1,33 @@
 """Column-wise CSV and JSON table writer behind every ``dtsim`` table.
 
-A table is an iterable of parts written one after another under one header.
-Parts may be generated while the table is written (``Ensemble.columns``
-yields one per block of paths).  A part maps each column name, in header
-order, to a numpy array (int, float or str) or to ``None`` for a column
-that is absent there.  A part's arrays broadcast against each other and its
-rows are the entries of the broadcast shape in C order, so a label that
-repeats along an axis is passed once at its own shape.
+A table is a sequence of parts written one after another under one header.
+A part maps each column name, in header order, to a numpy array (int, float
+or str) or to ``None`` for a column that is absent there.  A part's arrays
+broadcast against each other and its rows are the entries of the broadcast
+shape in C order, so a label that repeats along an axis is passed once at
+its own shape.  Parts given built, in a list, are cut by index into parts
+of one block each.  A :class:`_Parts` builds part ``i`` only when it is read
+(``Ensemble.columns`` one batch of paths, ``dtsim spectra`` one chunk of
+frequencies), and names its columns and rows, so the writer builds none.
 
 Text is formatted and written in blocks of about :data:`BLOCK_ROWS` rows
 along the leading axis, so memory does not grow with the row count.  A
-column that is broadcast along an axis of the block is formatted once per
-distinct value and then repeated; a column broadcast along the leading axis
-is formatted once for the whole part.  Full-size columns are formatted once
-per block.  A table of two or more blocks written to a stream with a file
-descriptor is formatted on :data:`_FORMAT_WORKERS` forked worker processes
-(two where two or more cores are usable, none on one core or where
-``fork`` is missing).  The writer reads the table up to its second block
-and forks the workers; each then reads the rest itself, formats the blocks
-whose index is its own modulo the worker count and writes their bytes
-straight to the descriptor, so nothing is sent to a worker and no text
-comes back.  Parts past the second block are therefore read once in each
-worker, and a part generator must not depend on state outside its process
-(a thread it started, say).  Blocks are written in order because the write
-turn goes round a ring of pipes, one byte handed from each worker to the
-next once its block is written.  When a part raises or a block fails to
-format or write, the output holds exactly the blocks before it, at any
-worker count, and the error is raised in the writer.  A one-block table,
-every table on one core, and a stream without a descriptor (``StringIO``)
-are formatted and written by the writer.  No byte of the output depends on
-the number of workers.
+column broadcast along an axis of the block is formatted once per distinct
+value and then repeated; one broadcast along the leading axis is formatted
+once for a run of parts that hold the same bytes there.  A table of more
+than one block written to a stream with a file descriptor is written by up
+to :data:`_FORMAT_WORKERS` forked worker processes (two where two or more
+cores are usable, none on one core or without ``fork``): worker ``w`` of
+``n`` builds each part ``i`` with ``i % n == w``, formats it and writes it
+straight to the descriptor, so each part is built once, nothing is sent to
+a worker and no text comes back.  Parts are written in order because the
+write turn goes round a ring of pipes, one byte handed from each worker to
+the next once its part is written; a worker formats up to 1 MiB of its part
+while it waits.  When a part raises or a block fails to format or write,
+the output holds exactly the blocks before it, at any worker count, and the
+error is raised in the writer.  A one-block table, every table on one core,
+and a stream without a descriptor (``StringIO``) are formatted and written
+by the writer.  No byte of the output depends on the number of workers.
 
 CSV is a header line, then one line per row: floats as ``%.17g`` (which
 round-trips), integers, strings and other objects as ``str``, absent cells
@@ -73,7 +71,7 @@ import math
 import os
 import pickle
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -379,30 +377,52 @@ def _text(a: np.ndarray | None, fmt: str) -> np.ndarray:
     return np.frombuffer(text, f"S{width}").reshape(() if a is None else a.shape)
 
 
-def _jobs(parts: Iterable[Mapping], names: list[str], fmt: str, literals: list[str]):
-    """One ``(fmt, literals, block shape, columns)`` job per block of rows, for :func:`_format`.
+def _columns(part: Mapping, names: list[str], fmt: str) -> tuple[list[np.ndarray], tuple[int, ...], range]:
+    """``part``'s columns at the rank of their broadcast shape (an absent one as text), that shape, and the
+    first leading-axis entry of each of its blocks."""
+    if list(part) != names:
+        raise ValueError(f"table part has columns {list(part)}, expected {names}")
+    cols = [None if v is None else np.asarray(v) for v in part.values()]
+    for c in cols:
+        if c is not None and c.dtype.kind not in "fiuUO":  # an S array is text already
+            raise TypeError(f"cannot write a column of dtype {c.dtype}")
+    cols = [_text(None, fmt) if c is None else c for c in cols]
+    shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
+    inner = math.prod(shape[1:])
+    rows = range(0, shape[0] if inner else 0, max(1, BLOCK_ROWS // max(inner, 1)))
+    return [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols], shape, rows
 
-    A column repeated in every block of its part, or absent, is text already,
-    formatted once per part by :func:`_text`; the others are the block's
-    slices of the part's arrays.  Each format worker runs its own copy of
-    the generator from the fork on (see :func:`_work`).
-    """
+
+def _cut(parts: list[Mapping], names: list[str], fmt: str) -> list[dict]:
+    """``parts`` cut by index into parts of one block each; a column repeated along the leading axis stays whole."""
+    pieces = []
     for part in parts:
-        if list(part) != names:
-            raise ValueError(f"table part has columns {list(part)}, expected {names}")
-        cols = [None if v is None else np.asarray(v) for v in part.values()]
-        for c in cols:
-            if c is not None and c.dtype.kind not in "fiuUO":  # an S array is text already
-                raise TypeError(f"cannot write a column of dtype {c.dtype}")
-        cols = [_text(None, fmt) if c is None else c for c in cols]
-        shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
-        cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
-        cols = [c if c.shape[0] > 1 or c.dtype.kind == "S" else _text(c, fmt) for c in cols]
-        inner = math.prod(shape[1:])
-        step = max(1, BLOCK_ROWS // max(inner, 1))
-        for lo in range(0, shape[0] if inner else 0, step):
-            block = (min(step, shape[0] - lo),) + shape[1:]
-            yield fmt, literals, block, [c if c.shape[0] == 1 else c[lo : lo + block[0]] for c in cols]
+        cols, _, rows = _columns(part, names, fmt)
+        for lo in rows:
+            pieces.append({name: v if c.shape[0] == 1 else c[lo : lo + rows.step]
+                           for name, v, c in zip(names, part.values(), cols)})
+    return pieces
+
+
+def _jobs(part: Mapping, names: list[str], fmt: str, literals: list[str], labels: dict):
+    """One ``(fmt, literals, block shape, columns)`` job per block of rows of ``part``, for :func:`_format`.
+
+    A column repeated in every block of the part, or absent, is text already:
+    formatted once by :func:`_text`, or taken from ``labels`` when the part
+    before it in this process held the same bytes there, as a label broadcast
+    along the rows of every part does.  The other columns are the block's
+    slices of the part's arrays.
+    """
+    cols, shape, rows = _columns(part, names, fmt)
+    for k, c in enumerate(cols):
+        if c.shape[0] == 1 and c.dtype.kind != "S":
+            key = None if c.dtype.kind == "O" else (c.dtype.str, c.shape, c.tobytes())
+            if key is None or labels.get(k, (None,))[0] != key:
+                labels[k] = (key, _text(c, fmt))
+            cols[k] = labels[k][1]
+    for lo in rows:
+        block = (min(rows.step, shape[0] - lo),) + shape[1:]
+        yield fmt, literals, block, [c if c.shape[0] == 1 else c[lo : lo + block[0]] for c in cols]
 
 
 def _format(job) -> bytes:
@@ -438,20 +458,19 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _work(out: int, jobs: Iterable, w: int, n: int, status: int, turn: int, next_turn: int, skip: int):
-    """Worker ``w`` of ``n``: format block ``i`` of ``jobs`` when ``i % n == w`` and write it to ``out`` on its turn.
+def _work(out: int, parts: Sequence[Mapping], names: list[str], fmt: str, literals: list[str], w: int, n: int,
+          status: int, turn: int, next_turn: int) -> None:
+    """Worker ``w`` of ``n``: build, format and write each part ``i`` of ``parts`` with ``i % n == w`` on its turn.
 
-    The worker reads ``jobs`` itself, from where the fork left it.  The turn
-    is a byte read from ``turn`` and passed on to ``next_turn`` once the
-    block is written.  The first error, from ``jobs`` or from the worker's
-    own block, is pickled to ``status`` with that block's index once both
-    ring ends are closed: the workers after it then read EOF for a turn and
-    stop, and none is left waiting to report.  Block 0 loses its first
-    ``skip`` bytes.  The worker closes every other descriptor it inherits
-    but the standard streams: a pipe end held here, even a read end of
-    ``out``, would keep EOF or a broken pipe from showing.  It leaves only
-    through ``os._exit``: it flushes none of the writer's buffers and never
-    returns into the writer's stack.
+    The turn is a byte from ``turn``, ``1`` once a row is written (the first
+    JSON row has no ``,``), passed to ``next_turn`` once the part is written.
+    The first error, from ``parts`` or from the worker's own blocks, is
+    pickled to ``status`` with its part's index once the blocks before it are
+    written and both ring ends are closed: the workers after it then read
+    EOF for a turn and stop.  The worker closes every other descriptor it
+    inherits but the standard streams (a pipe end held here, even a read end
+    of ``out``, would keep EOF or a broken pipe from showing), and leaves
+    only through ``os._exit``, never into the writer's stack.
     """
     code = 1
     try:
@@ -462,17 +481,42 @@ def _work(out: int, jobs: Iterable, w: int, n: int, status: int, turn: int, next
         for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
             if lo + 1 < hi:  # an empty range would close every descriptor on some Pythons
                 os.closerange(lo + 1, hi)
-        i = 0  # counted by hand, not by enumerate: an error from jobs carries the index of the block it stops
+        os.set_blocking(turn, False)
+        labels: dict = {}
+        i = w
+
+        def texts(i: int) -> Iterator[bytes]:  # part i, built and formatted as they are read
+            for job in _jobs(parts[i], names, fmt, literals, labels):
+                yield _format(job)
+
         try:
-            for job in jobs:
-                if i % n == w:
-                    data = memoryview(_format(job))[skip if i == 0 else 0 :]
-                    if not os.read(turn, 1):  # a worker before this one has stopped: its report or exit says why
-                        break
-                    _write_all(out, data)
-                    with contextlib.suppress(BrokenPipeError):  # the next worker has stopped and takes no more turns
-                        os.write(next_turn, b"\0")
-                i += 1
+            for i in range(w, len(parts), n):
+                blocks, ahead, error, token = texts(i), [], None, None
+                try:  # formatted ahead while the turn has not come
+                    for text in blocks:
+                        ahead.append(text)
+                        with contextlib.suppress(BlockingIOError):
+                            token = os.read(turn, 1)
+                        if token is not None or sum(map(len, ahead)) >= 1 << 20:
+                            break
+                except BaseException as raised:  # the blocks before it are written first
+                    error = raised
+                if token is None:
+                    os.set_blocking(turn, True)
+                    token = os.read(turn, 1)
+                    os.set_blocking(turn, False)
+                if not token:  # a worker before this one has stopped: its report or exit says why
+                    break
+                wrote = token == b"\1"
+                for text in itertools.chain(ahead, () if error else blocks):
+                    _write_all(out, memoryview(text)[fmt == "json" and not wrote :])
+                    wrote = True
+                if error:
+                    raise error
+                if fmt == "json" and i == len(parts) - 1:
+                    _write_all(out, b"\n]\n" if wrote else b"]\n")
+                with contextlib.suppress(BrokenPipeError):  # the next worker has stopped and takes no more turns
+                    os.write(next_turn, b"\1" if wrote else b"\0")
         except BaseException as error:  # raised again in the writer, a part's KeyboardInterrupt too
             os.close(turn)
             os.close(next_turn)
@@ -482,20 +526,20 @@ def _work(out: int, jobs: Iterable, w: int, n: int, status: int, turn: int, next
         os._exit(code)
 
 
-def _write_on_workers(out: int, jobs: Iterable, skip: int) -> None:
-    """Format ``jobs`` on :data:`_FORMAT_WORKERS` forked workers that each read them and write their blocks to ``out``.
+def _write_on_workers(out: int, parts: Sequence[Mapping], names: list[str], fmt: str, literals: list[str]) -> None:
+    """Write ``parts`` on up to :data:`_FORMAT_WORKERS` forked workers that each build and write their own.
 
     The write turn goes round a ring of pipes, one byte passed from each
-    worker to the next, so the blocks are written in order.  Once every
+    worker to the next, so the parts are written in order.  Once every
     worker's status pipe is at EOF and every worker is reaped, the reported
-    error of the lowest block, a write error included, is raised here: every
+    error of the lowest part, a write error included, is raised here: every
     block before it is written, and no block after it is.  When this raises
     on its own account, such as on an interrupt, each worker is killed first.
     """
-    n = _FORMAT_WORKERS
+    n = min(_FORMAT_WORKERS, len(parts))
     held: set[int] = set()  # pipe ends open here
     pids: list[int] = []
-    errors = {}  # each reported error, by the index of the block it stops
+    errors = {}  # each reported error, by the index of the part it stops
 
     def pipe() -> tuple[int, int]:
         ends = os.pipe()
@@ -509,13 +553,13 @@ def _write_on_workers(out: int, jobs: Iterable, skip: int) -> None:
 
     try:
         turns = [pipe() for _ in range(n)]
-        os.write(turns[0][1], b"\0")  # block 0's turn
+        os.write(turns[0][1], b"\0")  # part 0's turn: no row written yet
         statuses = []  # each worker's status, read here
         for w in range(n):
             r, s = pipe()
             pid = os.fork()
             if pid == 0:
-                _work(out, jobs, w, n, s, turns[w][0], turns[(w + 1) % n][1], skip)
+                _work(out, parts, names, fmt, literals, w, n, s, turns[w][0], turns[(w + 1) % n][1])
             pids.append(pid)
             close(s)
             statuses.append(r)
@@ -538,53 +582,65 @@ def _write_on_workers(out: int, jobs: Iterable, skip: int) -> None:
         raise errors[min(errors)]
     for pid, status in zip(pids, exits):
         if status:
-            raise RuntimeError(f"table format worker {pid} exited without writing its block")
+            raise RuntimeError(f"table format worker {pid} exited without writing its blocks")
 
 
-def _write(fh, parts: Iterable[Mapping], fmt: str) -> None:
-    parts = iter(parts)
-    first = next(parts, None)
-    if first is None:
-        raise ValueError("a table needs at least one part")
-    names = list(first)
-    parts = itertools.chain([first], parts)
+class _Parts(Sequence):
+    """``count`` table parts with the columns ``names`` and ``rows`` rows in all; part ``i`` holds ``build(i)``."""
+
+    def __init__(self, names: list[str], count: int, build, rows: int) -> None:
+        self.names, self.rows, self._count, self._build = names, rows, count, build
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> dict:
+        if not 0 <= i < self._count:
+            raise IndexError(f"table part {i} of {self._count}")
+        return dict(zip(self.names, self._build(i)))
+
+
+def _write(fh, parts: Sequence[Mapping], fmt: str) -> None:
+    if isinstance(parts, _Parts):
+        names, one_block = parts.names, parts.rows <= BLOCK_ROWS
+    else:
+        parts = list(parts)
+        if not parts:
+            raise ValueError("a table needs at least one part")
+        names = list(parts[0])
+        parts = _cut(parts, names, fmt)
+        one_block = len(parts) < 2
     if fmt == "csv":
         fh.write(",".join(names) + "\n")
         literals = ["", *[","] * (len(names) - 1), "\n"]
     else:
+        fh.write("[")
         # each JSON row opens with the ",\n" that separates it from the previous one
         keys = [f"{json.dumps(name)}: " for name in names]
         literals = [",\n  {\n    " + keys[0], *[",\n    " + k for k in keys[1:]], "\n  }"]
-    jobs = _jobs(parts, names, fmt, literals)
     try:
-        out = fh.fileno() if _FORMAT_WORKERS else None
+        out = None if one_block or not _FORMAT_WORKERS else fh.fileno()
     except (AttributeError, OSError, ValueError):  # a stream without one, such as StringIO
         out = None
-    head = list(itertools.islice(jobs, 1 if out is None else 2))
-    skip = 0
-    if fmt == "json":
-        fh.write("[\n" if head else "[]\n")
-        skip = 2  # the first row has no row before it
-    jobs = itertools.chain(head, jobs)
-    if len(head) == 2:
-        if any(c.dtype.kind in "fiu" for job in head for c in job[3]):
-            _kernel_tables()  # built once here, and shared by the forked workers
+    if out is not None:
+        _kernel_tables()  # built once here, and shared by the forked workers
         fh.flush()
-        _write_on_workers(out, jobs, skip)
-    else:
-        for job in jobs:
-            fh.write(_format(job)[skip:].decode())
-            skip = 0
-    if fmt == "json" and head:
-        fh.write("\n]\n")
+        _write_on_workers(out, parts, names, fmt, literals)
+        return
+    wrote, labels = False, {}
+    for part in parts:
+        for job in _jobs(part, names, fmt, literals, labels):
+            fh.write(_format(job)[fmt == "json" and not wrote :].decode())
+            wrote = True
+    if fmt == "json":
+        fh.write("\n]\n" if wrote else "]\n")
 
 
-def write_table(parts: Iterable[Mapping], fmt: str, out: str | None) -> None:
+def write_table(parts: Sequence[Mapping], fmt: str, out: str | None) -> None:
     """Write ``parts`` as one ``fmt`` (``"csv"`` or ``"json"``) table to the file ``out``, or stdout.
 
-    Past its second block, a table written by format workers is read once in
-    each worker process (see the module docstring).  When a part raises or a
-    block fails, the output holds exactly the blocks before it.
+    When a part raises or a block fails, the output holds exactly the blocks
+    before it (see the module docstring).
     """
     if fmt not in _ABSENT:
         raise ValueError(f"table format must be csv or json, got {fmt!r}")

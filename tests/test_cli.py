@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,22 @@ def test_embed_far_positive_lag_has_no_inf(capsys, tmp_path):
     assert len(values) == 32 * 32 and all(math.isfinite(v) for v in values)
 
 
+def test_cov_monte_carlo_past_1e154_is_finite(capsys):
+    """Covariances of about 1.3e154 have fourth moments out of float range: the moments pass scales each
+    grid point's paths by a power of two, so ``mc_estimate`` and ``mc_stderr`` stay finite, with no numpy
+    warning, and the estimates lie within 5 standard errors of the closed form."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "cov", "--T", "4", "--mc-paths", "3000", "--n-min", "340", "--n-max", "340",
+                            "--tau-max", "2")
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 7 and max(float(row["closed_form"]) for row in rows) > 1e154
+    for row in rows:
+        closed, est, se = (float(row[c]) for c in ("closed_form", "mc_estimate", "mc_stderr"))
+        assert math.isfinite(est) and 0 < se < math.inf and abs(est - closed) < 5 * se
+
+
 def test_cov_overflow_gives_inf_cells(capsys):
     """Covariances beyond float range are inf in the closed form and the oracle alike, exit 0."""
     with pytest.warns(RuntimeWarning, match="overflow"):
@@ -400,6 +417,18 @@ def test_verify_seed_file_passes_valid_seeds(capsys, tmp_path, name):
     assert "seed_reproduction" in names and "oracle_equivalence" not in names
     code, out = run_cli(capsys, *argv, "--perturb", "1e-3")
     assert (code, _failing_checks(out)) == (1, ["seed_reproduction"])
+
+
+def test_verify_loads_no_numpy_random():
+    """``verify`` takes fixed test values and draws its fault from ``random``: with and without ``--perturb``,
+    a fresh interpreter running it never loads ``numpy.random``."""
+    code = ("import os, sys, dtsim.cli; "
+            "codes = [dtsim.cli.main(['verify', *argv, '--out', os.devnull]) for argv in ([], ['--perturb', '1e-3'])]; "
+            "print(codes, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 1] False"
 
 
 def test_verify_builtin_and_run_checks_keep_the_oracle(capsys):
@@ -529,6 +558,40 @@ def test_exit_code_convergence(capsys, tmp_path):
     code, _ = run_cli(capsys, "cov", "--H", "0.5", "--alpha", "2", "--T", "1",
                       "--seed-file", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("case", ["convergence", "pole", "truncation"])
+def test_failing_spectra_leaves_no_file(capsys, tmp_path, case):
+    """``spectra`` checks every method's inputs before it opens its output: ``|rho| = 1`` (the seed of
+    ``test_exit_code_convergence``) and a pole on the grid exit 4, a negative truncation exits 2, and no
+    file is left."""
+    if case == "truncation":
+        argv, want = ["--truncation", "-1"], 2
+    else:  # |rho| = 1, or |rho| = 1 - 3.8e-15, a pole at omega = 0
+        r1 = math.sqrt(2.0) * (1.0 if case == "convergence" else 1 - 4e-15)
+        CovarianceSeed(r0=np.array([1.0]), r1=np.array([r1])).to_csv(tmp_path / "seed.csv")
+        argv, want = ["--H", "0.5", "--alpha", "2", "--T", "1", "--seed-file", str(tmp_path / "seed.csv")], 4
+    out = tmp_path / "spectra.csv"
+    assert main(["spectra", *argv, "--out", str(out)]) == want and not out.exists()
+    assert ("pole" in capsys.readouterr().err) == (case == "pole")
+
+
+def test_spectra_holds_a_few_blocks(monkeypatch):
+    """``spectra --T 64 --n-omega 1024`` on no format worker builds each method's grid, 67 MB, one chunk of
+    two frequencies at a time: the peak stays below 2 MB, 16 blocks of complex entries.  The text of
+    each block is left out, as formatting 4.2e6 rows a method under ``tracemalloc`` takes seconds; a
+    block's text is bounded by ``test_format_compacts_a_large_block_in_chunks``."""
+    monkeypatch.setattr(table, "_FORMAT_WORKERS", 0)
+    monkeypatch.setattr(table, "_format", lambda job: b"")
+    tracemalloc.start()
+    try:
+        code = main(["spectra", "--T", "64", "--n-omega", "1024", "--methods", "closed,sum,example,diag",
+                     "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * table.BLOCK_ROWS * 16
 
 
 def test_argparse_errors_map_to_config_exit(capsys):

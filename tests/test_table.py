@@ -30,12 +30,16 @@ _COMMANDS = {
 }
 
 
-def _parts(n_parts: int = 2):
-    """``n_parts`` parts of three blocks each: row number and two floats, about 380 kB of text a block."""
-    rng = np.random.default_rng(1)
-    for p in range(n_parts):
-        rows = np.arange(p * 3 * BLOCK_ROWS, (p + 1) * 3 * BLOCK_ROWS)
-        yield {"i": rows, "x": rng.standard_normal(len(rows)), "y": rng.standard_normal(len(rows))}
+def _part(p: int) -> tuple[np.ndarray, ...]:
+    """Part ``p`` of :func:`_parts`: row numbers and two floats over three blocks, about 380 kB of text a block."""
+    rows = np.arange(p * 3 * BLOCK_ROWS, (p + 1) * 3 * BLOCK_ROWS)
+    rng = np.random.default_rng([1, p])
+    return rows, rng.standard_normal(len(rows)), rng.standard_normal(len(rows))
+
+
+def _parts(n_parts: int = 2, build=_part) -> table._Parts:
+    """``n_parts`` parts ``i, x, y`` of three blocks each, part ``p`` built by ``build(p)`` when it is read."""
+    return table._Parts(["i", "x", "y"], n_parts, build, n_parts * 3 * BLOCK_ROWS)
 
 
 def _no_child_left() -> bool:
@@ -81,72 +85,75 @@ def test_outputs_do_not_depend_on_the_format_workers(monkeypatch, tmp_path, caps
     *(pytest.param("format", w, id=str(w)) for w in range(4)),
     *(pytest.param("parts", w, id=f"parts-{w}") for w in range(4)),
     *(pytest.param("exit", w, id=f"exit-{w}") for w in range(1, 4)),
+    *(pytest.param("midpart", w, id=f"midpart-{w}") for w in range(4)),
 ])
 def test_format_error_reaches_the_writer(monkeypatch, tmp_path, site, workers):
-    """The fourth block fails to format (and the part after it raises), the second part raises before
-    it, or the fourth block's worker exits without a report: the file holds exactly the three blocks
-    before it, the fourth block's error is raised in the writer (from a worker process when there are
-    workers), and nothing is left behind."""
+    """The fourth block fails to format (and the part after it raises), the second part raises when it
+    is built, or the fourth block's worker exits without a report: the file holds exactly the three
+    blocks before it, the fourth block's error is raised in the writer (from a worker process when
+    there are workers), and nothing is left behind.  When the fifth block, the second of its part,
+    fails, the file holds the four blocks before it: the one its worker formatted ahead is written."""
     monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
     format_block = table._format
+    failed = 4 if site == "midpart" else 3  # the blocks before the failing one
 
     def failing(job):
-        if job[3][0][0] == 3 * BLOCK_ROWS:
+        if job[3][0][0] == failed * BLOCK_ROWS:
             if site == "exit":
                 os._exit(7)
             raise RuntimeError(f"cannot format in process {os.getpid()}")
         return format_block(job)
 
-    def parts():
-        yield from _parts(1)
-        if site == "format":  # the fourth block alone, so that another worker reads the next part's error
+    def build(p):
+        if p == 1 and site == "format":  # the fourth block alone, so that another worker builds the next part
             rows = np.arange(3 * BLOCK_ROWS, 4 * BLOCK_ROWS)
-            yield {"i": rows, "x": rows / 7, "y": rows / 9}
+            return rows, rows / 7, rows / 9
+        if p == 0 or site in ("exit", "midpart"):
+            return _part(p)
         raise ValueError(f"no further part in process {os.getpid()}")
 
     monkeypatch.setattr(table, "_format", failing)
     match = "exited without writing its block" if site == "exit" else " in process "
     fds = _open_fds()
     with pytest.raises(ValueError if site == "parts" else RuntimeError, match=match) as raised:
-        write_table(_parts() if site == "exit" else parts(), "csv", str(tmp_path / "t.csv"))
+        write_table(_parts(3 if site == "format" else 2, build), "csv", str(tmp_path / "t.csv"))
     if site != "exit":
         assert str(raised.value).endswith(f" {os.getpid()}") == (workers == 0)
     text = (tmp_path / "t.csv").read_bytes()
-    assert text.count(b"\n") == 1 + 3 * BLOCK_ROWS and text.endswith(b"\n")
+    assert text.count(b"\n") == 1 + failed * BLOCK_ROWS and text.endswith(b"\n")
     assert _no_child_left() and _open_fds() == fds
 
 
 @pytest.mark.parametrize("end", ["exhausted", "interrupted", "parts_error", "write_error", "writer_interrupted"])
 def test_format_workers_end_with_the_table(monkeypatch, tmp_path, end):
-    """Two workers read the second part themselves; none, and no pipe, is left when the table ends, when
-    a part raises ``KeyboardInterrupt`` or another error, when a worker's write fails, or when the
-    writer is interrupted while the workers run."""
+    """Two workers build every part themselves, the writer none; no worker, and no pipe, is left when the
+    table ends, when a part raises ``KeyboardInterrupt`` or another error, when a worker's write fails,
+    or when the writer is interrupted while the workers run."""
     monkeypatch.setattr(table, "_FORMAT_WORKERS", 2)
     fds = _open_fds()
     writer = os.getpid()
     asleep = tmp_path / "asleep"
 
-    def parts():
-        yield from _parts(1)
-        assert os.getppid() == writer  # read in a worker
-        if end == "interrupted":
+    def build(p):
+        assert os.getppid() == writer  # built in a worker
+        if p == 1 and end == "interrupted":
             raise KeyboardInterrupt
-        if end == "parts_error":
+        if p == 1 and end == "parts_error":
             raise ValueError("no second part")
-        if end == "writer_interrupted":
+        if p == 1 and end == "writer_interrupted":
             asleep.touch()
             time.sleep(60)
-        yield from _parts(2)
+        return _part(p)
 
     if end == "exhausted":
-        write_table(parts(), "json", str(tmp_path / "t.json"))
+        write_table(_parts(3, build), "json", str(tmp_path / "t.json"))
         assert len(json.loads((tmp_path / "t.json").read_text())) == 9 * BLOCK_ROWS
     elif end == "interrupted":
         with pytest.raises(KeyboardInterrupt):
-            write_table(parts(), "csv", os.devnull)
+            write_table(_parts(3, build), "csv", os.devnull)
     elif end == "parts_error":
         with pytest.raises(ValueError, match="no second part"):
-            write_table(parts(), "json", os.devnull)
+            write_table(_parts(3, build), "json", os.devnull)
     elif end == "writer_interrupted":  # Ctrl-C once a worker waits in the second part
         def interrupt():
             deadline = time.monotonic() + 60
@@ -158,7 +165,7 @@ def test_format_workers_end_with_the_table(monkeypatch, tmp_path, end):
         interrupter.start()
         try:
             with pytest.raises(KeyboardInterrupt):
-                write_table(parts(), "csv", os.devnull)
+                write_table(_parts(3, build), "csv", os.devnull)
         finally:
             interrupter.join()
     else:  # a reader that leaves after the first block or so
@@ -174,7 +181,7 @@ def test_format_workers_end_with_the_table(monkeypatch, tmp_path, end):
         monkeypatch.setattr(sys, "stdout", stdout)
         try:
             with pytest.raises(BrokenPipeError):
-                write_table(parts(), "csv", None)
+                write_table(_parts(3, build), "csv", None)
         finally:
             with contextlib.suppress(BrokenPipeError):
                 stdout.close()
@@ -189,6 +196,42 @@ def test_full_device_exits_3(workers, monkeypatch, capsys):
     assert main(_COMMANDS["simulate.csv"] + ["--out", "/dev/full"]) == 3
     assert "No space" in capsys.readouterr().err
     assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])
+def test_each_batch_is_filled_once(monkeypatch, tmp_path, workers):
+    """``dtsim simulate`` and ``Ensemble.to_csv`` fill each batch of paths once across the writer and its
+    workers: the worker that writes a batch builds it, and no other process does."""
+    from dtsim.core import make_params
+    from dtsim.simulate import Ensemble, simulate_simple_bm
+
+    monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
+    log = tmp_path / "fills"
+    fill = Ensemble._fill
+
+    def counted(self, i, *args):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{i}\n".encode())
+        finally:
+            os.close(fd)
+        return fill(self, i, *args)
+
+    monkeypatch.setattr(Ensemble, "_fill", counted)
+    assert main(["simulate", "--paths", str(5 * BATCH_SIZE + 3), "--kmax", "3", "--out", str(tmp_path / "s.csv")]) == 0
+    assert sorted(map(int, log.read_text().split())) == list(range(6))
+    log.unlink()
+    simulate_simple_bm(make_params(0.75, 2.0, 2), 2 * BATCH_SIZE, 7, 1).to_csv(tmp_path / "lib.csv")
+    assert sorted(map(int, log.read_text().split())) == [0, 1]
+    assert _no_child_left()
+
+
+def test_labels_follow_their_part(tmp_path):
+    """A label repeated along a part's rows is formatted once for a run of parts with the same bytes there:
+    ``0.0`` and ``-0.0``, equal values with other bits, are not taken for each other."""
+    x = [0.0, -0.0, -0.0, 0.0]
+    write_table(table._Parts(["i", "x"], 4, lambda p: (np.arange(2), np.array(x[p])), 8), "csv", str(tmp_path / "t"))
+    assert (tmp_path / "t").read_text() == "i,x\n" + "".join(f"{i},{v:.17g}\n" for v in x for i in range(2))
 
 
 def test_one_block_table_starts_no_process(monkeypatch, tmp_path):
