@@ -25,13 +25,13 @@ from .simulate import Ensemble, empirical_cov, simulate_brownian, simulate_simpl
 from .spectral import (
     FrequencyGrid,
     _closed_ratio,
-    _sum_truncation,
+    _sum_density,
+    _sum_powers,
     simple_bm_spectral,
     spectral_closed_grid,
     spectral_diag,
-    spectral_sum_grid,
 )
-from .table import BLOCK_ROWS, _Parts, write_table
+from .table import _Parts, _spans, write_table
 from .verify import perturb_seed, run_checks
 
 _METHODS = ("closed", "sum", "example", "diag")
@@ -183,25 +183,28 @@ def cmd_spectra(args) -> int:
     n_omega = _opt(args.n_omega, cfg, ("spectra", "n_omega"), 256, int)
     trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None, int)
     omegas = FrequencyGrid(n_omega).omegas
-    for method in methods:  # each method's errors, before the output file opens: O(n_omega), not the grid
+    powers = None
+    for method in methods:  # each method's errors, in order, before the output file opens: O(n_omega)
         if method == "closed":
             _closed_ratio(chain, omegas)
-        elif method == "sum":
-            _sum_truncation(chain, trunc)
+        elif method == "sum":  # the power sums, for every part: each is pointwise in omega
+            powers = _sum_powers(chain, omegas, trunc)
         elif method == "diag":
             spectral_diag(chain, 0, omegas)
+        if method in ("closed", "sum"):
+            q_cov(chain, 0, 0)  # a vanishing h-chain
     T = params.T
     idx = np.arange(T)
     js, rs = np.divmod(np.arange(T**2), T)
-    step = max(1, BLOCK_ROWS // T**2)  # frequencies per part: a part is about one block of rows
-    chunks = -(-n_omega // step)
+    starts = _spans(n_omega, T**2)  # a part per method and run of frequencies of about one block
 
     def part(i: int) -> tuple[np.ndarray, ...]:
-        method, w = methods[i // chunks], omegas[i % chunks * step :][:step]
+        method, lo = methods[i // len(starts)], starts[i % len(starts)]
+        w = omegas[lo : lo + starts.step]
         if method == "closed":
             vals = spectral_closed_grid(chain, w)
         elif method == "sum":
-            vals = spectral_sum_grid(chain, w, trunc)
+            vals = _sum_density(chain, powers[lo : lo + starts.step])
         elif method == "example":
             vals = simple_bm_spectral(params, idx[:, np.newaxis], idx, w[:, np.newaxis, np.newaxis])
         else:  # diag: real values, one row per component
@@ -211,7 +214,7 @@ def cmd_spectra(args) -> int:
                 np.array(method))
 
     rows = n_omega * sum(T if method == "diag" else T**2 for method in methods)
-    write_table(_Parts(["omega", "j", "r", "re", "im", "method"], len(methods) * chunks, part, rows), fmt, out)
+    write_table(_Parts(["omega", "j", "r", "re", "im", "method"], len(methods) * len(starts), part, rows), fmt, out)
     return 0
 
 
@@ -225,16 +228,16 @@ def cmd_embed(args) -> int:
     T = params.T
     idx = np.arange(T)
     q_cov(chain, 0, 0)  # a chain it cannot serve fails here, before the output file opens
-    step = max(1, BLOCK_ROWS // T**2)  # (n, tau) pairs per part: a part is about one block of rows
     pairs = len(ns) * len(taus)
+    starts = _spans(pairs, T**2)  # a part per run of (n, tau) pairs of about one block
 
     def part(i: int) -> tuple[np.ndarray, ...]:
-        n, tau = np.divmod(np.arange(i * step, min((i + 1) * step, pairs)), len(taus))
+        n, tau = np.divmod(np.arange(starts[i], min(starts[i] + starts.step, pairs)), len(taus))
         n, tau = ns[n], taus[tau]
         value = q_cov(chain, n, tau)  # one T x T matrix per pair
         return n[:, np.newaxis, np.newaxis], tau[:, np.newaxis, np.newaxis], idx[:, np.newaxis], idx, value
 
-    write_table(_Parts(["n", "tau", "j", "k", "value"], -(-pairs // step), part, pairs * T**2), fmt, out)
+    write_table(_Parts(["n", "tau", "j", "k", "value"], len(starts), part, pairs * T**2), fmt, out)
     return 0
 
 

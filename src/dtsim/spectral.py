@@ -332,15 +332,29 @@ def spectral_sum_grid(
     ConvergenceError
         If ``|rho| >= 1``.
     """
+    return _sum_density(chain, _sum_powers(chain, omegas, s_trunc))
+
+
+def _sum_powers(chain: HChain, omegas, s_trunc: int | None) -> np.ndarray:
+    """``sum_{s=1..S} zr**s`` at each frequency by Horner's rule, raising as :func:`spectral_sum_grid` states.
+
+    Pointwise in omega, so the sums of a slice of ``omegas`` are that slice
+    of these, bit for bit.
+    """
     rho, S = _sum_truncation(chain, s_trunc)
     zr = rho * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
-    powers = np.zeros_like(zr)  # sum_{s=1..S} zr**s
+    powers = np.zeros_like(zr)
     for _ in range(S):
         powers = (powers + 1) * zr
+    return powers
+
+
+def _sum_density(chain: HChain, powers: np.ndarray) -> np.ndarray:
+    """:func:`spectral_sum_grid` from the power sums :func:`_sum_powers` gives, shape (len(powers), T, T)."""
     A = q_cov(chain, 0, 0)
     # (1 + powers) A + conj(powers) A^T as one product: no second grid-sized temporary
     coef = np.stack([1 + powers, np.conj(powers)], axis=-1)
-    out = (coef @ np.stack([A, A.T]).reshape(2, -1)).reshape(len(zr), chain.T, chain.T)
+    out = (coef @ np.stack([A, A.T]).reshape(2, -1)).reshape(len(powers), chain.T, chain.T)
     out /= 2 * math.pi
     return out
 

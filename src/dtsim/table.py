@@ -5,10 +5,12 @@ A part maps each column name, in header order, to a numpy array (int, float
 or str) or to ``None`` for a column that is absent there.  A part's arrays
 broadcast against each other and its rows are the entries of the broadcast
 shape in C order, so a label that repeats along an axis is passed once at
-its own shape.  Parts given built, in a list, are cut by index into parts
-of one block each.  A :class:`_Parts` builds part ``i`` only when it is read
+its own shape.  A :class:`_Parts` builds part ``i`` only when it is read
 (``Ensemble.columns`` one batch of paths, ``dtsim spectra`` one chunk of
-frequencies), and names its columns and rows, so the writer builds none.
+frequencies) and names its columns and rows.  Parts given built, in a list
+or tuple, are cut by index into parts of one block each, and so is the one
+part of a :class:`_Parts` of one part, which the writer builds before it
+opens the output: any other part is built by the process that writes it.
 
 Text is formatted and written in blocks of about :data:`BLOCK_ROWS` rows
 along the leading axis, so memory does not grow with the row count.  A
@@ -389,19 +391,27 @@ def _columns(part: Mapping, names: list[str], fmt: str) -> tuple[list[np.ndarray
     cols = [_text(None, fmt) if c is None else c for c in cols]
     shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
     inner = math.prod(shape[1:])
-    rows = range(0, shape[0] if inner else 0, max(1, BLOCK_ROWS // max(inner, 1)))
-    return [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols], shape, rows
+    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
+    return cols, shape, _spans(shape[0] if inner else 0, inner)
 
 
-def _cut(parts: list[Mapping], names: list[str], fmt: str) -> list[dict]:
-    """``parts`` cut by index into parts of one block each; a column repeated along the leading axis stays whole."""
-    pieces = []
+def _spans(items: int, rows: int) -> range:
+    """The first of each run of about one block of ``items`` items of ``rows`` rows each (at least one item a run)."""
+    return range(0, items, max(1, BLOCK_ROWS // max(rows, 1)))
+
+
+def _cut(parts: Sequence[Mapping], fmt: str) -> _Parts:
+    """Built ``parts`` cut by index into parts of one block each; a column repeated along the leading axis
+    stays whole."""
+    if not parts:
+        raise ValueError("a table needs at least one part")
+    names, pieces, rows = list(parts[0]), [], 0
     for part in parts:
-        cols, _, rows = _columns(part, names, fmt)
-        for lo in rows:
-            pieces.append({name: v if c.shape[0] == 1 else c[lo : lo + rows.step]
-                           for name, v, c in zip(names, part.values(), cols)})
-    return pieces
+        cols, shape, starts = _columns(part, names, fmt)
+        rows += math.prod(shape)
+        pieces += [tuple(v if c.shape[0] == 1 else c[lo : lo + starts.step] for v, c in zip(part.values(), cols))
+                   for lo in starts]
+    return _Parts(names, len(pieces), pieces.__getitem__, rows)
 
 
 def _jobs(part: Mapping, names: list[str], fmt: str, literals: list[str], labels: dict):
@@ -600,16 +610,8 @@ class _Parts(Sequence):
         return dict(zip(self.names, self._build(i)))
 
 
-def _write(fh, parts: Sequence[Mapping], fmt: str) -> None:
-    if isinstance(parts, _Parts):
-        names, one_block = parts.names, parts.rows <= BLOCK_ROWS
-    else:
-        parts = list(parts)
-        if not parts:
-            raise ValueError("a table needs at least one part")
-        names = list(parts[0])
-        parts = _cut(parts, names, fmt)
-        one_block = len(parts) < 2
+def _write(fh, parts: _Parts, fmt: str) -> None:
+    names = parts.names
     if fmt == "csv":
         fh.write(",".join(names) + "\n")
         literals = ["", *[","] * (len(names) - 1), "\n"]
@@ -619,7 +621,7 @@ def _write(fh, parts: Sequence[Mapping], fmt: str) -> None:
         keys = [f"{json.dumps(name)}: " for name in names]
         literals = [",\n  {\n    " + keys[0], *[",\n    " + k for k in keys[1:]], "\n  }"]
     try:
-        out = None if one_block or not _FORMAT_WORKERS else fh.fileno()
+        out = None if len(parts) < 2 or parts.rows <= BLOCK_ROWS or not _FORMAT_WORKERS else fh.fileno()
     except (AttributeError, OSError, ValueError):  # a stream without one, such as StringIO
         out = None
     if out is not None:
@@ -628,8 +630,8 @@ def _write(fh, parts: Sequence[Mapping], fmt: str) -> None:
         _write_on_workers(out, parts, names, fmt, literals)
         return
     wrote, labels = False, {}
-    for part in parts:
-        for job in _jobs(part, names, fmt, literals, labels):
+    for i in range(len(parts)):
+        for job in _jobs(parts[i], names, fmt, literals, labels):
             fh.write(_format(job)[fmt == "json" and not wrote :].decode())
             wrote = True
     if fmt == "json":
@@ -637,13 +639,19 @@ def _write(fh, parts: Sequence[Mapping], fmt: str) -> None:
 
 
 def write_table(parts: Sequence[Mapping], fmt: str, out: str | None) -> None:
-    """Write ``parts`` as one ``fmt`` (``"csv"`` or ``"json"``) table to the file ``out``, or stdout.
+    """Write the sequence ``parts`` as one ``fmt`` (``"csv"`` or ``"json"``) table to the file ``out``, or stdout.
 
     When a part raises or a block fails, the output holds exactly the blocks
     before it (see the module docstring).
     """
     if fmt not in _ABSENT:
         raise ValueError(f"table format must be csv or json, got {fmt!r}")
+    if not isinstance(parts, Sequence):
+        raise TypeError(f"table parts must be a sequence, got {type(parts).__name__}")
+    if not isinstance(parts, _Parts):
+        parts = _cut(parts, fmt)
+    elif len(parts) == 1:  # built here, before the fork, so that the workers share its blocks
+        parts = _cut([parts[0]], fmt)
     if out:
         with open(out, "w") as fh:
             _write(fh, parts, fmt)

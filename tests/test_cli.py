@@ -32,7 +32,7 @@ from dtsim import (
     spectral_sum_grid,
 )
 import dtsim
-from dtsim import table
+from dtsim import spectral, table
 from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 from dtsim.table import write_table
@@ -560,13 +560,18 @@ def test_exit_code_convergence(capsys, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("case", ["convergence", "pole", "truncation"])
+@pytest.mark.parametrize("case", ["convergence", "pole", "truncation", "vanishing", "vanishing-sum"])
 def test_failing_spectra_leaves_no_file(capsys, tmp_path, case):
     """``spectra`` checks every method's inputs before it opens its output: ``|rho| = 1`` (the seed of
-    ``test_exit_code_convergence``) and a pole on the grid exit 4, a negative truncation exits 2, and no
-    file is left."""
+    ``test_exit_code_convergence``) and a pole on the grid exit 4, a negative truncation and an h-chain
+    that vanishes inside the period (the seed of ``test_qcov_rejects_vanishing_chain``, for ``closed``
+    and for ``sum``) exit 2, and no file is left."""
     if case == "truncation":
         argv, want = ["--truncation", "-1"], 2
+    elif case.startswith("vanishing"):  # rho = 0: no convergence or pole error comes first
+        CovarianceSeed(r0=np.array([1.0, 1.0]), r1=np.array([0.0, 0.5])).to_csv(tmp_path / "seed.csv")
+        argv, want = ["--H", "0.5", "--alpha", "2", "--T", "2", "--seed-file", str(tmp_path / "seed.csv")], 2
+        argv += ["--methods", "diag,sum"] if case == "vanishing-sum" else []
     else:  # |rho| = 1, or |rho| = 1 - 3.8e-15, a pole at omega = 0
         r1 = math.sqrt(2.0) * (1.0 if case == "convergence" else 1 - 4e-15)
         CovarianceSeed(r0=np.array([1.0]), r1=np.array([r1])).to_csv(tmp_path / "seed.csv")
@@ -574,6 +579,22 @@ def test_failing_spectra_leaves_no_file(capsys, tmp_path, case):
     out = tmp_path / "spectra.csv"
     assert main(["spectra", *argv, "--out", str(out)]) == want and not out.exists()
     assert ("pole" in capsys.readouterr().err) == (case == "pole")
+
+
+def test_spectra_sums_the_series_once(monkeypatch, tmp_path):
+    """``spectra --methods sum`` runs the truncated power sum once for the whole grid, not once per part
+    (eight parts here), and writes what ``spectral_sum_grid`` gives on the whole grid."""
+    calls = []
+    truncation = spectral._sum_truncation
+    monkeypatch.setattr(spectral, "_sum_truncation", lambda *args: calls.append(args) or truncation(*args))
+    out = tmp_path / "sum.csv"
+    assert main(["spectra", "--T", "16", "--n-omega", "256", "--methods", "sum", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    p = make_params(0.75, 2.0, 16)
+    chain = make_chain(p, simple_bm_seed(p))
+    want = spectral_sum_grid(chain, FrequencyGrid(256).omegas).ravel()
+    re, im = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(3, 4), unpack=True)
+    assert np.array_equal(re, want.real) and np.array_equal(im, want.imag)
 
 
 def test_spectra_holds_a_few_blocks(monkeypatch):
@@ -791,8 +812,11 @@ def test_writer_zero_rows(tmp_path, capsys):
         assert out == want == _ref_emit([], want.strip().split(","), fmt)
 
 
-def test_writer_rejects_mismatched_parts():
+def test_writer_rejects_mismatched_parts(tmp_path):
     with pytest.raises(ValueError):
         write_table([{"a": np.arange(2)}, {"b": np.arange(2)}], "csv", None)
     with pytest.raises(ValueError):
         write_table([{"a": np.arange(2)}], "xml", None)
+    with pytest.raises(TypeError, match="sequence"):  # read by index, so not read whole into memory
+        write_table(({"a": np.arange(2)} for _ in range(2)), "csv", str(tmp_path / "t.csv"))
+    assert not (tmp_path / "t.csv").exists()

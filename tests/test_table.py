@@ -226,6 +226,41 @@ def test_each_batch_is_filled_once(monkeypatch, tmp_path, workers):
     assert _no_child_left()
 
 
+def test_one_part_is_built_by_the_writer_and_shared(monkeypatch, tmp_path):
+    """A table of one part over three blocks is built once, by the writer, before the output opens; both
+    workers format and write its blocks, the same bytes as no worker writes."""
+    monkeypatch.setattr(table, "_FORMAT_WORKERS", 2)
+    log = tmp_path / "pids"
+    format_block = table._format
+
+    def logged(what):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{what} {os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+
+    def build(p):
+        logged("build")
+        assert not (tmp_path / "2.csv").exists()
+        return _part(p)
+
+    def formatted(job):
+        logged("format")
+        return format_block(job)
+
+    monkeypatch.setattr(table, "_format", formatted)
+    write_table(_parts(1, build), "csv", str(tmp_path / "2.csv"))
+    entries = [line.split() for line in log.read_text().splitlines()]
+    assert [e for e in entries if e[0] == "build"] == [["build", str(os.getpid())]]
+    formatters = [int(pid) for what, pid in entries if what == "format"]
+    assert len(formatters) == 3 and len(set(formatters)) == 2 and os.getpid() not in formatters
+    monkeypatch.setattr(table, "_FORMAT_WORKERS", 0)
+    write_table(_parts(1), "csv", str(tmp_path / "0.csv"))
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "0.csv").read_bytes()
+    assert _no_child_left()
+
+
 def test_labels_follow_their_part(tmp_path):
     """A label repeated along a part's rows is formatted once for a run of parts with the same bytes there:
     ``0.0`` and ``-0.0``, equal values with other bits, are not taken for each other."""
@@ -448,7 +483,7 @@ def test_csv_cells_are_str_and_percent_g17(tmp_path, monkeypatch):
         monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
         for fmt in ("csv", "json"):
             rng = np.random.default_rng(3)
-            write_table(parts(), fmt, str(tmp_path / f"{workers}.{fmt}"))
+            write_table(list(parts()), fmt, str(tmp_path / f"{workers}.{fmt}"))
             assert (tmp_path / f"{workers}.{fmt}").read_text() == expected[fmt], (workers, fmt)
 
 
