@@ -10,19 +10,20 @@ one-step covariance on the grid splits the chain and is rejected.
 An :class:`Ensemble` is a seeded recipe, not a matrix.  Batch ``i`` of its
 paths is drawn from child ``i`` of ``SeedSequence(rng_seed)`` (PCG64) alone,
 so results are byte-for-byte reproducible whichever thread or process fills
-a batch, and any batch can be filled without the others.  Readers of :meth:`Ensemble.blocks` fill each
-batch on their own thread as they read it, and the table parts of
-:meth:`Ensemble.columns` are filled by the process that writes them.  The
-Monte Carlo moments are the one threaded pass: with two or more usable
-cores and fewer than 128 grid points, two threads fill batches and reduce
-each to its products, which are summed in batch order; otherwise the
-calling thread does every batch.  Neither keeps more than a few batches, so
-memory does not grow with the number of paths.
+a batch, and any batch can be filled without the others.  Readers of
+:meth:`Ensemble.blocks` fill each batch on their own thread as they read it,
+rows first in one array, and the table parts of :meth:`Ensemble.columns`
+are filled by the process that writes them.  The Monte Carlo moments are
+the one threaded pass: with two or more usable cores and fewer than 128
+grid points, two threads fill batches and reduce each to its products,
+which are summed in batch order; otherwise the calling thread does every
+batch.  Neither keeps more than a few batches, so memory does not grow
+with the number of paths.
 
-A batch is filled rows last, ``(K, rows)`` with ``K = k_max + 1``, so its
-cumulative sum along the grid is ``K - 1`` contiguous row adds, and the
-moments pass reduces it with two one-buffer products, ``x @ x.T`` and
-``sq @ sq.T`` with ``sq = x * x``.  numpy sends those to BLAS ``syrk``,
+The moments pass fills a batch rows last, ``(K, rows)`` with ``K = k_max +
+1``, so its cumulative sum along the grid is ``K - 1`` contiguous row adds,
+and reduces it with two one-buffer products, ``x @ x.T`` and ``sq @
+sq.T`` with ``sq = x * x``.  numpy sends those to BLAS ``syrk``,
 which OpenBLAS runs on the calling thread below ``K = 128``, so the fill
 threads do not share the cores with a BLAS pool there; from ``K = 128``
 ``syrk`` itself starts BLAS's threads, a threaded pass is slower than one
@@ -130,9 +131,19 @@ class Ensemble:
         return np.random.SeedSequence(self.rng_seed).spawn((self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE)
 
     def _batch(self, i: int, child: np.random.SeedSequence) -> np.ndarray:
-        """Block ``i`` of :meth:`blocks`, drawn from ``child``: the transpose of :meth:`_fill`'s rows-last block."""
-        size = min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE) * (self.k_max + 1)
-        return self._fill(i, child, np.empty(size), np.empty(size), self._factors[1]).T
+        """Block ``i`` of :meth:`blocks`, drawn from ``child`` alone: ``(rows, K)``, filled in one new array.
+
+        The draws, scaling, running sum along the grid and amplitudes of
+        :meth:`_fill`, in the same order, so the same bits, but rows first:
+        no rows-last copy is made for a reader of whole paths.
+        """
+        scale, amp, _ = self._factors
+        rows = min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
+        x = np.random.default_rng(child).standard_normal((rows, len(scale)))
+        x *= scale
+        np.cumsum(x, axis=1, out=x)
+        x *= amp
+        return x
 
     def _fill(self, i: int, child: np.random.SeedSequence, normals: np.ndarray, out: np.ndarray,
               amp: np.ndarray) -> np.ndarray:

@@ -207,7 +207,7 @@ def test_each_batch_is_filled_once(monkeypatch, tmp_path, workers):
 
     monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
     log = tmp_path / "fills"
-    fill = Ensemble._fill
+    fill = Ensemble._batch
 
     def counted(self, i, *args):
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
@@ -217,7 +217,7 @@ def test_each_batch_is_filled_once(monkeypatch, tmp_path, workers):
             os.close(fd)
         return fill(self, i, *args)
 
-    monkeypatch.setattr(Ensemble, "_fill", counted)
+    monkeypatch.setattr(Ensemble, "_batch", counted)
     assert main(["simulate", "--paths", str(5 * BATCH_SIZE + 3), "--kmax", "3", "--out", str(tmp_path / "s.csv")]) == 0
     assert sorted(map(int, log.read_text().split())) == list(range(6))
     log.unlink()
