@@ -352,9 +352,15 @@ def _sum_powers(chain: HChain, omegas, s_trunc: int | None) -> np.ndarray:
 def _sum_density(chain: HChain, powers: np.ndarray) -> np.ndarray:
     """:func:`spectral_sum_grid` from the power sums :func:`_sum_powers` gives, shape (len(powers), T, T)."""
     A = q_cov(chain, 0, 0)
-    # (1 + powers) A + conj(powers) A^T as one product: no second grid-sized temporary
+    # (1 + powers) A + conj(powers) A^T as one product: no second grid-sized temporary.  In runs of 1024
+    # columns, which OpenBLAS multiplies on the calling thread: a one-frequency product over all T**2 starts
+    # its helper threads, and in a table format worker they compete with the other worker for the cores
     coef = np.stack([1 + powers, np.conj(powers)], axis=-1)
-    out = (coef @ np.stack([A, A.T]).reshape(2, -1)).reshape(len(powers), chain.T, chain.T)
+    AAt = np.stack([A, A.T]).reshape(2, -1)
+    out = np.empty((len(powers), AAt.shape[1]), complex)
+    for lo in range(0, AAt.shape[1], 1024):
+        np.matmul(coef, AAt[:, lo : lo + 1024], out=out[:, lo : lo + 1024])
+    out = out.reshape(len(powers), chain.T, chain.T)
     out /= 2 * math.pi
     return out
 
