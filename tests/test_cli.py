@@ -584,6 +584,7 @@ def test_failing_spectra_leaves_no_file(capsys, tmp_path, case):
 def test_spectra_sums_the_series_once(monkeypatch, tmp_path):
     """``spectra --methods sum`` runs the truncated power sum once for the whole grid, not once per part
     (eight parts here), and writes what ``spectral_sum_grid`` gives on the whole grid."""
+    monkeypatch.setattr(table, "_FORMAT_WORKERS", 0)  # every part is built in this process, where calls are counted
     calls = []
     truncation = spectral._sum_truncation
     monkeypatch.setattr(spectral, "_sum_truncation", lambda *args: calls.append(args) or truncation(*args))
