@@ -24,11 +24,11 @@ from .multidim import q_cov
 from .simulate import Ensemble, empirical_cov, simulate_brownian, simulate_simple_bm
 from .spectral import (
     FrequencyGrid,
+    _closed_density,
     _closed_ratio,
     _sum_density,
     _sum_powers,
     simple_bm_spectral,
-    spectral_closed_grid,
     spectral_diag,
 )
 from .table import _Parts, _spans, write_table
@@ -183,7 +183,7 @@ def cmd_spectra(args) -> int:
     n_omega = _opt(args.n_omega, cfg, ("spectra", "n_omega"), 256, int)
     trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None, int)
     omegas = FrequencyGrid(n_omega).omegas
-    powers = None
+    powers = A = None
     for method in methods:  # each method's errors, in order, before the output file opens: O(n_omega)
         if method == "closed":
             _closed_ratio(chain, omegas)
@@ -191,8 +191,9 @@ def cmd_spectra(args) -> int:
             powers = _sum_powers(chain, omegas, trunc)
         elif method == "diag":
             spectral_diag(chain, 0, omegas)
-        if method in ("closed", "sum"):
-            q_cov(chain, 0, 0)  # a vanishing h-chain
+        if method in ("closed", "sum") and A is None:
+            A = q_cov(chain, 0, 0)  # a vanishing h-chain fails here, and every part takes A from here
+    AAt = None if powers is None else np.stack([A, A.T])
     T = params.T
     idx = np.arange(T)
     js, rs = np.divmod(np.arange(T**2), T)
@@ -202,9 +203,9 @@ def cmd_spectra(args) -> int:
         method, lo = methods[i // len(starts)], starts[i % len(starts)]
         w = omegas[lo : lo + starts.step]
         if method == "closed":
-            vals = spectral_closed_grid(chain, w)
+            vals = _closed_density(A, *_closed_ratio(chain, w))
         elif method == "sum":
-            vals = _sum_density(chain, powers[lo : lo + starts.step])
+            vals = _sum_density(AAt, powers[lo : lo + starts.step])
         elif method == "example":
             vals = simple_bm_spectral(params, idx[:, np.newaxis], idx, w[:, np.newaxis, np.newaxis])
         else:  # diag: real values, one row per component

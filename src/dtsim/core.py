@@ -284,7 +284,8 @@ def _cov_kernel(params: DsiParams, period: float, b, s, a):
         rest = (2 * params.T * b * hi - e) + 2 * params.T * b * (params.H - hi)
         m_l = m_l + m_l * np.expm1(rest * math.log(params.alpha))
     m_h, k_h = _pow2(period, s)
-    return np.ldexp(m_l * m_h * a, k_l + k_h)
+    with np.errstate(over="ignore"):  # inf is the cell out of range
+        return np.ldexp(m_l * m_h * a, k_l + k_h)
 
 
 def convergence_ratio(chain: HChain) -> float:

@@ -324,43 +324,56 @@ def spectral_sum_grid(
 
     The term at lag ``s`` is ``(rho e^{-i omega T})**s A`` for ``s >= 0`` and
     the conjugate power times ``A^T`` for ``s < 0``; the truncated power sum
-    is accumulated by Horner's rule rather than summed in closed form, so
-    this is an independent check on :func:`spectral_closed_grid`.
+    is accumulated by doubling over the bits of ``S`` rather than summed in
+    closed form, so this is an independent check on :func:`spectral_closed_grid`.
 
     Raises
     ------
     ConvergenceError
         If ``|rho| >= 1``.
     """
-    return _sum_density(chain, _sum_powers(chain, omegas, s_trunc))
+    A = q_cov(chain, 0, 0)
+    return _sum_density(np.stack([A, A.T]), _sum_powers(chain, omegas, s_trunc))
 
 
 def _sum_powers(chain: HChain, omegas, s_trunc: int | None) -> np.ndarray:
-    """``sum_{s=1..S} zr**s`` at each frequency by Horner's rule, raising as :func:`spectral_sum_grid` states.
+    """``sum_{s=1..S} zr**s`` at each frequency, raising as :func:`spectral_sum_grid` states.
 
+    The sum ``G(m)`` of the first ``m`` powers is built over the bits of
+    ``S``, highest first, from ``G(2m) = G(m) (1 + zr**m)`` and
+    ``G(m + 1) = zr (1 + G(m))``, with ``zr**m`` squared alongside: about
+    ``2 log2 S`` array steps, so ``S`` of 1e16 near ``|rho| = 1`` costs what
+    ``S`` of 100 does, and never a division by the closed form's ``1 - zr``.
     Pointwise in omega, so the sums of a slice of ``omegas`` are that slice
     of these, bit for bit.
     """
     rho, S = _sum_truncation(chain, s_trunc)
     zr = rho * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
-    powers = np.zeros_like(zr)
-    for _ in range(S):
-        powers = (powers + 1) * zr
+    powers, zm = np.zeros_like(zr), np.ones_like(zr)  # G(m) and zr**m at m = 0
+    for bit in bin(S)[2:]:
+        powers *= 1 + zm
+        zm *= zm
+        if bit == "1":
+            powers += 1
+            powers *= zr
+            zm *= zr
     return powers
 
 
-def _sum_density(chain: HChain, powers: np.ndarray) -> np.ndarray:
-    """:func:`spectral_sum_grid` from the power sums :func:`_sum_powers` gives, shape (len(powers), T, T)."""
-    A = q_cov(chain, 0, 0)
+def _sum_density(AAt: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """:func:`spectral_sum_grid` from ``np.stack([A, A.T])`` and the power sums :func:`_sum_powers` gives.
+
+    Shape (len(powers), T, T).
+    """
     # (1 + powers) A + conj(powers) A^T as one product: no second grid-sized temporary.  In runs of 1024
     # columns, which OpenBLAS multiplies on the calling thread: a one-frequency product over all T**2 starts
     # its helper threads, and in a table format worker they compete with the other worker for the cores
     coef = np.stack([1 + powers, np.conj(powers)], axis=-1)
-    AAt = np.stack([A, A.T]).reshape(2, -1)
-    out = np.empty((len(powers), AAt.shape[1]), complex)
-    for lo in range(0, AAt.shape[1], 1024):
-        np.matmul(coef, AAt[:, lo : lo + 1024], out=out[:, lo : lo + 1024])
-    out = out.reshape(len(powers), chain.T, chain.T)
+    flat = AAt.reshape(2, -1)
+    out = np.empty((len(powers), flat.shape[1]), complex)
+    for lo in range(0, flat.shape[1], 1024):
+        np.matmul(coef, flat[:, lo : lo + 1024], out=out[:, lo : lo + 1024])
+    out = out.reshape(len(powers), *AAt.shape[1:])
     out /= 2 * math.pi
     return out
 
@@ -392,8 +405,11 @@ def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
     PoleError
         If a denominator comes within 1e-14 of zero.
     """
-    zr, denom = _closed_ratio(chain, omegas)
-    A = q_cov(chain, 0, 0)
+    return _closed_density(q_cov(chain, 0, 0), *_closed_ratio(chain, omegas))
+
+
+def _closed_density(A: np.ndarray, zr: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """:func:`spectral_closed_grid` from ``A = Q(0)`` and the ratios :func:`_closed_ratio` gives."""
     out = A / denom[:, np.newaxis, np.newaxis]
     w = (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
     for lo, chunk in _chunks(out):  # no second grid-sized temporary

@@ -41,8 +41,8 @@ objects as ``json.dumps`` of each cell, absent cells ``null``.
 Both formats build a block the same way.  Each column's text is a byte
 matrix, its cells padded with 0xFF, a byte that no UTF-8 text holds.
 Columns and literals (the separators, and JSON's keys) are broadcast into
-one byte array per block, and ``np.compress`` of the bytes that are not
-0xFF, 64 KiB at a time, gives the block's text.
+one byte array per block, and ``bytes.translate`` deleting the 0xFF bytes,
+64 KiB at a time, gives the block's text.
 
 Float and integer text is computed in numpy, byte for byte what Python
 gives, and laid out by one gather from a table of layouts.  A float ``x``
@@ -93,8 +93,8 @@ _FORMAT_WORKERS = 2 if _CORES > 1 and hasattr(os, "fork") else 0
 
 _ABSENT = {"csv": "", "json": "null"}
 
-#: Pads cells to their column's width, and is compressed away from the
-#: block's bytes: no UTF-8 text holds it.
+#: Pads cells to their column's width, and is deleted from the block's
+#: bytes by ``bytes.translate``: no UTF-8 text holds it.
 _PAD = 0xFF
 #: Bytes of a block compacted at a time when its pad bytes are taken out.
 _CHUNK = 1 << 16
@@ -452,12 +452,11 @@ def _format(job) -> bytes:
         text[..., at : at + piece.shape[-1]] = piece
         at += piece.shape[-1]
     text = text.ravel()
-    at = 0
-    # compacted in place, a chunk at a time: np.compress builds an 8-byte index per kept byte
+    at, pad = 0, bytes((_PAD,))
+    # compacted in place, a chunk at a time: bytes.translate deletes the pads in C from a copy of the chunk
     for lo in range(0, len(text), _CHUNK):
-        chunk = text[lo : lo + _CHUNK]
-        kept = np.compress(chunk != _PAD, chunk)
-        text[at : at + len(kept)] = kept
+        kept = text[lo : lo + _CHUNK].tobytes().translate(None, pad)
+        text[at : at + len(kept)] = np.frombuffer(kept, np.uint8)
         at += len(kept)
     return text[:at].tobytes()
 
@@ -484,7 +483,7 @@ def _work(out: int, parts: Sequence[Mapping], names: list[str], fmt: str, litera
     """
     code = 1
     try:
-        import signal  # here, not at the top: the CLI does not load it at startup
+        import signal  # the writer loaded it before the fork: found in sys.modules
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the writer stops its workers on an interrupt
         keep = sorted({0, 1, 2, out, status, turn, next_turn})
@@ -546,6 +545,10 @@ def _write_on_workers(out: int, parts: Sequence[Mapping], names: list[str], fmt:
     block before it is written, and no block after it is.  When this raises
     on its own account, such as on an interrupt, each worker is killed first.
     """
+    # here, not at the top, as the CLI does not load it at startup; and here, not in the workers, where it
+    # would be imported once per worker into copy-on-write memory
+    import signal
+
     n = min(_FORMAT_WORKERS, len(parts))
     held: set[int] = set()  # pipe ends open here
     pids: list[int] = []
@@ -580,8 +583,6 @@ def _write_on_workers(out: int, parts: Sequence[Mapping], names: list[str], fmt:
                 i, error = pickle.loads(report)
                 errors.setdefault(i, error)
     except BaseException:
-        import signal  # here, not at the top: the CLI does not load it at startup
-
         for pid in pids:  # a worker may wait for a turn that will not come
             os.kill(pid, signal.SIGKILL)
         raise

@@ -582,20 +582,35 @@ def test_failing_spectra_leaves_no_file(capsys, tmp_path, case):
 
 
 def test_spectra_sums_the_series_once(monkeypatch, tmp_path):
-    """``spectra --methods sum`` runs the truncated power sum once for the whole grid, not once per part
-    (eight parts here), and writes what ``spectral_sum_grid`` gives on the whole grid."""
+    """``spectra --methods closed,sum`` runs the truncated power sum, and forms ``A = q_cov(chain, 0, 0)``,
+    once for the whole grid, not once per part (eight parts a method here), and writes what
+    ``spectral_closed_grid`` and ``spectral_sum_grid`` give on the whole grid, bit for bit."""
     monkeypatch.setattr(table, "_FORMAT_WORKERS", 0)  # every part is built in this process, where calls are counted
-    calls = []
+    calls, matrices = [], []
     truncation = spectral._sum_truncation
     monkeypatch.setattr(spectral, "_sum_truncation", lambda *args: calls.append(args) or truncation(*args))
+    for module in (dtsim.cli, spectral):
+        monkeypatch.setattr(module, "q_cov", lambda *args, q_cov=module.q_cov: matrices.append(args) or q_cov(*args))
     out = tmp_path / "sum.csv"
-    assert main(["spectra", "--T", "16", "--n-omega", "256", "--methods", "sum", "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert main(["spectra", "--T", "16", "--n-omega", "256", "--methods", "closed,sum", "--out", str(out)]) == 0
+    assert len(calls) == 1 and len(matrices) == 1
     p = make_params(0.75, 2.0, 16)
     chain = make_chain(p, simple_bm_seed(p))
-    want = spectral_sum_grid(chain, FrequencyGrid(256).omegas).ravel()
+    omegas = FrequencyGrid(256).omegas
+    want = np.concatenate([spectral_closed_grid(chain, omegas).ravel(), spectral_sum_grid(chain, omegas).ravel()])
     re, im = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(3, 4), unpack=True)
     assert np.array_equal(re, want.real) and np.array_equal(im, want.imag)
+
+
+def test_embed_out_of_float_range_is_inf_without_a_warning(monkeypatch, tmp_path):
+    """At T = 128, ``embed`` at ``(n, tau) = (4, 4)`` has entries past float range: they are written as
+    ``inf``, the documented cell, with no numpy overflow warning (an error under this suite's filter)."""
+    monkeypatch.setattr(table, "_FORMAT_WORKERS", 0)
+    out = tmp_path / "embed.csv"
+    assert main(["embed", "--T", "128", "--n-min", "4", "--n-max", "4", "--tau-min", "4", "--tau-max", "4",
+                 "--out", str(out)]) == 0
+    values = np.loadtxt(out, delimiter=",", skiprows=1, usecols=4)
+    assert len(values) == 128 * 128 and np.any(np.isposinf(values)) and np.any(np.isfinite(values))
 
 
 def test_spectra_holds_a_few_blocks(monkeypatch):

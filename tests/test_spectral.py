@@ -18,10 +18,14 @@ with the closed form to rounding.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from dtsim import spectral
 from dtsim.cli import main as cli_main
 
 from dtsim import (
@@ -612,3 +616,59 @@ def test_negative_truncation_rejected():
     at_zero = fk_from_bk(table, 0, 0.3, s_trunc=0)
     edge = np.sum(np.abs(table.values[0, table.tau_window + 1 : table.tau_window + p.T + 1]))
     assert at_zero.tail_bound == pytest.approx(edge / ((1 - abs(table.rho)) * math.pi), rel=1e-15)
+
+
+def _horner_powers(chain, omegas, S: int) -> np.ndarray:
+    """Reference for ``spectral._sum_powers``: ``sum_{s=1..S} zr**s`` by one Horner step per lag."""
+    zr = convergence_ratio(chain) * np.exp(-1j * np.asarray(omegas) * chain.T)
+    powers = np.zeros_like(zr)
+    for _ in range(S):
+        powers = (powers + 1) * zr
+    return powers
+
+
+_DOUBLING_TRUNCATIONS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257, 1023, 1024, 1025, None]
+
+
+@pytest.mark.parametrize("rho, s_trunc", [(0.95, s) for s in _DOUBLING_TRUNCATIONS]
+                         + [(-0.95, s) for s in (2, 3, 16, 17, None)]
+                         + [(0.0, s) for s in (0, 1, 5, None)]
+                         + [(0.999, None), (-0.999, None), (0.999, 4097)])
+def test_sum_powers_by_doubling_match_horner(rho, s_trunc):
+    """The doubling over the bits of ``S`` gives the density of the Horner sum within 1e-14 of its largest
+    value, at the default ``S`` (539 at 0.95, 27618 at 0.999) and at overrides about powers of two.
+    ``rho = 0`` is ``r1 = (0.5, 0)``, whose h-chain does not vanish inside the period."""
+    p = make_params(0.75, 2.0, 2)
+    r1 = [0.5, 0.0] if rho == 0 else [math.copysign(abs(rho) ** 0.5, rho), abs(rho) ** 0.5 * 2**1.5]
+    chain = make_chain(p, CovarianceSeed(r0=np.ones(2), r1=np.array(r1)))
+    assert convergence_ratio(chain) == pytest.approx(rho, abs=1e-15)
+    omegas = FrequencyGrid(64).omegas
+    S = auto_truncation(convergence_ratio(chain)) if s_trunc is None else s_trunc
+    got, want = spectral._sum_powers(chain, omegas, s_trunc), _horner_powers(chain, omegas, S)
+    if S <= 1:
+        assert np.array_equal(got, want)
+    A = q_cov(chain, 0, 0)
+    AAt = np.stack([A, A.T])
+    density = spectral._sum_density(AAt, want)
+    assert np.max(np.abs(spectral._sum_density(AAt, got) - density)) <= 1e-14 * np.max(np.abs(density))
+    assert np.array_equal(spectral_sum_grid(chain, omegas, s_trunc), spectral._sum_density(AAt, got))
+
+
+def test_sum_near_the_unit_circle_ends(tmp_path):
+    """``spectra --methods sum`` at ``|rho| = 1 - 3.8e-15`` (the pole seed of
+    ``test_failing_spectra_leaves_no_file``, ``S`` about 7.3e15 lags) finishes, with finite cells: at
+    omega = 0 the power sum is ``rho / (1 - rho)``, about 2.6e14, to within its ``rho**S`` < 1e-12."""
+    p = make_params(0.5, 2.0, 1)
+    seed = CovarianceSeed(r0=np.array([1.0]), r1=np.array([math.sqrt(2.0) * (1 - 4e-15)]))
+    rho = convergence_ratio(make_chain(p, seed))
+    seed.to_csv(tmp_path / "seed.csv")
+    out = tmp_path / "sum.csv"
+    code = ("import sys, dtsim.cli; sys.exit(dtsim.cli.main(['spectra', '--H', '0.5', '--alpha', '2', '--T', '1', "
+            f"'--seed-file', {str(tmp_path / 'seed.csv')!r}, '--methods', 'sum', '--n-omega', '64', "
+            f"'--out', {str(out)!r}]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    re, im = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(3, 4), unpack=True)
+    assert len(re) == 64 and np.all(np.isfinite(re)) and np.all(np.isfinite(im))
+    assert re[0] == pytest.approx((1 + 2 * rho / (1 - rho)) / (2 * math.pi), rel=1e-6)

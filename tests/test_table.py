@@ -190,6 +190,32 @@ def test_format_workers_end_with_the_table(monkeypatch, tmp_path, end):
     assert _no_child_left() and _open_fds() == fds
 
 
+def test_format_workers_ignore_sigint(tmp_path):
+    """In a fresh interpreter, which has not loaded ``signal``, a part built in a format worker sees
+    ``SIGINT`` ignored, as the writer stops its workers itself on an interrupt; the writer's own handler
+    is Python's default again once the table is written."""
+    code = (
+        "import os, sys, numpy as np, dtsim.cli, dtsim.table as t\n"
+        "print('signal' in sys.modules)\n"
+        "t._FORMAT_WORKERS = 2\n"
+        "writer = os.getpid()\n"
+        "def build(p):\n"
+        "    import signal\n"
+        "    ignored = os.getppid() == writer and signal.getsignal(signal.SIGINT) is signal.SIG_IGN\n"
+        "    return np.arange(p * t.BLOCK_ROWS, (p + 1) * t.BLOCK_ROWS), np.array(str(ignored))\n"
+        "t.write_table(t._Parts(['i', 'ignored'], 2, build, 2 * t.BLOCK_ROWS), 'csv', sys.argv[1])\n"
+        "import signal\n"
+        "print(signal.getsignal(signal.SIGINT) is signal.default_int_handler)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * BLOCK_ROWS and {line.split(",")[1] for line in lines[1:]} == {"True"}
+
+
 @pytest.mark.parametrize("workers", [0, 1, 2, 3])
 def test_full_device_exits_3(workers, monkeypatch, capsys):
     monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
@@ -502,7 +528,8 @@ def test_json_object_cells_are_json_dumps(tmp_path):
 
 def test_format_compacts_a_large_block_in_chunks():
     """A 0.6 MB block, 40% pad bytes: the text is the cells less their pads, and the peak stays below three
-    bytes per byte of the padded block; one ``np.compress`` over the block builds 8 bytes per kept byte."""
+    bytes per byte of the padded block; ``bytes.translate`` over the whole block, not 64 KiB at a time,
+    holds a copy of the block and its text, and goes past it."""
     rng = np.random.default_rng(5)
     n = 1 << 16
     cells = [str(v).encode() for v in rng.integers(0, 10 ** rng.integers(1, 9, n)).tolist()]
