@@ -11,6 +11,7 @@ flags win over the file.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -35,6 +36,7 @@ from .table import _Parts, _spans, write_table
 from .verify import perturb_seed, run_checks
 
 _METHODS = ("closed", "sum", "example", "diag")
+_COMMANDS = ("simulate", "cov", "spectra", "embed", "verify")
 
 
 def _load_config(path: str | None) -> dict:
@@ -297,66 +299,80 @@ def _add_common(p: argparse.ArgumentParser, seeded: bool) -> None:
         p.add_argument("--seed-file", help="CSV file with header j,r0,r1")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A new parser of every subcommand, or of ``command`` alone.
+
+    A parser of one subcommand reads that subcommand's command lines as the
+    full parser does, with the same help and error messages: its usage names
+    every subcommand, as the full parser's does.
+    """
     parser = argparse.ArgumentParser(
         prog="dtsim",
         description="Scale-invariant Markov processes on geometric grids",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("simulate", help="write a seeded Monte Carlo ensemble")
-    _add_common(p, seeded=False)
-    p.add_argument("--paths", type=int, help="number of paths (default 1000)")
-    p.add_argument("--kmax", type=int, help="largest grid index (default 8)")
-    p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    p.add_argument("--process", choices=("simple-bm", "brownian"), default="simple-bm")
-    p.set_defaults(func=cmd_simulate)
+    if command in (None, "simulate"):
+        p = sub.add_parser("simulate", help="write a seeded Monte Carlo ensemble")
+        _add_common(p, seeded=False)
+        p.add_argument("--paths", type=int, help="number of paths (default 1000)")
+        p.add_argument("--kmax", type=int, help="largest grid index (default 8)")
+        p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
+        p.add_argument("--process", choices=("simple-bm", "brownian"), default="simple-bm")
 
-    p = sub.add_parser("cov", help="closed-form covariance table with oracle and MC columns")
-    _add_common(p, seeded=True)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--tau-min", type=int)
-    p.add_argument("--tau-max", type=int)
-    p.add_argument("--mc-paths", type=int, help="Monte Carlo paths (0 disables; default 0)")
-    p.add_argument("--mc-seed", type=int, help="Monte Carlo RNG seed (default 0)")
-    p.set_defaults(func=cmd_cov)
+    if command in (None, "cov"):
+        p = sub.add_parser("cov", help="closed-form covariance table with oracle and MC columns")
+        _add_common(p, seeded=True)
+        p.add_argument("--n-min", type=int, default=0)
+        p.add_argument("--n-max", type=int)
+        p.add_argument("--tau-min", type=int)
+        p.add_argument("--tau-max", type=int)
+        p.add_argument("--mc-paths", type=int, help="Monte Carlo paths (0 disables; default 0)")
+        p.add_argument("--mc-seed", type=int, help="Monte Carlo RNG seed (default 0)")
 
-    p = sub.add_parser("spectra", help="density matrix entries over a frequency grid")
-    _add_common(p, seeded=True)
-    p.add_argument("--methods", default="closed,sum",
-                   help="comma list from closed,sum,example,diag (default closed,sum)")
-    p.add_argument("--n-omega", type=int, help="frequency count on [0, 2pi) (default 256)")
-    p.add_argument("--truncation", type=int, help="series truncation override for method=sum")
-    p.set_defaults(func=cmd_spectra)
+    if command in (None, "spectra"):
+        p = sub.add_parser("spectra", help="density matrix entries over a frequency grid")
+        _add_common(p, seeded=True)
+        p.add_argument("--methods", default="closed,sum",
+                       help="comma list from closed,sum,example,diag (default closed,sum)")
+        p.add_argument("--n-omega", type=int, help="frequency count on [0, 2pi) (default 256)")
+        p.add_argument("--truncation", type=int, help="series truncation override for method=sum")
 
-    p = sub.add_parser("embed", help="embedding covariance matrices")
-    _add_common(p, seeded=True)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--tau-min", type=int)
-    p.add_argument("--tau-max", type=int)
-    p.set_defaults(func=cmd_embed)
+    if command in (None, "embed"):
+        p = sub.add_parser("embed", help="embedding covariance matrices")
+        _add_common(p, seeded=True)
+        p.add_argument("--n-min", type=int, default=0)
+        p.add_argument("--n-max", type=int)
+        p.add_argument("--tau-min", type=int)
+        p.add_argument("--tau-max", type=int)
 
-    p = sub.add_parser("verify", help="run the invariant suites")
-    _add_common(p, seeded=True)
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="relative fault injected into the seed's r1 (seeded)")
-    p.add_argument("--seed", type=int, help="RNG seed for fault injection (default 0)")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", help="run the invariant suites")
+        _add_common(p, seeded=True)
+        p.add_argument("--perturb", type=float, default=0.0,
+                       help="relative fault injected into the seed's r1 (seeded)")
+        p.add_argument("--seed", type=int, help="RNG seed for fault injection (default 0)")
+        p.add_argument("--json", action="store_true", help="machine-readable report")
 
     return parser
 
 
+#: ``main``'s parsers, each built once per process and shared by its calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command line that names no subcommand, such as --help or a usage error, gets the full parser
+    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # looked up by name when called, not bound in the cached parser, so a wrapper set on cmd_* is run
+        return globals()[f"cmd_{args.command}"](args)
     except (ConvergenceError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

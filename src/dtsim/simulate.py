@@ -8,32 +8,35 @@ from :func:`cov_table`.  One generator serves every admissible seed; a zero
 one-step covariance on the grid splits the chain and is rejected.
 
 An :class:`Ensemble` is a seeded recipe, not a matrix.  Batch ``i`` of its
-paths is drawn from child ``i`` of ``SeedSequence(rng_seed)`` (PCG64) alone,
-so results are byte-for-byte reproducible whichever thread or process fills
-a batch, and any batch can be filled without the others.  Readers of
-:meth:`Ensemble.blocks` fill each batch on their own thread as they read it,
-rows first in one array, and the table parts of :meth:`Ensemble.columns`
-are filled by the process that writes them.  The Monte Carlo moments are
-the one threaded pass: with two or more usable cores and fewer than 128
-grid points, two threads fill batches and reduce each to its products,
-which are summed in batch order; otherwise the calling thread does every
-batch.  Neither keeps more than a few batches, so memory does not grow
-with the number of paths.
+paths is drawn from ``SeedSequence(rng_seed, spawn_key=(i,))`` (PCG64) alone,
+child ``i`` of ``SeedSequence(rng_seed).spawn`` state for state, made where
+the batch is filled: results are byte-for-byte reproducible whichever thread
+or process fills a batch, any batch can be filled without the others, and no
+reader makes one seed per batch up front.  Every batch is filled the same
+way, rows first and in place in one ``(rows, K)`` array, ``K = k_max + 1``:
+the normals are drawn into it, scaled, summed along the grid with ``K - 1``
+column adds and multiplied by the amplitudes.  Readers of
+:meth:`Ensemble.blocks` fill each batch in a new array on their own thread
+as they read it, and the table parts of :meth:`Ensemble.columns` are filled
+by the process that writes them.
 
-The moments pass fills a batch rows last, ``(K, rows)`` with ``K = k_max +
-1``, so its cumulative sum along the grid is ``K - 1`` contiguous row adds,
-and reduces it with two one-buffer products, ``x @ x.T`` and ``sq @
-sq.T`` with ``sq = x * x``.  numpy sends those to BLAS ``syrk``,
-which OpenBLAS runs on the calling thread below ``K = 128``, so the fill
-threads do not share the cores with a BLAS pool there; from ``K = 128``
-``syrk`` itself starts BLAS's threads, a threaded pass is slower than one
-thread, and the calling thread does every batch.  ``syrk`` rounds the
-fourth-moment sums differently from a general product, so ``mc_stderr`` may
-move by that rounding, which is held to 4e-15 relative; the second-moment
-sums are the same bit for bit.  The pass scales each grid point's paths by
-a power of two near their standard deviation, folded into the amplitudes,
-so the fourth-moment sums stay in range wherever the covariances do, and
-the estimates are scaled back exactly.
+The Monte Carlo moments are the one threaded pass: with two or more usable
+cores and fewer than 128 grid points, two threads fill batches and reduce
+each to its products, which are summed in batch order; otherwise the calling
+thread does every batch.  Each thread fills its batches in one buffer of its
+own and reduces each there with ``x.T @ x``, then squares it in place and
+reduces it again with ``x.T @ x``.  So a thread holds one batch, and the
+pass a few products besides, whatever the number of paths.  numpy sends
+those one-buffer products to BLAS ``syrk``.  From ``K = 128`` OpenBLAS runs
+``syrk`` on threads of its own, a threaded pass is slower than one thread,
+and the calling thread does every batch; below it, two fill threads are
+faster at the grid sizes ``dtsim cov`` uses by default, ``K = 4 T``.
+``syrk`` rounds the fourth-moment sums differently from a general product,
+so ``mc_stderr`` may move by that rounding, which is held to 4e-15 relative;
+the second-moment sums are the same bit for bit.  The pass scales each grid
+point's paths by a power of two near their standard deviation, folded into
+the amplitudes, so the fourth-moment sums stay in range wherever the
+covariances do, and the estimates are scaled back exactly.
 """
 
 from __future__ import annotations
@@ -64,8 +67,12 @@ BATCH_SIZE = 4096
 #: their share of an ``Ensemble``'s batches straight to its file or pipe,
 #: taking turns in batch order; no byte of a table depends on that either.
 _FILL_THREADS = 2 if _CORES > 1 else 0
-#: Grid points from which BLAS ``syrk`` runs on threads of its own, and
-#: ``Ensemble.moments`` starts no fill thread.
+#: Grid points from which ``Ensemble.moments`` starts no fill thread: there
+#: BLAS ``syrk`` runs on threads of its own, and two fill threads calling it
+#: are slower than one.  OpenBLAS threads ``syrk`` at some smaller sizes too
+#: (such as K = 33-47 and most K from 65), where one fill thread is also
+#: faster; no single bound separates those from the sizes, such as K = 4 T,
+#: where two fill threads win.
 _BLAS_THREADS_K = 128
 
 
@@ -119,48 +126,35 @@ class Ensemble:
     def blocks(self) -> Iterator[np.ndarray]:
         """Rows of the path matrix in blocks of ``BATCH_SIZE`` (the last may be shorter).
 
-        Block ``i`` is :meth:`_batch` ``i``, drawn from child ``i`` of
-        ``SeedSequence(rng_seed)`` alone, so a path depends neither on
-        ``n_paths`` nor on which thread or process filled it.  Each block is a
-        new array, filled on this thread when the iteration asks for it, so a
-        reader holds the blocks it keeps and no others.
+        Block ``i`` is :meth:`_batch` ``i``, drawn from its own seed alone, so a
+        path depends neither on ``n_paths`` nor on which thread or process
+        filled it.  Each block is a new array, filled on this thread when the
+        iteration asks for it, so a reader holds the blocks it keeps and no others.
         """
-        return (self._batch(i, child) for i, child in enumerate(self._children()))
+        return (self._batch(i) for i in range(self._n_batches))
 
-    def _children(self) -> list[np.random.SeedSequence]:
-        return np.random.SeedSequence(self.rng_seed).spawn((self.n_paths + BATCH_SIZE - 1) // BATCH_SIZE)
+    @property
+    def _n_batches(self) -> int:
+        return -(-self.n_paths // BATCH_SIZE)
 
-    def _batch(self, i: int, child: np.random.SeedSequence) -> np.ndarray:
-        """Block ``i`` of :meth:`blocks`, drawn from ``child`` alone: ``(rows, K)``, filled in one new array.
+    def _batch(self, i: int, out: np.ndarray | None = None, amp: np.ndarray | None = None) -> np.ndarray:
+        """Block ``i`` of :meth:`blocks`: ``(rows, K)``, filled rows first in place in the start of ``out``.
 
-        The draws, scaling, running sum along the grid and amplitudes of
-        :meth:`_fill`, in the same order, so the same bits, but rows first:
-        no rows-last copy is made for a reader of whole paths.
+        The normals come from ``SeedSequence(rng_seed, spawn_key=(i,))`` alone,
+        child ``i`` of ``SeedSequence(rng_seed).spawn``; path ``p`` takes the
+        ``K`` draws from ``p K`` on of the block's stream.  They are scaled,
+        summed along the grid one column at a time and multiplied by ``amp``,
+        the amplitudes of :attr:`_factors` unless given.  ``out`` is a new
+        array unless given.
         """
-        scale, amp, _ = self._factors
-        rows = min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
-        x = np.random.default_rng(child).standard_normal((rows, len(scale)))
-        x *= scale
-        np.cumsum(x, axis=1, out=x)
-        x *= amp
-        return x
-
-    def _fill(self, i: int, child: np.random.SeedSequence, normals: np.ndarray, out: np.ndarray,
-              amp: np.ndarray) -> np.ndarray:
-        """Block ``i``, drawn from ``child`` alone, rows last: a ``(K, rows)`` view of the start of ``out``.
-
-        The normals are drawn into the start of ``normals`` as ``(rows, K)``,
-        so path ``p`` takes the ``K`` draws from ``p K`` on of the block's
-        stream; the scaling, the cumulative sum along the grid and the
-        amplitudes ``amp`` then run one contiguous row of ``out`` at a time.
-        """
-        scale = self._factors[0]
+        scale, amplitudes, _ = self._factors
         K, rows = len(scale), min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
-        z = np.random.default_rng(child).standard_normal(out=normals[: rows * K].reshape(rows, K))
-        x = np.multiply(z.T, scale[:, np.newaxis], out=out[: rows * K].reshape(K, rows))
+        x = np.empty((rows, K)) if out is None else out[: rows * K].reshape(rows, K)
+        np.random.default_rng(np.random.SeedSequence(self.rng_seed, spawn_key=(i,))).standard_normal(out=x)
+        x *= scale
         for k in range(1, K):
-            x[k] += x[k - 1]
-        x *= amp[:, np.newaxis]
+            x[:, k] += x[:, k - 1]
+        x *= amplitudes if amp is None else amp
         return x
 
     @cached_property
@@ -200,23 +194,24 @@ class Ensemble:
         helpers each fill the next block and reduce it to its two ``K x K``
         products, which are added into the sums in block order, so no bit
         depends on the thread count; from ``K = 128`` this thread works alone
-        (see the module docstring).  Each thread holds two block buffers: the
-        rows-last block ``x`` and the normals it was drawn from, which then
-        take ``sq = x * x``; the products are the symmetric ``x @ x.T`` and
-        ``sq @ sq.T`` (see the module docstring).  At most two blocks per
-        thread are taken and not yet added, so the pass holds a few products
-        besides, whatever ``n_paths`` is.  An error in any thread stops the
+        (see the module docstring).  Each thread holds one block buffer: it
+        fills a block ``x`` there rows first, forms ``x.T @ x``, squares ``x``
+        in place and forms ``x.T @ x`` again, the symmetric products of the
+        module docstring.  At most two blocks per thread are taken and not yet
+        added, so the pass holds a few products besides, whatever ``n_paths``
+        is.  Block ``i``'s seed is made when the block is filled, so no list of
+        seeds grows with ``n_paths`` either.  An error in any thread stops the
         pass and is raised here once the helpers are joined.
         """
         _, amp, shift = self._factors
         amp = np.ldexp(amp, -shift)
         K = self.k_max + 1
-        children = self._children()  # made on this thread, as the buffers below are
-        n_workers = max(min(_FILL_THREADS if K < _BLAS_THREADS_K else 0, len(children)), 1)
+        n_batches = self._n_batches
+        n_workers = max(min(_FILL_THREADS if K < _BLAS_THREADS_K else 0, n_batches), 1)
         window = 2 * n_workers
         # allocated on this thread: buffers allocated on a helper would come
         # from that thread's malloc arena and raise the peak RSS
-        buffers = np.empty((n_workers, 2, min(BATCH_SIZE, self.n_paths) * K))
+        buffers = np.empty((n_workers, min(BATCH_SIZE, self.n_paths) * K))
         products = np.empty((window, 2, K, K))
         sums = np.zeros((2, K, K))
         state = threading.Condition()
@@ -224,20 +219,20 @@ class Ensemble:
         finished: set[int] = set()
         errors: list[BaseException] = []
 
-        def work(normals: np.ndarray, block_buffer: np.ndarray) -> None:
+        def work(buffer: np.ndarray) -> None:
             nonlocal taken, added, sums
             try:
                 while True:
                     with state:
                         state.wait_for(lambda: taken - added < window or errors)
-                        if errors or taken == len(children):
+                        if errors or taken == n_batches:
                             return
                         i, taken = taken, taken + 1
                     product = products[i % window]  # free: block i - window is added
-                    x = self._fill(i, children[i], normals, block_buffer, amp)
-                    np.matmul(x, x.T, out=product[0])
-                    sq = np.multiply(x, x, out=normals[: x.size].reshape(x.shape))
-                    np.matmul(sq, sq.T, out=product[1])
+                    x = self._batch(i, buffer, amp)
+                    np.matmul(x.T, x, out=product[0])
+                    np.multiply(x, x, out=x)
+                    np.matmul(x.T, x, out=product[1])
                     with state:
                         finished.add(i)
                         while added in finished:
@@ -252,10 +247,10 @@ class Ensemble:
 
         helpers: list[threading.Thread] = []
         try:
-            for pair in buffers[1:]:
-                (helper := threading.Thread(target=work, args=tuple(pair))).start()
+            for buffer in buffers[1:]:
+                (helper := threading.Thread(target=work, args=(buffer,))).start()
                 helpers.append(helper)
-            work(*buffers[0])
+            work(buffers[0])
         finally:
             for helper in helpers:
                 helper.join()
@@ -267,18 +262,19 @@ class Ensemble:
     def columns(self) -> Sequence[dict[str, np.ndarray]]:
         """Table parts ``path, k, t, value`` for ``table.write_table``: part ``i`` is block ``i``, built when read.
 
-        The children are made here, so ``numpy.random`` is loaded before the
-        table writer forks its workers, not once in each (where loading it
-        paged in about 8 MB of code).
+        ``numpy.random`` is loaded here, so the table writer loads it before it
+        forks its workers, not once in each (where loading it paged in about
+        8 MB of code).
         """
+        import numpy.random  # noqa: F401
+
         ks = np.arange(self.k_max + 1)
-        children = self._children()
 
         def part(i: int) -> tuple[np.ndarray, ...]:
-            block = self._batch(i, children[i])
+            block = self._batch(i)
             return np.arange(i * BATCH_SIZE, i * BATCH_SIZE + len(block))[:, np.newaxis], ks, self.times, block
 
-        return _Parts(["path", "k", "t", "value"], len(children), part, self.n_paths * len(ks))
+        return _Parts(["path", "k", "t", "value"], self._n_batches, part, self.n_paths * len(ks))
 
     def to_csv(self, path) -> None:
         """Write rows ``path,k,t,value`` with 17-significant-digit floats, as ``dtsim simulate`` does."""

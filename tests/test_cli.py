@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -32,7 +33,7 @@ from dtsim import (
     spectral_sum_grid,
 )
 import dtsim
-from dtsim import spectral, table
+from dtsim import cli, spectral, table
 from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 from dtsim.table import write_table
@@ -634,6 +635,61 @@ def test_spectra_holds_a_few_blocks(monkeypatch):
 def test_argparse_errors_map_to_config_exit(capsys):
     assert main(["cov", "--no-such-flag"]) == 2
     assert main([]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cov", "--no-such-flag"], ["cov", "--T", "x"], ["cov", "--n-max"], ["simulate", "--help"],
+    ["simulate", "--process", "foo"], ["spectra", "-h"], ["spectra", "--format", "xml"], ["embed", "--help"],
+    ["verify", "--json", "extra"], ["verify", "--perturb", "abc"],
+])
+def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
+    """The parser ``main`` builds for the named subcommand prints the full parser's help and usage errors,
+    and exits with its codes."""
+    seen = []
+    for parser in (cli.build_parser(), cli.build_parser(argv[0])):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        seen.append((exc.value.code, capsys.readouterr()))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--paths", "5", "--process", "brownian"], ["cov", "--T", "4", "--mc-paths", "9"],
+    ["spectra", "--builtin", "--methods", "sum"], ["embed", "--n-max", "3", "--format", "json"],
+    ["verify", "--perturb", "0.1", "--json"],
+])
+def test_one_command_parser_parses_as_the_full_parser(argv):
+    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_main_builds_the_named_parser_once(monkeypatch, tmp_path):
+    """A command line that names a subcommand builds that subcommand's parser alone, once per process:
+    two ``ArgumentParser`` objects on the first call, none on the next."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        for calls in (2, 2):
+            assert main(["cov", "--n-max", "1", "--tau-max", "1", "--out", str(tmp_path / "c.csv")]) == 0
+            assert len(built) == calls
+    finally:
+        cli._parser.cache_clear()
+    assert built == ["dtsim", "dtsim cov"]
+
+
+def test_main_runs_the_command_the_module_holds_now(monkeypatch, capsys):
+    """``main`` looks a subcommand's function up in ``dtsim.cli`` when it runs it, so a wrapper set there
+    after the parser was built and cached, as a tracer sets one, is the one called."""
+    assert main(["cov", "--n-max", "0", "--tau-max", "0"]) == 0
+    monkeypatch.setattr(cli, "cmd_cov", lambda args: 7)
+    assert main(["cov", "--n-max", "0", "--tau-max", "0"]) == 7
     capsys.readouterr()
 
 

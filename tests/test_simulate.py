@@ -286,13 +286,13 @@ def test_moments_are_one_cached_pass(monkeypatch):
     p = make_params(0.75, 2.0, 2)
     ens = simulate_simple_bm(p, n_paths=BATCH_SIZE + 9, k_max=5, rng_seed=3)
     fills = []
-    fill = Ensemble._fill
+    fill = Ensemble._batch
 
     def counted(self, i, *args):
         fills.append(i)
         return fill(self, i, *args)
 
-    monkeypatch.setattr(Ensemble, "_fill", counted)
+    monkeypatch.setattr(Ensemble, "_batch", counted)
     first = empirical_cov(ens, np.arange(4), 1)
     for n in range(4):
         assert empirical_cov(ens, n, 1).value == first.value[n]
@@ -424,6 +424,58 @@ def test_moments_hold_a_few_blocks(monkeypatch, threads):
     finally:
         tracemalloc.stop()
     assert peak < (2 * max(threads, 1) + 2) * BATCH_SIZE * 32 * 8
+
+
+@pytest.mark.parametrize("k_max, threads", [(15, 2), (255, 1)])
+def test_moments_hold_one_block_per_fill_thread(monkeypatch, k_max, threads):
+    """Each fill thread fills and reduces its blocks in one buffer: the pass peaks at one block per thread,
+    the ``2 * threads`` product pairs in flight and the sums, and 256 KiB for numpy's ufunc buffers and the
+    generators.  At 256 grid points one thread fills every block (see ``_BLAS_THREADS_K``)."""
+    import numpy.random  # noqa: F401 -- loaded before the trace, as a process that ran a pass has it
+
+    monkeypatch.setattr(simulate, "_FILL_THREADS", 2)
+    K = k_max + 1
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 32), n_paths=6 * BATCH_SIZE + 5, k_max=k_max, rng_seed=2)
+    tracemalloc.start()
+    try:
+        assert ens.moments.shape == (2, K, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < threads * BATCH_SIZE * K * 8 + (2 * threads + 1) * 2 * K * K * 8 + 256 * 1024
+
+
+class _NoSpawn(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError("SeedSequence.spawn was called")
+
+
+def test_batch_seeds_are_made_per_batch(monkeypatch):
+    """A 1e9-path ensemble spawns no list of 244,141 seeds: its first block and part 12345 of its table
+    are drawn from ``SeedSequence(rng_seed, spawn_key=(i,))``, which is child ``i`` of ``spawn``."""
+    ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=10**9, k_max=16, rng_seed=31)
+    scale, amp, _ = ens._factors
+    first, part = np.random.SeedSequence(31).spawn(12346)[::12345]
+    want = [np.cumsum(np.random.default_rng(child).standard_normal((BATCH_SIZE, 17)) * scale, axis=1) * amp
+            for child in (first, part)]
+    monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
+    assert np.array_equal(next(ens.blocks()), want[0])
+    table = ens.columns()
+    assert len(table) == -(-10**9 // BATCH_SIZE) == 244141
+    assert np.array_equal(table[12345]["value"], want[1])
+    assert np.array_equal(table[12345]["path"][:, 0], np.arange(12345 * BATCH_SIZE, 12346 * BATCH_SIZE))
+
+
+def test_columns_load_numpy_random_before_the_fork():
+    """Building an ensemble loads no ``numpy.random``; asking for its table parts does, in the writer,
+    so the format workers it forks find the module loaded."""
+    code = ("import sys; from dtsim import make_params, simulate_simple_bm; "
+            "ens = simulate_simple_bm(make_params(0.75, 2.0, 2), 10**6, 16); before = 'numpy.random' in sys.modules; "
+            "ens.columns(); print(before, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
 
 
 class _CountedThread(threading.Thread):
