@@ -23,15 +23,7 @@ from .covariance import cov_table, simple_bm_cov, simple_bm_seed
 from .errors import ConvergenceError, DomainError, GridError, PoleError
 from .multidim import q_cov
 from .simulate import Ensemble, empirical_cov, simulate_brownian, simulate_simple_bm
-from .spectral import (
-    FrequencyGrid,
-    _closed_density,
-    _closed_ratio,
-    _sum_density,
-    _sum_powers,
-    simple_bm_spectral,
-    spectral_diag,
-)
+from .spectral import FrequencyGrid, _assemble, _closed_weights, _sum_weights, simple_bm_spectral, spectral_diag
 from .table import _Parts, _spans, write_table
 from .verify import perturb_seed, run_checks
 
@@ -176,26 +168,30 @@ def cmd_spectra(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise DomainError(f"--methods names no method; choose from {', '.join(_METHODS)}")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in _METHODS:
             raise DomainError(f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
+        if m in methods[:i]:
+            raise DomainError(f"method {m!r} is named twice in --methods")
     if "example" in methods and not is_builtin:
         raise DomainError("method 'example' is the builtin-seed closed form; "
                           "it cannot be used with --seed-file")
     n_omega = _opt(args.n_omega, cfg, ("spectra", "n_omega"), 256, int)
     trunc = _opt(args.truncation, cfg, ("spectra", "truncation"), None, int)
     omegas = FrequencyGrid(n_omega).omegas
-    powers = A = None
-    for method in methods:  # each method's errors, in order, before the output file opens: O(n_omega)
+    # closed and sum are each a pair of weights on A and A^T per frequency, and one assembler builds either
+    # from its weights.  The weights are pointwise in omega: they are computed once for the whole grid, which
+    # is also each method's error check, in order, before the output file opens; a part assembles its slice
+    weights, A = {}, None
+    for method in methods:
         if method == "closed":
-            _closed_ratio(chain, omegas)
-        elif method == "sum":  # the power sums, for every part: each is pointwise in omega
-            powers = _sum_powers(chain, omegas, trunc)
+            weights[method] = _closed_weights(chain, omegas)
+        elif method == "sum":
+            weights[method] = _sum_weights(chain, omegas, trunc)
         elif method == "diag":
             spectral_diag(chain, 0, omegas)
-        if method in ("closed", "sum") and A is None:
+        if method in weights and A is None:
             A = q_cov(chain, 0, 0)  # a vanishing h-chain fails here, and every part takes A from here
-    AAt = None if powers is None else np.stack([A, A.T])
     T = params.T
     idx = np.arange(T)
     js, rs = np.divmod(np.arange(T**2), T)
@@ -204,10 +200,8 @@ def cmd_spectra(args) -> int:
     def part(i: int) -> tuple[np.ndarray, ...]:
         method, lo = methods[i // len(starts)], starts[i % len(starts)]
         w = omegas[lo : lo + starts.step]
-        if method == "closed":
-            vals = _closed_density(A, *_closed_ratio(chain, w))
-        elif method == "sum":
-            vals = _sum_density(AAt, powers[lo : lo + starts.step])
+        if method in weights:
+            vals = _assemble(A, weights[method][lo : lo + starts.step])
         elif method == "example":
             vals = simple_bm_spectral(params, idx[:, np.newaxis], idx, w[:, np.newaxis, np.newaxis])
         else:  # diag: real values, one row per component

@@ -38,6 +38,12 @@ are length-1 calls into it.
 
 The density of the process has the symmetric ``G0 = tril(A) + tril(A, -1)^T`` at lag 0
 in place of ``A``: it is the two-term form plus ``(G0 - A) / (2 pi)``, zero on and below the diagonal.
+
+Each route is thus a pair of weights per frequency on ``A`` and ``A^T``:
+``1 / (1 - zr)`` and ``conj(zr) / conj(1 - zr)`` closed, ``1 + G_S`` and
+``conj(G_S)`` truncated at ``S``, and ``zr / (1 - zr)`` on ``A`` folded with
+its conjugate transpose, plus ``G0``, for the density.  One assembler,
+:func:`_assemble`, builds every route from its weights.
 """
 
 from __future__ import annotations
@@ -332,20 +338,18 @@ def spectral_sum_grid(
     ConvergenceError
         If ``|rho| >= 1``.
     """
-    A = q_cov(chain, 0, 0)
-    return _sum_density(np.stack([A, A.T]), _sum_powers(chain, omegas, s_trunc))
+    return _assemble(q_cov(chain, 0, 0), _sum_weights(chain, omegas, s_trunc))
 
 
-def _sum_powers(chain: HChain, omegas, s_trunc: int | None) -> np.ndarray:
-    """``sum_{s=1..S} zr**s`` at each frequency, raising as :func:`spectral_sum_grid` states.
+def _sum_weights(chain: HChain, omegas, s_trunc: int | None) -> np.ndarray:
+    """Weights ``1 + G_S`` and ``conj(G_S)`` of :func:`spectral_sum_grid` on ``A`` and ``A^T``, shape (len(omegas), 2).
 
-    The sum ``G(m)`` of the first ``m`` powers is built over the bits of
-    ``S``, highest first, from ``G(2m) = G(m) (1 + zr**m)`` and
-    ``G(m + 1) = zr (1 + G(m))``, with ``zr**m`` squared alongside: about
-    ``2 log2 S`` array steps, so ``S`` of 1e16 near ``|rho| = 1`` costs what
-    ``S`` of 100 does, and never a division by the closed form's ``1 - zr``.
-    Pointwise in omega, so the sums of a slice of ``omegas`` are that slice
-    of these, bit for bit.
+    ``G_S = sum_{s=1..S} zr**s``.  The sum ``G(m)`` of the first ``m`` powers
+    is built over the bits of ``S``, highest first, from
+    ``G(2m) = G(m) (1 + zr**m)`` and ``G(m + 1) = zr (1 + G(m))``, with
+    ``zr**m`` squared alongside: about ``2 log2 S`` array steps, so ``S`` of
+    1e16 near ``|rho| = 1`` costs what ``S`` of 100 does, and never a division
+    by the closed form's ``1 - zr``.  Raises as :func:`spectral_sum_grid` states.
     """
     rho, S = _sum_truncation(chain, s_trunc)
     zr = rho * np.exp(-1j * np.asarray(omegas, dtype=float) * chain.T)
@@ -357,23 +361,27 @@ def _sum_powers(chain: HChain, omegas, s_trunc: int | None) -> np.ndarray:
             powers += 1
             powers *= zr
             zm *= zr
-    return powers
+    return np.stack([1 + powers, np.conj(powers)], axis=-1)
 
 
-def _sum_density(AAt: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """:func:`spectral_sum_grid` from ``np.stack([A, A.T])`` and the power sums :func:`_sum_powers` gives.
+def _assemble(A: np.ndarray, weights: np.ndarray, G0: np.ndarray | None = None) -> np.ndarray:
+    """Entries ``(weights[m, 0] A + weights[m, 1] A^T) / (2 pi)`` of every embedding-density route, shape (len(weights), T, T).
 
-    Shape (len(powers), T, T).
+    With ``G0``, the combination is folded with its own conjugate transpose
+    and ``G0`` is added before the division: Hermitian bit for bit.  Pointwise
+    in omega: a slice of ``weights`` gives that slice of the entries, bit for bit.
     """
-    # (1 + powers) A + conj(powers) A^T as one product: no second grid-sized temporary.  In runs of 1024
-    # columns, which OpenBLAS multiplies on the calling thread: a one-frequency product over all T**2 starts
-    # its helper threads, and in a table format worker they compete with the other worker for the cores
-    coef = np.stack([1 + powers, np.conj(powers)], axis=-1)
-    flat = AAt.reshape(2, -1)
-    out = np.empty((len(powers), flat.shape[1]), complex)
+    # one product per run of 1024 columns, which OpenBLAS multiplies on the calling thread: a one-frequency
+    # product over all T**2 starts its helper threads, and in a table format worker they compete with the
+    # other worker for the cores.  No second grid-sized temporary, unless folded
+    flat = np.stack([A, A.T]).reshape(2, -1)
+    out = np.empty((len(weights), flat.shape[1]), complex)
     for lo in range(0, flat.shape[1], 1024):
-        np.matmul(coef, flat[:, lo : lo + 1024], out=out[:, lo : lo + 1024])
-    out = out.reshape(len(powers), *AAt.shape[1:])
+        np.matmul(weights, flat[:, lo : lo + 1024], out=out[:, lo : lo + 1024])
+    out = out.reshape(len(weights), *A.shape)
+    if G0 is not None:
+        out += np.conj(np.swapaxes(out, 1, 2))
+        out += G0
     out /= 2 * math.pi
     return out
 
@@ -405,37 +413,26 @@ def spectral_closed_grid(chain: HChain, omegas: np.ndarray) -> np.ndarray:
     PoleError
         If a denominator comes within 1e-14 of zero.
     """
-    return _closed_density(q_cov(chain, 0, 0), *_closed_ratio(chain, omegas))
+    return _assemble(q_cov(chain, 0, 0), _closed_weights(chain, omegas))
 
 
-def _closed_density(A: np.ndarray, zr: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """:func:`spectral_closed_grid` from ``A = Q(0)`` and the ratios :func:`_closed_ratio` gives."""
-    out = A / denom[:, np.newaxis, np.newaxis]
-    w = (np.conj(zr) / np.conj(denom))[:, np.newaxis, np.newaxis]
-    for lo, chunk in _chunks(out):  # no second grid-sized temporary
-        chunk += A.T * w[lo : lo + len(chunk)]
-    out /= 2 * math.pi
-    return out
-
-
-def _chunks(out: np.ndarray):
-    """``(start, view)`` of consecutive runs of frequencies of ``out`` (n, T, T), about 2**16 entries each."""
-    step = max(1, (1 << 16) // out[0].size) if len(out) else 1
-    return ((lo, out[lo : lo + step]) for lo in range(0, len(out), step))
+def _closed_weights(chain: HChain, omegas) -> np.ndarray:
+    """Weights of :func:`spectral_closed_grid` on ``A`` and ``A^T``: ``1 / (1 - zr)`` and ``conj(zr) / conj(1 - zr)``."""
+    zr, denom = _closed_ratio(chain, omegas)
+    return np.stack([1 / denom, np.conj(zr / denom)], axis=-1)
 
 
 def spectral_diag(chain: HChain, k, omega):
-    """Diagonal density ``r0[k] (1 - rho^2) / (2 pi (1 - 2 cos(omega T) rho + rho^2))``.
+    """Diagonal density ``r0[k] (1 - rho) (1 + rho) / (2 pi |1 - rho e^{-i omega T}|**2)``.
 
     Strictly positive for every valid chain with ``|rho| < 1``; equals the real
-    part of the (k, k) closed form.  ``k`` and ``omega`` may be broadcast
-    arrays; scalars give a float.
+    part of the (k, k) closed form, and raises as :func:`spectral_closed_grid`
+    does.  ``k`` and ``omega`` may be broadcast arrays; scalars give a float.
     """
-    rho = _convergent_ratio(chain)
-    denom = 1 - 2 * np.cos(np.asarray(omega, dtype=float) * chain.T) * rho + rho * rho
-    if np.any(np.abs(denom) < _POLE_TOL):
-        raise PoleError(f"denominator {np.min(np.abs(denom))} within {_POLE_TOL} of a pole")
-    out = chain.seed.r0[np.asarray(k) % chain.T] * (1 - rho * rho) / (2 * math.pi * denom)
+    denom = _closed_ratio(chain, omega)[1]
+    rho = convergence_ratio(chain)
+    out = chain.seed.r0[np.asarray(k) % chain.T] * ((1 - rho) * (1 + rho)) / (
+        2 * math.pi * (denom.real**2 + denom.imag**2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -482,16 +479,17 @@ class SpectralMatrix:
         object.__setattr__(self, "entries", e)
 
 
+def _density_weights(chain: HChain, omegas) -> np.ndarray:
+    """Weights of :func:`spectral_matrix_grid` on ``A`` and ``A^T`` before its fold: ``zr / (1 - zr)`` and 0."""
+    zr, denom = _closed_ratio(chain, omegas)
+    return np.stack([zr / denom, np.zeros_like(zr)], axis=-1)
+
+
 def _density_entries(chain: HChain, omegas) -> np.ndarray:
     """Entries of :func:`spectral_matrix_grid` at ``omegas``."""
-    zr, denom = _closed_ratio(chain, omegas)
+    weights = _density_weights(chain, omegas)
     A = q_cov(chain, 0, 0)
-    out = (zr / denom)[:, np.newaxis, np.newaxis] * A  # M: the lags s >= 1
-    for _, chunk in _chunks(out):  # before G0, so out[j, r] == conj(out[r, j])
-        chunk += np.conj(np.swapaxes(chunk, 1, 2))
-    out += np.tril(A) + np.tril(A, -1).T
-    out /= 2 * math.pi
-    return out
+    return _assemble(A, weights, np.tril(A) + np.tril(A, -1).T)
 
 
 def spectral_matrix_grid(chain: HChain, grid: FrequencyGrid) -> SpectralMatrix:

@@ -44,6 +44,13 @@ def correlated_seed(params: DsiParams, corrs) -> CovarianceSeed:
     return CovarianceSeed(r0=r0, r1=r1)
 
 
+def seed_shape(T: int, rho: float, alpha: float = 2.0, H: float = 0.75) -> CovarianceSeed:
+    """Unit variances with per-period ratio ``rho``: near ``rho = 1`` the series needs long lags."""
+    r1 = np.full(T, rho ** (1.0 / T))
+    r1[-1] *= alpha ** (H * T)
+    return CovarianceSeed(r0=np.ones(T), r1=r1)
+
+
 #: Correlations of the negative-ratio seed in :func:`chain_variants`.
 NEG_CORRS = (-0.4, 0.7, -0.25, 0.55)
 

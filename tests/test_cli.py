@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 from dtsim.table import write_table
 
-from conftest import NEG_CORRS, correlated_seed
+from conftest import NEG_CORRS, correlated_seed, seed_shape
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -561,14 +562,16 @@ def test_exit_code_convergence(capsys, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("case", ["convergence", "pole", "truncation", "vanishing", "vanishing-sum"])
+@pytest.mark.parametrize("case", ["convergence", "pole", "truncation", "vanishing", "vanishing-sum", "repeated"])
 def test_failing_spectra_leaves_no_file(capsys, tmp_path, case):
     """``spectra`` checks every method's inputs before it opens its output: ``|rho| = 1`` (the seed of
-    ``test_exit_code_convergence``) and a pole on the grid exit 4, a negative truncation and an h-chain
+    ``test_exit_code_convergence``) and a pole on the grid exit 4, a negative truncation, an h-chain
     that vanishes inside the period (the seed of ``test_qcov_rejects_vanishing_chain``, for ``closed``
-    and for ``sum``) exit 2, and no file is left."""
+    and for ``sum``) and a method named twice exit 2, and no file is left and nothing is written."""
     if case == "truncation":
         argv, want = ["--truncation", "-1"], 2
+    elif case == "repeated":
+        argv, want = ["--methods", "closed,closed"], 2
     elif case.startswith("vanishing"):  # rho = 0: no convergence or pole error comes first
         CovarianceSeed(r0=np.array([1.0, 1.0]), r1=np.array([0.0, 0.5])).to_csv(tmp_path / "seed.csv")
         argv, want = ["--H", "0.5", "--alpha", "2", "--T", "2", "--seed-file", str(tmp_path / "seed.csv")], 2
@@ -579,28 +582,45 @@ def test_failing_spectra_leaves_no_file(capsys, tmp_path, case):
         argv, want = ["--H", "0.5", "--alpha", "2", "--T", "1", "--seed-file", str(tmp_path / "seed.csv")], 4
     out = tmp_path / "spectra.csv"
     assert main(["spectra", *argv, "--out", str(out)]) == want and not out.exists()
-    assert ("pole" in capsys.readouterr().err) == (case == "pole")
+    assert main(["spectra", *argv]) == want
+    captured = capsys.readouterr()
+    assert captured.out == "" and ("pole" in captured.err) == (case == "pole")
 
 
 def test_spectra_sums_the_series_once(monkeypatch, tmp_path):
-    """``spectra --methods closed,sum`` runs the truncated power sum, and forms ``A = q_cov(chain, 0, 0)``,
-    once for the whole grid, not once per part (eight parts a method here), and writes what
-    ``spectral_closed_grid`` and ``spectral_sum_grid`` give on the whole grid, bit for bit."""
-    monkeypatch.setattr(table, "_FORMAT_WORKERS", 0)  # every part is built in this process, where calls are counted
+    """``spectra`` runs the truncated power sum, and forms ``A = q_cov(chain, 0, 0)``, once for the whole
+    grid, not once per part (three or four parts a method here), and writes what ``spectral_closed_grid``,
+    ``spectral_sum_grid``, ``spectral_diag`` and ``simple_bm_spectral`` give on the whole grid, bit for
+    bit: for the builtin seed and a seed file, at T = 2 and 16, on no format worker and on two.  Only the
+    writer's calls are counted: on no worker every part is built in the writer."""
     calls, matrices = [], []
     truncation = spectral._sum_truncation
     monkeypatch.setattr(spectral, "_sum_truncation", lambda *args: calls.append(args) or truncation(*args))
     for module in (dtsim.cli, spectral):
         monkeypatch.setattr(module, "q_cov", lambda *args, q_cov=module.q_cov: matrices.append(args) or q_cov(*args))
-    out = tmp_path / "sum.csv"
-    assert main(["spectra", "--T", "16", "--n-omega", "256", "--methods", "closed,sum", "--out", str(out)]) == 0
-    assert len(calls) == 1 and len(matrices) == 1
-    p = make_params(0.75, 2.0, 16)
-    chain = make_chain(p, simple_bm_seed(p))
-    omegas = FrequencyGrid(256).omegas
-    want = np.concatenate([spectral_closed_grid(chain, omegas).ravel(), spectral_sum_grid(chain, omegas).ravel()])
-    re, im = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(3, 4), unpack=True)
-    assert np.array_equal(re, want.real) and np.array_equal(im, want.imag)
+    for seed_file, (T, n_omega), workers in itertools.product((False, True), ((2, 4500), (16, 100)), (0, 2)):
+        monkeypatch.setattr(table, "_FORMAT_WORKERS", workers)
+        p = make_params(0.75, 2.0, T)
+        seed = seed_shape(T, 0.95) if seed_file else simple_bm_seed(p)
+        methods = ["closed", "sum", "diag"] + ([] if seed_file else ["example"])
+        argv = ["spectra", "--T", str(T), "--n-omega", str(n_omega), "--methods", ",".join(methods)]
+        if seed_file:
+            seed.to_csv(tmp_path / "seed.csv")
+            argv += ["--seed-file", str(tmp_path / "seed.csv")]
+        out = tmp_path / "spectra.csv"
+        calls.clear()
+        matrices.clear()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(calls) == 1 and len(matrices) == 1
+        chain = make_chain(p, seed)
+        omegas = FrequencyGrid(n_omega).omegas
+        idx = np.arange(T)
+        want = {"closed": spectral_closed_grid(chain, omegas), "sum": spectral_sum_grid(chain, omegas),
+                "diag": spectral_diag(chain, idx, omegas[:, np.newaxis]),
+                "example": simple_bm_spectral(p, idx[:, np.newaxis], idx, omegas[:, np.newaxis, np.newaxis])}
+        want = np.concatenate([want[method].ravel() for method in methods])
+        re, im = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(3, 4), unpack=True)
+        assert np.array_equal(re, want.real) and np.array_equal(im, want.imag), (seed_file, T, workers)
 
 
 def test_embed_out_of_float_range_is_inf_without_a_warning(monkeypatch, tmp_path):

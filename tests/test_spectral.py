@@ -59,7 +59,7 @@ from dtsim import (
     spectral_sum_grid,
 )
 
-from conftest import chain_variants
+from conftest import chain_variants, seed_shape
 
 OMEGAS = (0.0, 0.7, 2.1, math.pi, 5.0)
 
@@ -382,6 +382,24 @@ def test_spectral_matrix_is_hermitian_bit_for_bit(T):
             assert np.array_equal(e, np.conj(np.swapaxes(e, 1, 2))), (H, alpha)
 
 
+@pytest.mark.parametrize("rho", [1 - 1e-6, 1 - 1e-8])
+def test_spectral_diag_near_the_pole(rho, tmp_path):
+    """Near ``rho = 1`` the diagonal density takes ``|1 - zr|**2`` from the closed form's ratio and
+    ``1 - rho**2`` as ``(1 - rho)(1 + rho)``: at omega = 0 it is ``r0 (1 + rho) / (2 pi (1 - rho))``
+    within 1e-12 (the cancelling ``1 - 2 cos(omega T) rho + rho**2`` was 2.2e-5 off at 1 - 1e-6), and
+    ``spectra --methods diag`` exits 0 wherever ``closed`` does (at 1 - 1e-8 it met the pole guard)."""
+    p = make_params(0.75, 2.0, 2)
+    seed = seed_shape(2, rho)
+    chain = make_chain(p, seed)
+    r = convergence_ratio(chain)
+    want = seed.r0 * (1 + r) / (2 * math.pi * (1 - r))
+    assert np.max(np.abs(spectral_diag(chain, np.arange(2), 0.0) - want) / want) <= 1e-12
+    seed.to_csv(tmp_path / "seed.csv")
+    for method in ("closed", "diag"):
+        assert cli_main(["spectra", "--seed-file", str(tmp_path / "seed.csv"), "--methods", method,
+                         "--n-omega", "16", "--out", str(tmp_path / f"{method}.csv")]) == 0
+
+
 def test_spectral_diag_identities(lattice_params):
     p = lattice_params
     for chain in chain_variants(p):
@@ -471,18 +489,11 @@ def test_white_noise_chain():
         second_term_forms(chain, 0, 0, 0.3)
 
 
-def _seed_shape(T: int, rho: float, alpha: float = 2.0, H: float = 0.75) -> CovarianceSeed:
-    """Unit variances with per-period ratio ``rho``: near ``rho = 1`` the series needs long lags."""
-    r1 = np.full(T, rho ** (1.0 / T))
-    r1[-1] *= alpha ** (H * T)
-    return CovarianceSeed(r0=np.ones(T), r1=r1)
-
-
 @pytest.mark.parametrize("T, rho", [(2, 0.95), (2, 0.98), (4, 0.95)])
 def test_long_series_seeds_stay_finite(T, rho, tmp_path, capsys):
     """Period weights and chain powers enter as one power of rho, so nothing under- or overflows."""
     p = make_params(0.75, 2.0, T)
-    seed = _seed_shape(T, rho)
+    seed = seed_shape(T, rho)
     chain = make_chain(p, seed)
     assert convergence_ratio(chain) == pytest.approx(rho, rel=1e-12)
     table = build_bk_table(chain)
@@ -505,7 +516,7 @@ def test_long_series_seeds_stay_finite(T, rho, tmp_path, capsys):
 def test_f_matrix_grid_matches_direct_sum():
     """FFT evaluation against the plain exponential sum at long-series size (about 1079 lags)."""
     p = make_params(0.75, 2.0, 2)
-    chain = make_chain(p, _seed_shape(2, 0.95))
+    chain = make_chain(p, seed_shape(2, 0.95))
     table = build_bk_table(chain)
     S = table.tau_window - p.T
     grid = FrequencyGrid(512)
@@ -548,7 +559,7 @@ def test_f_matrix_grid_exact_arguments():
     route, which rounds its arguments, misses this bound by more than 10x.
     """
     p = make_params(0.75, 2.0, 2)
-    table = build_bk_table(make_chain(p, _seed_shape(2, 0.95)))
+    table = build_bk_table(make_chain(p, seed_shape(2, 0.95)))
     S, W, n = table.tau_window - p.T, table.tau_window, 512
     N = n * p.T
     got = f_matrix_grid(table, FrequencyGrid(n)).entries
@@ -618,13 +629,14 @@ def test_negative_truncation_rejected():
     assert at_zero.tail_bound == pytest.approx(edge / ((1 - abs(table.rho)) * math.pi), rel=1e-15)
 
 
-def _horner_powers(chain, omegas, S: int) -> np.ndarray:
-    """Reference for ``spectral._sum_powers``: ``sum_{s=1..S} zr**s`` by one Horner step per lag."""
+def _horner_weights(chain, omegas, S: int) -> np.ndarray:
+    """Reference for ``spectral._sum_weights``: ``1 + G_S`` and ``conj(G_S)``, with the power sum
+    ``G_S = sum_{s=1..S} zr**s`` by one Horner step per lag."""
     zr = convergence_ratio(chain) * np.exp(-1j * np.asarray(omegas) * chain.T)
     powers = np.zeros_like(zr)
     for _ in range(S):
         powers = (powers + 1) * zr
-    return powers
+    return np.stack([1 + powers, np.conj(powers)], axis=-1)
 
 
 _DOUBLING_TRUNCATIONS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257, 1023, 1024, 1025, None]
@@ -635,23 +647,22 @@ _DOUBLING_TRUNCATIONS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257, 1
                          + [(0.0, s) for s in (0, 1, 5, None)]
                          + [(0.999, None), (-0.999, None), (0.999, 4097)])
 def test_sum_powers_by_doubling_match_horner(rho, s_trunc):
-    """The doubling over the bits of ``S`` gives the density of the Horner sum within 1e-14 of its largest
-    value, at the default ``S`` (539 at 0.95, 27618 at 0.999) and at overrides about powers of two.
-    ``rho = 0`` is ``r1 = (0.5, 0)``, whose h-chain does not vanish inside the period."""
+    """The doubling over the bits of ``S`` gives, through the assembler, the density of the Horner sum
+    within 1e-14 of its largest value, at the default ``S`` (539 at 0.95, 27618 at 0.999) and at overrides
+    about powers of two.  ``rho = 0`` is ``r1 = (0.5, 0)``, whose h-chain does not vanish inside the period."""
     p = make_params(0.75, 2.0, 2)
     r1 = [0.5, 0.0] if rho == 0 else [math.copysign(abs(rho) ** 0.5, rho), abs(rho) ** 0.5 * 2**1.5]
     chain = make_chain(p, CovarianceSeed(r0=np.ones(2), r1=np.array(r1)))
     assert convergence_ratio(chain) == pytest.approx(rho, abs=1e-15)
     omegas = FrequencyGrid(64).omegas
     S = auto_truncation(convergence_ratio(chain)) if s_trunc is None else s_trunc
-    got, want = spectral._sum_powers(chain, omegas, s_trunc), _horner_powers(chain, omegas, S)
+    got, want = spectral._sum_weights(chain, omegas, s_trunc), _horner_weights(chain, omegas, S)
     if S <= 1:
         assert np.array_equal(got, want)
     A = q_cov(chain, 0, 0)
-    AAt = np.stack([A, A.T])
-    density = spectral._sum_density(AAt, want)
-    assert np.max(np.abs(spectral._sum_density(AAt, got) - density)) <= 1e-14 * np.max(np.abs(density))
-    assert np.array_equal(spectral_sum_grid(chain, omegas, s_trunc), spectral._sum_density(AAt, got))
+    density = spectral._assemble(A, want)
+    assert np.max(np.abs(spectral._assemble(A, got) - density)) <= 1e-14 * np.max(np.abs(density))
+    assert np.array_equal(spectral_sum_grid(chain, omegas, s_trunc), spectral._assemble(A, got))
 
 
 def test_sum_near_the_unit_circle_ends(tmp_path):
