@@ -10,7 +10,6 @@ from .core import (
     DsiParams,
     HChain,
     convergence_ratio,
-    h_tilde,
     make_chain,
     make_params,
 )
@@ -18,7 +17,6 @@ from .covariance import (
     annulus_index,
     cov_table,
     dtsim_cov,
-    markov_triangle_residual,
     pc_counterpart_cov,
     simple_bm_cov,
     simple_bm_seed,
@@ -37,7 +35,6 @@ from .simulate import (
     CovEstimate,
     Ensemble,
     empirical_cov,
-    simulate_brownian,
     simulate_simple_bm,
 )
 from .spectral import (
@@ -74,7 +71,6 @@ __all__ = [
     "HChain",
     "make_params",
     "make_chain",
-    "h_tilde",
     "convergence_ratio",
     "annulus_index",
     "simple_bm_seed",
@@ -82,7 +78,6 @@ __all__ = [
     "cov_table",
     "dtsim_cov",
     "pc_counterpart_cov",
-    "markov_triangle_residual",
     "SampledFunction",
     "shift",
     "dilate",
@@ -91,7 +86,6 @@ __all__ = [
     "verify_commutation",
     "Ensemble",
     "CovEstimate",
-    "simulate_brownian",
     "simulate_simple_bm",
     "empirical_cov",
     "q_cov",

@@ -22,7 +22,7 @@ from .core import CovarianceSeed, make_chain, make_params
 from .covariance import cov_table, simple_bm_cov, simple_bm_seed
 from .errors import ConvergenceError, DomainError, GridError, PoleError
 from .multidim import q_cov
-from .simulate import Ensemble, empirical_cov, simulate_brownian, simulate_simple_bm
+from .simulate import Ensemble, empirical_cov, simulate_simple_bm
 from .spectral import FrequencyGrid, _assemble, _closed_weights, _sum_weights, simple_bm_spectral, spectral_diag
 from .table import _Parts, _spans, write_table
 from .verify import perturb_seed, run_checks
@@ -67,8 +67,8 @@ def _opt(flag: Any, cfg: dict, path: tuple[str, ...], default: Any, kind: type |
         raise DomainError(f"config value {'.'.join(path)} must be {what}, got {value!r}") from None
 
 
-def _resolve_params(args, cfg: dict):
-    H = _opt(args.H, cfg, ("H",), 0.75, float)
+def _resolve_params(args, cfg: dict, H: float = 0.75):
+    H = _opt(args.H, cfg, ("H",), H, float)
     alpha = _opt(args.alpha, cfg, ("alpha",), 2.0, float)
     T = _opt(args.T, cfg, ("T",), 2, int)
     return make_params(H, alpha, T)
@@ -97,13 +97,15 @@ def _out_and_format(args, cfg: dict) -> tuple[str | None, str]:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    params = _resolve_params(args, cfg)
+    brownian = args.process == "brownian"  # Brownian motion is simple BM at H = 1/2
+    params = _resolve_params(args, cfg, 0.5 if brownian else 0.75)
+    if brownian and params.H != 0.5:
+        raise DomainError(f"--process brownian has H = 0.5, got H = {params.H}")
     n_paths = _opt(args.paths, cfg, ("mc", "n_paths"), 1000, int)
     k_max = _opt(args.kmax, cfg, ("mc", "k_max"), 8, int)
     rng_seed = _opt(args.seed, cfg, ("mc", "rng_seed"), 0, int)
     out, fmt = _out_and_format(args, cfg)
-    sim = simulate_brownian if args.process == "brownian" else simulate_simple_bm
-    write_table(sim(params, n_paths, k_max, rng_seed).columns(), fmt, out)
+    write_table(simulate_simple_bm(params, n_paths, k_max, rng_seed).columns(), fmt, out)
     return 0
 
 
@@ -313,7 +315,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int, help="number of paths (default 1000)")
         p.add_argument("--kmax", type=int, help="largest grid index (default 8)")
         p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-        p.add_argument("--process", choices=("simple-bm", "brownian"), default="simple-bm")
+        p.add_argument("--process", choices=("simple-bm", "brownian"), default="simple-bm",
+                       help="brownian is simple-bm at H = 0.5, and any other H is an error (default simple-bm)")
 
     if command in (None, "cov"):
         p = sub.add_parser("cov", help="closed-form covariance table with oracle and MC columns")
@@ -334,7 +337,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--truncation", type=int, help="series truncation override for method=sum")
 
     if command in (None, "embed"):
-        p = sub.add_parser("embed", help="embedding covariance matrices")
+        p = sub.add_parser("embed", help="embedding covariance matrices (at tau = 0, entry (j, k) with j < k "
+                                         "is the one-sided kernel, not a covariance)")
         _add_common(p, seeded=True)
         p.add_argument("--n-min", type=int, default=0)
         p.add_argument("--n-max", type=int)

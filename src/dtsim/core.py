@@ -19,7 +19,7 @@ for an earlier grid point ``bT + r``, a later one ``(b + s)T + j`` and the
 lag-0 matrix ``A[j, r] = htilde(j-1) / htilde(r-1) * r0[r]``.  One private
 kernel forms both powers as (mantissa, exponent of 2) pairs, so an entry is
 ``inf`` or 0 only where it leaves float range itself, however far its
-factors do; ``htilde`` is the same kernel at ``b = 0``.
+factors do.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "HChain",
     "make_params",
     "make_chain",
-    "h_tilde",
     "convergence_ratio",
 ]
 
@@ -112,7 +111,7 @@ class CovarianceSeed:
     ``r0[j]`` must be strictly positive.  The parameter-dependent bound
     ``|r1[j]| <= sqrt(r0[j] * r0[(j+1) % T] * ext)`` (with ``ext`` the
     variance extension factor ``alpha**(2 T H)`` at the period seam) is
-    enforced when a chain is built, see :func:`make_chain`.  Equality and
+    enforced when a chain is built, see :class:`HChain`.  Equality and
     hashing are by identity, as the fields are arrays.
     """
 
@@ -162,13 +161,22 @@ class CovarianceSeed:
 
 @dataclass(frozen=True, eq=False)
 class HChain:
-    """Ratio chain derived from a seed; build with :func:`make_chain`.
+    """Ratio chain derived from a seed.
 
     Equality and hashing are by identity, as for :class:`CovarianceSeed`.
 
     Carries the per-index ratios ``h``, the cumulative products
     ``htilde_base[j] = htilde(j)`` for ``j = 0..T-1``, and the per-period
-    factor ``htilde_period = htilde(T-1)``.
+    factor ``htilde_period = htilde(T-1)``.  Building one enforces the
+    one-step Cauchy-Schwarz bound
+    ``|r1[j]| <= sqrt(r0[j] * r0[(j+1) % T] * ext_j)`` where ``ext_j`` is 1
+    except at ``j = T-1``, where the next variance lives one period up and
+    carries the extension factor ``alpha**(2 T H)``.
+
+    Raises
+    ------
+    DomainError
+        On period mismatch or a bound violation.
     """
 
     params: DsiParams
@@ -183,7 +191,15 @@ class HChain:
             raise DomainError(
                 f"seed period {self.seed.T} does not match params period {self.params.T}"
             )
-        h = self.seed.r1 / self.seed.r0
+        p, r0, r1 = self.params, self.seed.r0, self.seed.r1
+        ext = np.ones(p.T)
+        ext[-1] = p.alpha ** (2 * p.T * p.H)
+        bound = np.sqrt(r0 * np.roll(r0, -1) * ext)
+        bad = np.nonzero(np.abs(r1) > bound * (1 + _CS_SLACK))[0]
+        if bad.size:
+            j = int(bad[0])
+            raise DomainError(f"|r1[{j}]| = {abs(float(r1[j]))} exceeds the Cauchy-Schwarz bound {float(bound[j])}")
+        h = r1 / r0
         base = np.cumprod(h)
         object.__setattr__(self, "h", _readonly(h))
         object.__setattr__(self, "htilde_base", _readonly(base))
@@ -197,49 +213,8 @@ class HChain:
 
 
 def make_chain(params: DsiParams, seed: CovarianceSeed) -> HChain:
-    """Build the ratio chain for ``seed`` under ``params``.
-
-    Enforces the one-step Cauchy-Schwarz bound
-    ``|r1[j]| <= sqrt(r0[j] * r0[(j+1) % T] * ext_j)`` where ``ext_j`` is 1
-    except at ``j = T-1``, where the next variance lives one period up and
-    carries the extension factor ``alpha**(2 T H)``.
-
-    Raises
-    ------
-    DomainError
-        On period mismatch or a bound violation.
-    """
-    chain = HChain(params=params, seed=seed)
-    T = params.T
-    ext = np.ones(T)
-    ext[T - 1] = params.alpha ** (2 * T * params.H)
-    bound = np.sqrt(seed.r0 * np.roll(seed.r0, -1) * ext)
-    bad = np.nonzero(np.abs(seed.r1) > bound * (1 + _CS_SLACK))[0]
-    if bad.size:
-        j = int(bad[0])
-        raise DomainError(
-            f"|r1[{j}]| = {abs(seed.r1[j])!r} exceeds the Cauchy-Schwarz bound {bound[j]!r}"
-        )
-    return chain
-
-
-def h_tilde(chain: HChain, r):
-    """Cumulative ratio product ``h[0] * ... * h[r]`` with ``h_tilde(chain, -1) == 1``.
-
-    ``r`` is an integer or an integer array; the result is a float or an
-    array of the same shape.  Lags at or beyond one period decompose as
-    ``htilde(kT + n - 1) = htilde_period**k * htilde(n - 1)``, the
-    covariance kernel at period count 0.
-
-    Raises
-    ------
-    DomainError
-        If any ``r < -1`` (the empty product is the earliest defined value).
-    """
-    if np.min(r) < -1:
-        raise DomainError(f"h_tilde is defined for r >= -1, got {np.min(r)}")
-    k, n = divmod(r + 1, chain.T)
-    return _cov_kernel(chain.params, chain.htilde_period, 0, k, chain._prefix[n])
+    """The ratio chain for ``seed`` under ``params``: ``HChain(params, seed)``, which checks the seed."""
+    return HChain(params=params, seed=seed)
 
 
 def _pow2(x: float, e):

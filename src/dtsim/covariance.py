@@ -35,7 +35,6 @@ involved, so agreement between the two routes is a genuine two-sided check.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "cov_table",
     "dtsim_cov",
     "pc_counterpart_cov",
-    "markov_triangle_residual",
 ]
 
 def annulus_index(t, lam: float, rtol: float = _GRID_RTOL):
@@ -156,18 +154,3 @@ def pc_counterpart_cov(chain: HChain, n, tau):
     _, r, s, j = _split(p.T, np.asarray(n), np.asarray(tau))
     out = convergence_ratio(chain) ** s * p.alpha ** (-(j + r) * p.H) * q_cov(chain, 0, 0)[j, r]
     return float(out) if out.ndim == 0 else out
-
-
-def markov_triangle_residual(
-    cov: Callable[[float, float], float], t1: float, t2: float, t3: float
-) -> float:
-    """Residual ``cov(t1,t3) cov(t2,t2) - cov(t1,t2) cov(t2,t3)`` for t1 <= t2 <= t3.
-
-    Zero exactly when the covariance factors as G(min) K(max), the defining
-    property of wide-sense Markov processes.  The points may be broadcast
-    arrays when ``cov`` accepts them.
-    """
-    if not np.all((np.asarray(t1) <= t2) & (np.asarray(t2) <= t3)):
-        raise DomainError(f"need t1 <= t2 <= t3, got {t1}, {t2}, {t3}")
-    return cov(t1, t3) * cov(t2, t2) - cov(t1, t2) * cov(t2, t3)
-

@@ -48,12 +48,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DsiParams, HChain, make_chain, make_params
+from .core import DsiParams, HChain, make_chain
 from .covariance import cov_table, simple_bm_seed
 from .errors import DomainError
 from .table import _CORES, _Parts, write_table
 
-__all__ = ["Ensemble", "CovEstimate", "simulate_brownian", "simulate_simple_bm", "empirical_cov"]
+__all__ = ["Ensemble", "CovEstimate", "simulate_simple_bm", "empirical_cov"]
 
 #: Paths per generation batch; fixed so batch boundaries never move.
 BATCH_SIZE = 4096
@@ -159,12 +159,12 @@ class Ensemble:
 
     @cached_property
     def paths(self) -> np.ndarray:
-        """Read-only ``n_paths x (k_max + 1)`` matrix of :meth:`blocks`, built on first access."""
-        out = np.empty((self.n_paths, self.k_max + 1))
-        lo = 0
-        for block in self.blocks():
-            out[lo : lo + len(block)] = block
-            lo += len(block)
+        """Read-only ``n_paths x (k_max + 1)`` matrix of :meth:`blocks`, each filled in place on first access."""
+        K = self.k_max + 1
+        out = np.empty(self.n_paths * K)
+        for i in range(self._n_batches):
+            self._batch(i, out[i * BATCH_SIZE * K :])
+        out = out.reshape(self.n_paths, K)
         out.setflags(write=False)
         return out
 
@@ -289,19 +289,12 @@ class CovEstimate:
     std_error: float | np.ndarray
     n_paths: int
 
-    @property
-    def degenerate(self) -> bool:
-        """True when too few paths exist for a standard error (n_paths < 2)."""
-        return self.n_paths < 2
-
-
-def simulate_brownian(params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0) -> Ensemble:
-    """Brownian motion sampled at alpha**k for k = 0..k_max: simple BM at H = 1/2."""
-    return simulate_simple_bm(make_params(0.5, params.alpha, params.T), n_paths, k_max, rng_seed)
-
 
 def simulate_simple_bm(params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0) -> Ensemble:
-    """Simple BM, the builtin seed's ensemble: Brownian motion times lam**(H - 1/2) per power of lam."""
+    """Simple BM, the builtin seed's ensemble: Brownian motion times lam**(H - 1/2) per power of lam.
+
+    At ``H = 1/2`` it is plain Brownian motion sampled at alpha**k.
+    """
     return Ensemble(make_chain(params, simple_bm_seed(params)), k_max, n_paths, rng_seed)
 
 
@@ -311,11 +304,11 @@ def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:
     The processes here have mean zero by construction, so no sample mean is
     subtracted.  The standard error is the sample standard deviation of the
     per-path products over sqrt(n_paths); it is reported as 0 for a single
-    path (see CovEstimate.degenerate).  ``n`` and ``tau`` may be broadcast
-    integer arrays.  Both come from :attr:`Ensemble.moments`, the path sums
-    of ``X_a X_b`` and ``X_a**2 X_b**2`` over all grid columns, so no entry
-    depends on which others were asked for; as ``Var(XY) >= E[XY]**2`` for
-    zero-mean Gaussian pairs, the one-pass variance loses at most about one bit.
+    path.  ``n`` and ``tau`` may be broadcast integer arrays.  Both come
+    from :attr:`Ensemble.moments`, the path sums of ``X_a X_b`` and
+    ``X_a**2 X_b**2`` over all grid columns, so no entry depends on which
+    others were asked for; as ``Var(XY) >= E[XY]**2`` for zero-mean
+    Gaussian pairs, the one-pass variance loses at most about one bit.
     """
     n, m = np.asarray(n), np.asarray(n) + tau
     bad = (np.minimum(n, m) < 0) | (np.maximum(n, m) > ensemble.k_max)

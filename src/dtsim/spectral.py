@@ -1,7 +1,7 @@
 """Spectral densities: periodically correlated pipeline and embedding closed forms.
 
-Every quantity here has one array implementation; the scalar entry points
-are length-1 calls into it.
+Every quantity here has one array implementation, and the scalar entry
+points are length-1 calls into it, except ``f_k``: an FFT on a grid, Horner off it.
 
 * The stationarized route: the covariance of the periodically correlated
   counterpart is expanded in its periodic components ``B_k(tau)`` (one
@@ -19,7 +19,11 @@ are length-1 calls into it.
   off the grid (:func:`f_matrix`, :func:`fjk`, :func:`fk_from_bk`, which
   also gives the tail bound) the lag sums are evaluated by a two-sided Horner
   recurrence over ``tau``, vectorized over component indices and arguments.
-  Either way the matrices are Hermitian to rounding.
+  Horner stays for its accuracy: against a 40-digit sum at ``T = 2``,
+  ``rho = 0.99``, ``S = 5500``, ``omega = 1.9`` it is off by 7.5e-14 of the
+  largest ``|f_k|``, and lag sums with phases ``exp(-1j tau omega)`` by
+  5.9e-11; phases made by repeated products come within about 3x of Horner,
+  not below it.  Either way the matrices are Hermitian to rounding.
 
 * The embedding route: the T-dimensional self-similar embedding has a
   two-term closed-form density obtained by summing the geometric matrix

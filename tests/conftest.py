@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from dtsim import CovarianceSeed, DsiParams, cov_table, make_chain, make_params, markov_triangle_residual, simple_bm_seed
+from dtsim import CovarianceSeed, DsiParams, cov_table, make_chain, make_params, simple_bm_seed, simulate_simple_bm
 
 ALPHAS = (1.5, 2.0, 3.0)
 PERIODS = (1, 2, 4)
@@ -107,6 +107,20 @@ def assert_exact(got, want: Fraction, rtol: float = 1e-13) -> None:
         assert abs(Fraction(got) - want) <= Fraction(rtol) * abs(want) + Fraction(2) ** -1074, (got, float(want))
 
 
+def simulate_brownian(params: DsiParams, n_paths: int, k_max: int, rng_seed: int = 0):
+    """Brownian motion sampled at alpha**k: simple BM at ``H = 1/2``, as ``dtsim simulate --process brownian``."""
+    return simulate_simple_bm(make_params(0.5, params.alpha, params.T), n_paths, k_max, rng_seed)
+
+
+def triangle_residual(cov, t1, t2, t3):
+    """Markov triangle residual ``cov(t1, t3) cov(t2, t2) - cov(t1, t2) cov(t2, t3)`` for ``t1 <= t2 <= t3``.
+
+    Zero exactly when the covariance factors as ``G(min) K(max)``, the
+    defining property of wide-sense Markov processes.
+    """
+    return cov(t1, t3) * cov(t2, t2) - cov(t1, t2) * cov(t2, t3)
+
+
 def triangle_residuals(chain, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Markov triangle residuals over every grid-index triple ``i <= j <= k <= k_max``, and their norms.
 
@@ -119,4 +133,4 @@ def triangle_residuals(chain, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     table = cov_table(chain, np.minimum.outer(idx, idx), np.abs(np.subtract.outer(idx, idx)))
     cov = lambda a, b: table[a, b]
     i, j, k = np.array(list(combinations_with_replacement(idx, 3))).T
-    return markov_triangle_residual(cov, i, j, k), np.abs(cov(i, k) * cov(j, j)) + np.abs(cov(i, j) * cov(j, k))
+    return triangle_residual(cov, i, j, k), np.abs(cov(i, k) * cov(j, j)) + np.abs(cov(i, j) * cov(j, k))

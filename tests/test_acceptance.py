@@ -24,7 +24,6 @@ from dtsim import (
     lamperti_forward,
     lamperti_inverse,
     make_chain,
-    markov_triangle_residual,
     pc_counterpart_cov,
     q_cov,
     simple_bm_cov,
@@ -39,7 +38,7 @@ from dtsim import (
 )
 from dtsim.cli import main as cli_main
 
-from conftest import LATTICE, plain_entry, triangle_residuals
+from conftest import LATTICE, plain_entry, triangle_residual, triangle_residuals
 
 
 def _report(capsys, n: int, ok: bool, detail: str) -> None:
@@ -232,8 +231,8 @@ def test_acceptance_8_negative_controls(capsys):
     def gauss(t: float, s: float) -> float:
         return math.exp(-((t - s) ** 2))
 
-    r1 = markov_triangle_residual(gauss, 0.0, 1.0, 2.0)
-    r2 = markov_triangle_residual(gauss, 1.0, 2.0, 4.0)
+    r1 = triangle_residual(gauss, 0.0, 1.0, 2.0)
+    r2 = triangle_residual(gauss, 1.0, 2.0, 4.0)
     triangle_ok = abs(r1) > 1e-3 and abs(r2) > 1e-3
 
     p = next(q for q in LATTICE if (q.alpha, q.T, q.H) == (2.0, 2, 1.0))

@@ -8,10 +8,11 @@ with ``s_trunc``.  Renaming or dropping any of those six breaks
 ``perfbench/run.py --trace 1`` as well as importers.
 
 The tracer counts ``simulate.samples`` only on calls to the named
-constructors ``simulate_simple_bm`` and ``simulate_brownian``, and
-``perfbench/report.py`` divides by that count.  Both keep their signatures,
-and ``dtsim cov`` builds its builtin-seed ensemble through
-``simulate_simple_bm``.  A seed-file ensemble is built as ``Ensemble(chain, ...)``
+constructor ``simulate_simple_bm`` (it also names ``simulate_brownian``,
+which is gone: Brownian motion is ``simulate_simple_bm`` at ``H = 1/2``),
+and ``perfbench/report.py`` divides by that count.  It keeps its signature,
+and ``dtsim simulate`` and ``dtsim cov`` build their builtin-seed ensembles
+through it.  A seed-file ensemble is built as ``Ensemble(chain, ...)``
 and its samples are not counted.
 """
 

@@ -27,7 +27,6 @@ from dtsim import (
     simple_bm_cov,
     simple_bm_seed,
     simple_bm_spectral,
-    simulate_brownian,
     simulate_simple_bm,
     spectral_closed_grid,
     spectral_diag,
@@ -39,7 +38,7 @@ from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 from dtsim.table import write_table
 
-from conftest import NEG_CORRS, correlated_seed, seed_shape
+from conftest import NEG_CORRS, correlated_seed, seed_shape, simulate_brownian
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -192,6 +191,33 @@ def test_simulate_brownian_is_h_half_simple_bm(tmp_path, capsys):
     run_cli(capsys, "simulate", "--H", "0.5", "--process", "simple-bm",
             "--paths", "10", "--kmax", "4", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_simulate_brownian_rejects_another_h(tmp_path, capsys, where):
+    """``--process brownian`` is H = 0.5: another H, from the flag or the config, exits 2 and writes nothing;
+    without one, the paths are those of ``--H 0.5``."""
+    argv = ["simulate", "--process", "brownian", "--paths", "10", "--kmax", "4"]
+    if where == "flag":
+        argv += ["--H", "0.9"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"H": 0.9}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "paths.csv"
+    assert main([*argv, "--out", str(out)]) == 2 and not out.exists()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "H = 0.9" in captured.err
+    code, implicit = run_cli(capsys, *argv[:6])
+    assert (code, implicit) == run_cli(capsys, *argv[:6], "--H", "0.5")
+
+
+def test_verify_seed_file_names_the_cauchy_schwarz_bound_as_floats(tmp_path, capsys):
+    CovarianceSeed(r0=np.array([1.0, 1.0]), r1=np.array([5.0, 1.0])).to_csv(tmp_path / "seed.csv")
+    assert main(["verify", "--T", "2", "--seed-file", str(tmp_path / "seed.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |r1[0]| = 5.0 exceeds the Cauchy-Schwarz bound 1.0\n"
 
 
 def test_spectra_row_counts_and_agreement(capsys):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from dtsim import (
     CovarianceSeed,
     DomainError,
+    HChain,
     convergence_ratio,
-    h_tilde,
+    cov_table,
     make_chain,
     make_params,
     simple_bm_seed,
@@ -107,6 +108,14 @@ def test_simple_bm_convergence_ratio_is_alpha_power(lattice_params):
     assert convergence_ratio(chain) == pytest.approx(expected, rel=1e-12)
 
 
+def h_tilde(chain, r):
+    """Cumulative ratio product ``htilde(r) = h[0] * ... * h[r]`` (``htilde(-1) = 1``) from the covariance kernel.
+
+    ``Cov(X(alpha^(r+1)), X(1)) = htilde(r) * r0[0]``: one ``cov_table`` entry at base index 0.
+    """
+    return cov_table(chain, 0, np.asarray(r) + 1) / chain.seed.r0[0]
+
+
 def test_h_tilde_small_lags():
     p = make_params(1.0, 2.0, 2)
     chain = make_chain(p, simple_bm_seed(p))
@@ -114,8 +123,6 @@ def test_h_tilde_small_lags():
     assert h_tilde(chain, 0) == pytest.approx(1.0, rel=1e-15)
     assert h_tilde(chain, 1) == pytest.approx(2.0, rel=1e-15)
     assert h_tilde(chain, 3) == pytest.approx(4.0, rel=1e-15)  # 2 periods
-    with pytest.raises(DomainError):
-        h_tilde(chain, -2)
 
 
 def test_h_tilde_matches_raw_product(lattice_params):
@@ -128,14 +135,19 @@ def test_h_tilde_matches_raw_product(lattice_params):
 
 @pytest.mark.parametrize("T", [2, 8, 32])
 def test_h_tilde_far_lags_match_exact(T):
-    """Several hundred periods out, every in-range ``htilde`` is within 1e-13 of exact rational arithmetic."""
+    """Several hundred periods out, every in-range ``htilde(r) * r0[0]`` is within 1e-13 of exact rational arithmetic.
+
+    The covariance at base index 0 is read as it is, not divided by ``r0[0]``,
+    so an entry past float range is ``inf`` where the exact product is.
+    """
     p = make_params(0.75, 2.0, T)
     k, n = np.meshgrid([200, 300, 500, 700], np.arange(T))
     for chain in chain_variants(p):
         with np.errstate(over="ignore"):
-            got = h_tilde(chain, k * T + n - 1)
+            got = cov_table(chain, 0, k * T + n)
+        r0 = Fraction(chain.seed.r0[0])
         for kk, nn, g in zip(k.ravel().tolist(), n.ravel().tolist(), got.ravel()):
-            assert_exact(g, Fraction(chain.htilde_period) ** kk * Fraction(chain._prefix[nn]))
+            assert_exact(g, Fraction(chain.htilde_period) ** kk * Fraction(chain._prefix[nn]) * r0)
 
 
 @st.composite
@@ -200,6 +212,15 @@ def test_cauchy_schwarz_boundary_seed_accepted():
     seed = CovarianceSeed(r0=np.array([1.0]), r1=np.array([math.sqrt(2.0)]))
     chain = make_chain(p, seed)
     assert convergence_ratio(chain) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_directly_built_chain_checks_the_cauchy_schwarz_bound():
+    """``HChain`` itself enforces the bound, not only ``make_chain``, and names the numbers as plain floats."""
+    p = make_params(0.75, 2.0, 2)
+    seed = CovarianceSeed(r0=np.array([1.0, 1.0]), r1=np.array([5.0, 1.0]))
+    for build in (HChain, make_chain):
+        with pytest.raises(DomainError, match=r"^\|r1\[0\]\| = 5\.0 exceeds the Cauchy-Schwarz bound 1\.0$"):
+            build(p, seed)
 
 
 def test_chain_period_mismatch():

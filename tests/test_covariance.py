@@ -25,7 +25,6 @@ from dtsim import (
     empirical_cov,
     make_chain,
     make_params,
-    markov_triangle_residual,
     pc_counterpart_cov,
     q_cov,
     simple_bm_cov,
@@ -34,9 +33,10 @@ from dtsim import (
 )
 
 from dtsim.simulate import BATCH_SIZE
+from dtsim import verify
 from dtsim.verify import _check_triangle
 
-from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_cov, triangle_residuals
+from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_cov, triangle_residual, triangle_residuals
 
 
 def _rel(a: float, b: float) -> float:
@@ -203,20 +203,19 @@ def test_markov_triangle_zero_on_chain(lattice_params):
         assert np.all(np.abs(res) <= 1e-12 * np.maximum(norm, scale ** 2))
 
 
-def test_markov_triangle_rejects_unordered():
-    with pytest.raises(DomainError):
-        markov_triangle_residual(lambda t, s: 1.0, 2.0, 1.0, 3.0)
+def test_markov_triangle_negative_control(monkeypatch):
+    """A squared-exponential kernel is not Markov; the residual must be visible, and ``verify``'s check must fail."""
+    def gauss(t, s):
+        return np.exp(-((np.asarray(t) - s) ** 2.0))
 
-
-def test_markov_triangle_negative_control():
-    """A squared-exponential kernel is not Markov; the residual must be visible."""
-    def gauss(t: float, s: float) -> float:
-        return math.exp(-((t - s) ** 2))
-
-    res = markov_triangle_residual(gauss, 0.0, 1.0, 2.0)
+    res = triangle_residual(gauss, 0.0, 1.0, 2.0)
     assert res == pytest.approx(math.exp(-4.0) - math.exp(-2.0), rel=1e-12)
     assert abs(res) > 1e-3
-    assert abs(markov_triangle_residual(gauss, 1.0, 2.0, 4.0)) > 1e-3
+    assert abs(triangle_residual(gauss, 1.0, 2.0, 4.0)) > 1e-3
+    p = make_params(0.75, 2.0, 2)
+    monkeypatch.setattr(verify, "cov_table", lambda chain, n, tau: gauss(n + tau, n))  # on grid indices
+    result = _check_triangle(make_chain(p, simple_bm_seed(p)))
+    assert result.observed > 0.5 and not result.passed  # 1 - exp(-2 (b - a) (c - b)) at the widest triple
 
 
 @pytest.mark.parametrize("T, H, alpha, passes",

@@ -19,13 +19,12 @@ from dtsim import (
     dtsim_cov,
     make_chain,
     make_params,
-    markov_triangle_residual,
     q_cov,
     simple_bm_seed,
     simulate_simple_bm,
 )
 
-from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_entry, plain_entry
+from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed, exact_entry, plain_entry, triangle_residual
 
 
 def test_qcov_frozen_example():
@@ -159,7 +158,7 @@ def test_gamma_is_markov_on_step_grid(lattice_params):
                 for b in range(a, 4):
                     for c in range(b, 4):
                         t1, t2, t3 = grid[a], grid[b], grid[c]
-                        res = markov_triangle_residual(cov, t1, t2, t3)
+                        res = triangle_residual(cov, t1, t2, t3)
                         norm = abs(cov(t1, t3) * cov(t2, t2)) + abs(cov(t1, t2) * cov(t2, t3))
                         assert abs(res) <= 1e-12 * max(1.0, norm)
 

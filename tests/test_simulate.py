@@ -18,7 +18,6 @@ from dtsim import (
     make_chain,
     make_params,
     simple_bm_seed,
-    simulate_brownian,
     simulate_simple_bm,
 )
 import dtsim.simulate as simulate
@@ -26,7 +25,7 @@ from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 from dtsim.table import BLOCK_ROWS
 
-from conftest import correlated_seed
+from conftest import correlated_seed, simulate_brownian
 
 
 def test_reproducible_bit_for_bit():
@@ -47,10 +46,12 @@ def test_batching_does_not_change_early_paths():
 
 
 def test_h_half_couples_to_brownian_exactly():
-    # at H = 1/2 the rescaling amplitude is 1, so the two simulators must
-    # agree bit for bit, not merely statistically
+    # at H = 1/2 the rescaling amplitude is 1, so simple BM and Brownian motion's
+    # own seed (Cov = min(t, s), so r0 = r1 = alpha**j) must agree bit for bit,
+    # not merely statistically
     p = make_params(0.5, 1.5, 3)
-    bm = simulate_brownian(p, n_paths=300, k_max=7, rng_seed=5)
+    grid = p.alpha ** np.arange(p.T, dtype=float)
+    bm = Ensemble(make_chain(p, CovarianceSeed(r0=grid, r1=grid)), k_max=7, n_paths=300, rng_seed=5)
     sbm = simulate_simple_bm(p, n_paths=300, k_max=7, rng_seed=5)
     assert np.array_equal(bm.paths, sbm.paths)
 
@@ -149,7 +150,7 @@ def test_empirical_cov_bounds_and_degenerate():
         empirical_cov(ens, np.array([0, 1, 2]), np.array([0, 2, 2]))
     single = simulate_brownian(p, n_paths=1, k_max=3, rng_seed=0)
     est = empirical_cov(single, 1, 1)
-    assert est.degenerate
+    assert est.n_paths == 1
     assert est.std_error == 0.0
     est = empirical_cov(single, np.arange(3), 1)
     assert est.value.tolist() == [single.paths[0, k + 1] * single.paths[0, k] for k in range(3)]
@@ -195,8 +196,8 @@ def test_ensemble_csv_is_the_cli_table(tmp_path, process, sim):
     ens = sim(p, n_paths=700, k_max=13, rng_seed=8)
     lib, cli = tmp_path / "lib.csv", tmp_path / "cli.csv"
     ens.to_csv(lib)
-    code = main(["simulate", "--alpha", "1.5", "--T", "3", "--H", "0.75", "--paths", "700",
-                 "--kmax", "13", "--seed", "8", "--process", process, "--out", str(cli)])
+    code = main(["simulate", "--alpha", "1.5", "--T", "3", "--H", "0.75" if process == "simple-bm" else "0.5",
+                 "--paths", "700", "--kmax", "13", "--seed", "8", "--process", process, "--out", str(cli)])
     assert code == 0
     assert lib.read_bytes() == cli.read_bytes()
 
