@@ -82,8 +82,7 @@ def _resolve_seed(args, cfg: dict, params):
     if seed_file and builtin:
         raise DomainError("choose exactly one of --builtin and --seed-file")
     if seed_file:
-        seed = CovarianceSeed.from_csv(seed_file)
-        return seed, False
+        return CovarianceSeed.from_csv(seed_file), False
     return simple_bm_seed(params), True
 
 
@@ -258,6 +257,7 @@ def cmd_verify(args) -> int:
                     "observed": float(r.observed),
                     "tolerance": float(r.tolerance),
                     "passed": bool(r.passed),
+                    **({"note": r.note} if r.note else {}),
                 }
                 for r in results
             ],
@@ -269,9 +269,8 @@ def cmd_verify(args) -> int:
         lines = [f"{'check':<{width}}  {'observed':>12}  {'tolerance':>10}  status"]
         for r in results:
             status = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"{r.name:<{width}}  {r.observed:>12.3e}  {r.tolerance:>10.1e}  {status}"
-            )
+            note = f"  {r.note}" if r.note else ""
+            lines.append(f"{r.name:<{width}}  {r.observed:>12.3e}  {r.tolerance:>10.1e}  {status}{note}")
         lines.append(f"overall: {'pass' if ok else 'FAIL'}")
         text = "\n".join(lines) + "\n"
     if out:
@@ -293,6 +292,13 @@ def _add_common(p: argparse.ArgumentParser, seeded: bool) -> None:
         p.add_argument("--builtin", action="store_true",
                        help="use the simple-BM seed (default when --seed-file absent)")
         p.add_argument("--seed-file", help="CSV file with header j,r0,r1")
+
+
+def _add_ranges(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-min", type=int, default=0)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--tau-min", type=int)
+    p.add_argument("--tau-max", type=int)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -321,10 +327,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "cov"):
         p = sub.add_parser("cov", help="closed-form covariance table with oracle and MC columns")
         _add_common(p, seeded=True)
-        p.add_argument("--n-min", type=int, default=0)
-        p.add_argument("--n-max", type=int)
-        p.add_argument("--tau-min", type=int)
-        p.add_argument("--tau-max", type=int)
+        _add_ranges(p)
         p.add_argument("--mc-paths", type=int, help="Monte Carlo paths (0 disables; default 0)")
         p.add_argument("--mc-seed", type=int, help="Monte Carlo RNG seed (default 0)")
 
@@ -340,10 +343,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser("embed", help="embedding covariance matrices (at tau = 0, entry (j, k) with j < k "
                                          "is the one-sided kernel, not a covariance)")
         _add_common(p, seeded=True)
-        p.add_argument("--n-min", type=int, default=0)
-        p.add_argument("--n-max", type=int)
-        p.add_argument("--tau-min", type=int)
-        p.add_argument("--tau-max", type=int)
+        _add_ranges(p)
 
     if command in (None, "verify"):
         p = sub.add_parser("verify", help="run the invariant suites")

@@ -68,16 +68,21 @@ def dilate(f: SampledFunction, H: float, lam: float) -> SampledFunction:
     return SampledFunction(domain=f.domain / lam, values=lam ** (-H) * f.values)
 
 
+def _check_transform(H: float, alpha: float) -> None:
+    """Both transforms need alpha > 1 and H > 0, finite; DomainError otherwise."""
+    if not (alpha > 1 and math.isfinite(alpha)):
+        raise DomainError(f"alpha must be > 1, got {alpha}")
+    if not (H > 0 and math.isfinite(H)):
+        raise DomainError(f"H must be > 0, got {H}")
+
+
 def lamperti_forward(y: SampledFunction, H: float, alpha: float) -> SampledFunction:
     """Map a stationary-side sample y(u) to x(alpha**u) = (alpha**u)**H y(u).
 
     Sample points u may be any reals; they land on the positive half-line at
     alpha**u.  Raises DomainError unless alpha > 1 and H > 0.
     """
-    if not (alpha > 1 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be > 1, got {alpha}")
-    if not (H > 0 and math.isfinite(H)):
-        raise DomainError(f"H must be > 0, got {H}")
+    _check_transform(H, alpha)
     t = alpha ** y.domain
     return SampledFunction(domain=t, values=t ** H * y.values)
 
@@ -92,10 +97,7 @@ def lamperti_inverse(x: SampledFunction, H: float, alpha: float) -> SampledFunct
     Raises DomainError for nonpositive sample points or points off the
     integer-power grid.
     """
-    if not (alpha > 1 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be > 1, got {alpha}")
-    if not (H > 0 and math.isfinite(H)):
-        raise DomainError(f"H must be > 0, got {H}")
+    _check_transform(H, alpha)
     if np.any(x.domain <= 0):
         raise DomainError("inverse transform needs positive sample points")
     n, on = _snap_log(x.domain, alpha)

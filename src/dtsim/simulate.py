@@ -84,8 +84,8 @@ class Ensemble:
     of blocks holds a few, not the ``n_paths x (k_max + 1)`` matrix that
     :attr:`paths` builds on first access; :attr:`moments` holds the path sums
     the Monte Carlo estimator reads.  The path factors come from ``chain``
-    (see the module docstring); a one-step covariance of 0 at some
-    ``k < k_max``, or factors out of float range, raise DomainError here.
+    (see the module docstring); a DomainError here names the first ``k``
+    whose one-step covariance is 0 (``k < k_max``) or whose factors leave float range.
     """
 
     chain: HChain
@@ -119,8 +119,13 @@ class Ensemble:
             amp = np.concatenate(([1.0], np.cumprod(step / var[:-1])))
             # the clock var / amp**2 may step back by rounding on the Cauchy-Schwarz boundary
             scale = np.sqrt(np.maximum(np.diff(var / amp**2, prepend=0.0), 0.0))
-            if not (step.all() and np.isfinite([scale, amp**2]).all()):
-                raise DomainError(f"one-step covariance 0 or path factor overflow at some k <= {self.k_max}")
+            # named at the first k with either; a zero step at k sends the factors from k + 1 on out of range
+            zero, over = np.append(step == 0, False), ~(np.isfinite(scale) & np.isfinite(amp**2))
+            k = int(np.argmax(zero | over))
+            if over[k]:
+                raise DomainError(f"path factor overflow at k = {k}: paths reach k = {k - 1} at most")
+            if zero[k]:
+                raise DomainError(f"one-step covariance 0 at k = {k} splits the chain: paths reach k = {k} at most")
         return scale, amp, np.frexp(np.sqrt(var))[1]
 
     def blocks(self) -> Iterator[np.ndarray]:

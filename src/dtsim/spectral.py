@@ -67,8 +67,6 @@ __all__ = [
     "FrequencyGrid",
     "BkTable",
     "SpectralMatrix",
-    "FkValue",
-    "SeriesValue",
     "auto_truncation",
     "bk_from_pc_cov",
     "build_bk_table",
@@ -104,15 +102,8 @@ class FrequencyGrid:
         return 2 * math.pi * np.arange(self.n_omega) / self.n_omega
 
 
-class FkValue(NamedTuple):
-    """Truncated frequency component with its geometric tail bound."""
-
-    value: complex
-    tail_bound: float
-
-
 class SeriesValue(NamedTuple):
-    """Truncated spectral series value with its geometric tail bound."""
+    """A truncated series value, ``f_k`` or a density entry, with its geometric tail bound."""
 
     value: complex
     tail_bound: float
@@ -246,7 +237,7 @@ def _fk(table: BkTable, k, arg, s_trunc: int | None) -> tuple[np.ndarray, np.nda
     return value, edge / ((1 - abs(table.rho)) * math.pi)  # both lag signs, |B_k(-t)| = |B_k(t)|
 
 
-def fk_from_bk(table: BkTable, k: int, omega: float, s_trunc: int | None = None) -> FkValue:
+def fk_from_bk(table: BkTable, k: int, omega: float, s_trunc: int | None = None) -> SeriesValue:
     """Frequency component ``f_k(omega) ~ (1/2 pi) sum_{|tau|<=S} B_k(tau) e^{-i tau omega}``.
 
     Raises
@@ -255,7 +246,7 @@ def fk_from_bk(table: BkTable, k: int, omega: float, s_trunc: int | None = None)
         If ``|rho| >= 1``.
     """
     value, tail = _fk(table, k, omega, s_trunc)
-    return FkValue(value=complex(value), tail_bound=float(tail))
+    return SeriesValue(value=complex(value), tail_bound=float(tail))
 
 
 def fjk(table: BkTable, j: int, k: int, omega: float, s_trunc: int | None = None) -> complex:
@@ -483,17 +474,11 @@ class SpectralMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def _density_weights(chain: HChain, omegas) -> np.ndarray:
-    """Weights of :func:`spectral_matrix_grid` on ``A`` and ``A^T`` before its fold: ``zr / (1 - zr)`` and 0."""
-    zr, denom = _closed_ratio(chain, omegas)
-    return np.stack([zr / denom, np.zeros_like(zr)], axis=-1)
-
-
 def _density_entries(chain: HChain, omegas) -> np.ndarray:
-    """Entries of :func:`spectral_matrix_grid` at ``omegas``."""
-    weights = _density_weights(chain, omegas)
+    """Entries of :func:`spectral_matrix_grid` at ``omegas``: weights ``zr / (1 - zr)`` and 0, folded."""
+    zr, denom = _closed_ratio(chain, omegas)
     A = q_cov(chain, 0, 0)
-    return _assemble(A, weights, np.tril(A) + np.tril(A, -1).T)
+    return _assemble(A, np.stack([zr / denom, np.zeros_like(zr)], axis=-1), np.tril(A) + np.tril(A, -1).T)
 
 
 def spectral_matrix_grid(chain: HChain, grid: FrequencyGrid) -> SpectralMatrix:

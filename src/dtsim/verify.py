@@ -32,9 +32,12 @@ __all__ = ["CheckResult", "perturb_seed", "run_checks"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A suite's worst residual against its tolerance; ``note`` names a cause, such as ``cov_table overflow``."""
+
     name: str
     observed: float
     tolerance: float
+    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -75,6 +78,11 @@ def _check_roundtrip(params: DsiParams) -> CheckResult:
     return CheckResult("lamperti_roundtrip", worst, 1e-12)
 
 
+def _overflow(table: np.ndarray) -> str:
+    """The note of a check whose covariance table holds a non-finite entry, else empty."""
+    return "" if np.isfinite(table).all() else "cov_table overflow"
+
+
 def _check_oracle(chain: HChain) -> CheckResult:
     p = chain.params
     n, tau = np.meshgrid(np.arange(2 * p.T), np.arange(-2 * p.T, 2 * p.T + 1), indexing="ij")
@@ -83,7 +91,7 @@ def _check_oracle(chain: HChain) -> CheckResult:
     closed = cov_table(chain, n, tau)
     oracle = simple_bm_cov(np.float_power(p.alpha, n + tau), np.float_power(p.alpha, n), p.H, p.l)
     worst = np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), np.abs(oracle)))
-    return CheckResult("oracle_equivalence", float(worst), 1e-12)
+    return CheckResult("oracle_equivalence", float(worst), 1e-12, _overflow(closed))
 
 
 def _check_seed(chain: HChain, reference: CovarianceSeed) -> CheckResult:
@@ -92,12 +100,13 @@ def _check_seed(chain: HChain, reference: CovarianceSeed) -> CheckResult:
     closed = np.concatenate([cov_table(chain, j, 0), cov_table(chain, j, 1)])
     seed = np.concatenate([reference.r0, reference.r1])
     scale = np.maximum(np.maximum(np.abs(closed), np.abs(seed)), np.finfo(float).tiny)
-    return CheckResult("seed_reproduction", float(np.max(np.abs(closed - seed) / scale)), 1e-12)
+    return CheckResult("seed_reproduction", float(np.max(np.abs(closed - seed) / scale)), 1e-12, _overflow(closed))
 
 
 def _check_triangle(chain: HChain) -> CheckResult:
     idx = np.arange(4 * chain.T + 1)
     table = cov_table(chain, np.minimum.outer(idx, idx), np.abs(np.subtract.outer(idx, idx)))
+    note = _overflow(table)
     # row and column i scaled by 2**-e_i, with 2**e_i about sqrt|C[i, i]|: exact, both
     # products of a triple carry the same factor, and they stay far from overflow
     e = np.frexp(np.sqrt(np.abs(np.diagonal(table))))[1]
@@ -108,7 +117,7 @@ def _check_triangle(chain: HChain) -> CheckResult:
         right = table[: b + 1, b, np.newaxis] * table[b, b:]  # cov(a, b) cov(b, c)
         scale = np.maximum(np.abs(left), np.abs(right))
         worst.append(np.max(np.abs(left - right) / np.maximum(scale, 1e-300)))
-    return CheckResult("markov_triangle", float(np.max(worst)), 1e-12)  # nan, and so a failure, if C overflowed
+    return CheckResult("markov_triangle", float(np.max(worst)), 1e-12, note)  # nan, and so a failure, if C overflowed
 
 
 def _check_hermitian(chain: HChain) -> CheckResult:
@@ -132,10 +141,10 @@ def _check_phase_roundtrip(chain: HChain) -> CheckResult:
     p, T = chain.params, chain.T
     n, tau = np.arange(2 * T)[:, np.newaxis], np.arange(-2 * T, 2 * T + 1)
     factor = p.alpha ** ((2 * n + tau) * p.H)
-    pc = cov_table(chain, n, tau) / factor
+    pc = (cov := cov_table(chain, n, tau)) / factor
     recon = dsi_cov_from_spectra(chain, n, tau, build_bk_table(chain, tau_window=2 * T)) / factor
     unit = T * np.finfo(float).eps * np.max(np.abs(pc))
-    return CheckResult("phase_expansion_roundtrip", float(np.max(np.abs(recon - pc)) / unit), 8.0)
+    return CheckResult("phase_expansion_roundtrip", float(np.max(np.abs(recon - pc)) / unit), 8.0, _overflow(cov))
 
 
 def run_checks(params: DsiParams, seed: CovarianceSeed, reference: CovarianceSeed | None = None) -> list[CheckResult]:

@@ -30,7 +30,7 @@ import dtsim
 from dtsim import cli, spectral
 from dtsim.simulate import BATCH_SIZE
 
-MODULES = ("core", "covariance", "errors", "lamperti", "multidim", "simulate", "spectral", "verify")
+MODULES = ("errors", "core", "covariance", "lamperti", "multidim", "simulate", "spectral", "verify")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
@@ -52,11 +52,13 @@ def test_package_all_resolves():
 
 
 def test_package_all_comes_from_modules():
-    """Every package-level name is some module's public name, so the two lists cannot drift apart."""
-    exported = set()
-    for name in MODULES:
-        exported |= set(importlib.import_module(f"dtsim.{name}").__all__)
-    assert set(dtsim.__all__) <= exported, sorted(set(dtsim.__all__) - exported)
+    """``dtsim.__all__`` is its modules' ``__all__`` in order, and ``from dtsim import *`` binds exactly those."""
+    exported = [attr for name in MODULES for attr in importlib.import_module(f"dtsim.{name}").__all__]
+    assert dtsim.__all__ == exported
+    namespace = {}
+    exec("from dtsim import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(exported)
 
 
 def test_readme_example_runs_on_public_names():

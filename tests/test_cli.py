@@ -166,7 +166,7 @@ def test_cov_split_chain_monte_carlo_exit_2(capsys, tmp_path):
     code = main(argv + ["--mc-paths", "100", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "one-step covariance 0" in captured.err
+    assert "one-step covariance 0 at k = 1 " in captured.err
     assert not out.exists()
 
 
@@ -415,6 +415,18 @@ def test_verify_overflow_fails_its_checks_without_numpy_warnings(capsys):
     assert [str(w.message) for w in caught] == []
     assert (code, _failing_checks(out)) == (1, ["markov_triangle", "phase_expansion_roundtrip"])
     assert all(math.isnan(c["observed"]) for c in json.loads(out)["checks"] if not c["passed"])
+
+
+def test_verify_names_a_cov_table_overflow(capsys):
+    """The check whose covariance table overflowed says so after its status, and in JSON as a fifth key."""
+    argv = ["verify", "--T", "64", "--H", "1.5", "--alpha", "4"]
+    code, out = run_cli(capsys, *argv, "--json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and checks.pop("markov_triangle")["note"] == "cov_table overflow"
+    assert all(c.keys() == {"name", "observed", "tolerance", "passed"} for c in checks.values())
+    code, out = run_cli(capsys, *argv)
+    noted = [line.split()[0] for line in out.splitlines() if line.endswith("  FAIL  cov_table overflow")]
+    assert (code, noted) == (1, ["markov_triangle"])
 
 
 @pytest.mark.parametrize("T", [2, 8, 32])

@@ -73,13 +73,16 @@ def test_argument_validation():
 
 @pytest.mark.parametrize("T", [1, 2, 3])
 def test_split_chain_is_rejected(T):
-    """``r1[T - 1] = 0`` passes ``make_chain`` but zeroes ``R_k(1)`` at ``k = T - 1``: no path factors."""
+    """``r1[T - 1] = 0`` passes ``make_chain`` but zeroes ``R_k(1)`` at ``k = T - 1``: no path factors.
+
+    The error names that step, not the factors from ``k = T`` on that it sends out of range.
+    """
     p = make_params(0.75, 2.0, T)
     r1 = np.array(simple_bm_seed(p).r1)
     r1[T - 1] = 0.0
     chain = make_chain(p, CovarianceSeed(r0=simple_bm_seed(p).r0, r1=r1))
     assert Ensemble(chain, k_max=T - 1, n_paths=2, rng_seed=0).paths.shape == (2, T)
-    with pytest.raises(DomainError, match="one-step covariance"):
+    with pytest.raises(DomainError, match=rf"one-step covariance 0 at k = {T - 1} .*: paths reach k = {T - 1} at most$"):
         Ensemble(chain, k_max=T, n_paths=2, rng_seed=0)
 
 
@@ -92,6 +95,14 @@ def test_factors_out_of_float_range_are_rejected():
     chain = make_chain(p, CovarianceSeed(r0=[1e-300, 1e10], r1=[0.9 * math.sqrt(1e-290), 1e-146]))
     with pytest.raises(DomainError, match="overflow"):
         Ensemble(chain, k_max=1, n_paths=2, rng_seed=0)
+
+
+def test_factor_overflow_names_its_first_grid_index():
+    """Simple BM at H = 0.75, alpha = 2: the path factors first leave float range at k = 682."""
+    p = make_params(0.75, 2.0, 2)
+    with pytest.raises(DomainError, match=r"path factor overflow at k = 682: paths reach k = 681 at most$"):
+        simulate_simple_bm(p, n_paths=2, k_max=700)
+    assert np.all(np.isfinite(simulate_simple_bm(p, n_paths=2, k_max=681).paths))
 
 
 @pytest.mark.parametrize("corr", [1.0, -1.0])
