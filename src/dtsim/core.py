@@ -166,12 +166,14 @@ class HChain:
     Equality and hashing are by identity, as for :class:`CovarianceSeed`.
 
     Carries the per-index ratios ``h``, the cumulative products
-    ``htilde_base[j] = htilde(j)`` for ``j = 0..T-1``, and the per-period
-    factor ``htilde_period = htilde(T-1)``.  Building one enforces the
-    one-step Cauchy-Schwarz bound
-    ``|r1[j]| <= sqrt(r0[j] * r0[(j+1) % T] * ext_j)`` where ``ext_j`` is 1
-    except at ``j = T-1``, where the next variance lives one period up and
-    carries the extension factor ``alpha**(2 T H)``.
+    ``htilde_base[j] = htilde(j)`` for ``j = 0..T-1``, the per-period
+    factor ``htilde_period = htilde(T-1)``, and the one-step correlations
+    ``c[j] = r1[j] / sqrt(r0[j] * r0[(j+1) % T] * ext_j)`` where ``ext_j`` is
+    1 except at ``j = T-1``, where the next variance lives one period up and
+    carries the extension factor ``alpha**(2 T H)``.  ``c`` is formed from
+    its factors' mantissas and exponents, so it is exact where the product
+    under the root leaves float range.  Building one enforces the one-step
+    Cauchy-Schwarz bound ``|c[j]| <= 1``.
 
     Raises
     ------
@@ -184,6 +186,7 @@ class HChain:
     h: np.ndarray = field(init=False)
     htilde_base: np.ndarray = field(init=False)
     htilde_period: float = field(init=False)
+    c: np.ndarray = field(init=False)
     _prefix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -192,15 +195,21 @@ class HChain:
                 f"seed period {self.seed.T} does not match params period {self.params.T}"
             )
         p, r0, r1 = self.params, self.seed.r0, self.seed.r1
-        ext = np.ones(p.T)
-        ext[-1] = p.alpha ** (2 * p.T * p.H)
-        bound = np.sqrt(r0 * np.roll(r0, -1) * ext)
-        bad = np.nonzero(np.abs(r1) > bound * (1 + _CS_SLACK))[0]
+        ext = np.append(np.ones(p.T - 1), p.alpha ** (2 * p.T * p.H))
+        # the bound is root * 2**e from the factors' mantissas and exponents, so no product in c
+        # leaves float range where c does not; in range it is sqrt(r0[j] r0[j+1] ext_j) bit for bit
+        m, e = np.frexp([r0, np.roll(r0, -1), ext])
+        root, e = np.sqrt(m.prod(axis=0) * 2.0 ** (e.sum(axis=0) % 2)), e.sum(axis=0) // 2
+        with np.errstate(over="ignore"):  # an r1 that far past its bound is inf, and rejected
+            c = np.ldexp(r1, -e) / root
+        bad = np.nonzero(np.abs(c) > 1 + _CS_SLACK)[0]
         if bad.size:
             j = int(bad[0])
-            raise DomainError(f"|r1[{j}]| = {abs(float(r1[j]))} exceeds the Cauchy-Schwarz bound {float(bound[j])}")
+            bound = float(np.ldexp(root[j], e[j]))
+            raise DomainError(f"|r1[{j}]| = {abs(float(r1[j]))} exceeds the Cauchy-Schwarz bound {bound}")
         h = r1 / r0
         base = np.cumprod(h)
+        object.__setattr__(self, "c", _readonly(c))
         object.__setattr__(self, "h", _readonly(h))
         object.__setattr__(self, "htilde_base", _readonly(base))
         object.__setattr__(self, "htilde_period", float(base[-1]))

@@ -72,13 +72,14 @@ def simple_bm_seed(params: DsiParams) -> CovarianceSeed:
     """One-period seed of the piecewise-rescaled Brownian motion.
 
     With ``Hp = H - 1/2``: ``r0[j] = alpha**(2 T Hp + j)``; the one-step ratio
-    is 1 inside a period and ``alpha**(T Hp)`` across the period seam.
+    is 1 inside a period and ``alpha**(T Hp)`` across the period seam.  A
+    power past float range is ``inf``, which the seed rejects as not finite.
     """
     T = params.T
     hp = params.H - 0.5
-    r0 = params.alpha ** (2 * T * hp + np.arange(T, dtype=float))
-    r1 = r0.copy()
-    r1[T - 1] = params.alpha ** (T * hp) * r0[T - 1]
+    with np.errstate(over="ignore"):
+        r0 = params.alpha ** (2 * T * hp + np.arange(T, dtype=float))
+        r1 = r0 * np.append(np.ones(T - 1), np.float_power(params.alpha, T * hp))
     return CovarianceSeed(r0=r0, r1=r1)
 
 

@@ -1,11 +1,19 @@
 """Seeded Monte Carlo ensembles on the geometric grid.
 
-A wide-sense Markov covariance factors as ``G(min) K(max)``, so a Gaussian
-sequence with a chain's covariance is a scaled, time-changed Brownian motion
-``X_k = amp_k W(clock_k)`` (Doob 1949), with ``var_k = R_k(0)``,
-``amp_k = prod_{i<k} R_i(1) / var_i`` and ``clock_k = var_k / amp_k**2``
-from :func:`cov_table`.  One generator serves every admissible seed; a zero
-one-step covariance on the grid splits the chain and is rejected.
+A Gaussian wide-sense Markov sequence is a periodic AR(1) in unit variance
+(Pagano 1978; Troutman 1979): with the chain's one-step correlations
+``c_j = r1[j] / sqrt(r0[j] r0[j+1] ext_j)`` (:class:`HChain`'s ``c``),
+
+    Z_0 = xi_0,    Z_{k+1} = |c_{k mod T}| Z_k + sqrt(1 - c_{k mod T}**2) xi_{k+1},
+
+and the raw values are ``X_k = s_k sd_k Z_k`` with ``sd_k = sqrt(r0[k mod T])
+alpha**((k div T) T H)``, both read off the seed, and ``s_k`` the sign of
+``c_0 c_1 ... c_{k-1}``.  This is a Cholesky factor of the chain's covariance,
+its diagonal signed by ``s_k``, applied to the normals ``xi``, so one
+generator serves every admissible seed: ``c_j = 0`` cuts the chain into
+independent stretches and ``|c_j| = 1`` repeats the previous point, scaled.
+The paths end before the first ``k`` where ``64 sd_k`` leaves float range,
+so every value is finite.
 
 An :class:`Ensemble` is a seeded recipe, not a matrix.  Batch ``i`` of its
 paths is drawn from ``SeedSequence(rng_seed, spawn_key=(i,))`` (PCG64) alone,
@@ -14,18 +22,17 @@ the batch is filled: results are byte-for-byte reproducible whichever thread
 or process fills a batch, any batch can be filled without the others, and no
 reader makes one seed per batch up front.  Every batch is filled the same
 way, rows first and in place in one ``(rows, K)`` array, ``K = k_max + 1``:
-the normals are drawn into it, scaled, summed along the grid with ``K - 1``
-column adds and multiplied by the amplitudes.  Readers of
-:meth:`Ensemble.blocks` fill each batch in a new array on their own thread
-as they read it, and the table parts of :meth:`Ensemble.columns` are filled
-by the process that writes them.
+the normals are drawn into it, run through the recursion one column at a
+time and multiplied by ``s sd``.  Readers of :meth:`Ensemble.blocks` fill each
+batch in a new array on their own thread as they read it, and the table
+parts of :meth:`Ensemble.columns` are filled by the process that writes them.
 
 The Monte Carlo moments are the one threaded pass: with two or more usable
 cores and fewer than 128 grid points, two threads fill batches and reduce
 each to its products, which are summed in batch order; otherwise the calling
 thread does every batch.  Each thread fills its batches in one buffer of its
-own and reduces each there with ``x.T @ x``, then squares it in place and
-reduces it again with ``x.T @ x``.  So a thread holds one batch, and the
+own and reduces each there with ``z.T @ z``, then squares it in place and
+reduces it again with ``z.T @ z``.  So a thread holds one batch, and the
 pass a few products besides, whatever the number of paths.  numpy sends
 those one-buffer products to BLAS ``syrk``.  From ``K = 128`` OpenBLAS runs
 ``syrk`` on threads of its own, a threaded pass is slower than one thread,
@@ -33,10 +40,9 @@ and the calling thread does every batch; below it, two fill threads are
 faster at the grid sizes ``dtsim cov`` uses by default, ``K = 4 T``.
 ``syrk`` rounds the fourth-moment sums differently from a general product,
 so ``mc_stderr`` may move by that rounding, which is held to 4e-15 relative;
-the second-moment sums are the same bit for bit.  The pass scales each grid
-point's paths by a power of two near their standard deviation, folded into
-the amplitudes, so the fourth-moment sums stay in range wherever the
-covariances do, and the estimates are scaled back exactly.
+the second-moment sums are the same bit for bit.  The pass reduces ``Z``
+itself, whose unit variance keeps the fourth-moment sums in range, and the
+estimates are scaled by ``s_a sd_a s_b sd_b``.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DsiParams, HChain, make_chain
-from .covariance import cov_table, simple_bm_seed
+from .covariance import simple_bm_seed
 from .errors import DomainError
 from .table import _CORES, _Parts, write_table
 
@@ -83,9 +89,9 @@ class Ensemble:
     :meth:`blocks` generates them :data:`BATCH_SIZE` at a time, so a reader
     of blocks holds a few, not the ``n_paths x (k_max + 1)`` matrix that
     :attr:`paths` builds on first access; :attr:`moments` holds the path sums
-    the Monte Carlo estimator reads.  The path factors come from ``chain``
-    (see the module docstring); a DomainError here names the first ``k``
-    whose one-step covariance is 0 (``k < k_max``) or whose factors leave float range.
+    the Monte Carlo estimator reads.  The paths are the periodic AR(1) of the
+    module docstring, for every chain :class:`HChain` admits; a DomainError
+    here names the first ``k`` where ``64 sd_k`` leaves float range.
     """
 
     chain: HChain
@@ -100,33 +106,30 @@ class Ensemble:
             raise DomainError(f"k_max must be >= 0, got {self.k_max}")
         if self.rng_seed < 0:
             raise DomainError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        self._factors  # a seed the factorization cannot serve fails here, before any output
+        self._sd  # a grid the paths cannot reach fails here, before any output
 
     @property
     def times(self) -> np.ndarray:
         return self.chain.params.alpha ** np.arange(self.k_max + 1)
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(scale, amp, shift)``: a path is ``cumsum(normals * scale) * amp``, and ``2**shift`` its scale.
+    def _sd(self) -> np.ndarray:
+        """Signed scales ``s_k sd_k`` of the raw values, ``sd_k = sqrt(r0[k mod T]) alpha**((k div T) T H)``.
 
-        ``scale`` and ``amp`` are those of ``X_k = amp_k W(clock_k)``;
-        ``2**shift_k`` is within a factor of two of ``X_k``'s standard deviation.
+        ``s_k`` is the sign of ``c_0 c_1 ... c_{k-1}`` (indices mod T), a 0
+        counted as positive.  The paths end before the first ``k`` where 64
+        ``sd_k``, far past any normal draw, leaves float range, so every value
+        is finite.
         """
-        ks = np.arange(self.k_max + 1)
-        with np.errstate(all="ignore"):  # a zero step or an overflow is a DomainError
-            var, step = cov_table(self.chain, ks, 0), cov_table(self.chain, ks[:-1], 1)
-            amp = np.concatenate(([1.0], np.cumprod(step / var[:-1])))
-            # the clock var / amp**2 may step back by rounding on the Cauchy-Schwarz boundary
-            scale = np.sqrt(np.maximum(np.diff(var / amp**2, prepend=0.0), 0.0))
-            # named at the first k with either; a zero step at k sends the factors from k + 1 on out of range
-            zero, over = np.append(step == 0, False), ~(np.isfinite(scale) & np.isfinite(amp**2))
-            k = int(np.argmax(zero | over))
-            if over[k]:
-                raise DomainError(f"path factor overflow at k = {k}: paths reach k = {k - 1} at most")
-            if zero[k]:
-                raise DomainError(f"one-step covariance 0 at k = {k} splits the chain: paths reach k = {k} at most")
-        return scale, amp, np.frexp(np.sqrt(var))[1]
+        p = self.chain.params
+        b, j = np.divmod(np.arange(self.k_max + 1), p.T)
+        sign = (-1.0) ** np.cumsum(np.concatenate(([False], np.resize(self.chain.c, self.k_max) < 0)))
+        with np.errstate(over="ignore"):  # an overflow is a DomainError
+            sd = np.sqrt(self.chain.seed.r0[j]) * np.float_power(p.alpha, b * (p.T * p.H))
+            room = np.isfinite(64.0 * sd)
+        if not room[k := int(np.argmin(room))]:  # the first overflow, if any
+            raise DomainError(f"path factor overflow at k = {k}: paths reach k = {k - 1} at most")
+        return sign * sd
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Rows of the path matrix in blocks of ``BATCH_SIZE`` (the last may be shorter).
@@ -142,24 +145,29 @@ class Ensemble:
     def _n_batches(self) -> int:
         return -(-self.n_paths // BATCH_SIZE)
 
-    def _batch(self, i: int, out: np.ndarray | None = None, amp: np.ndarray | None = None) -> np.ndarray:
+    def _batch(self, i: int, out: np.ndarray | None = None, raw: bool = True) -> np.ndarray:
         """Block ``i`` of :meth:`blocks`: ``(rows, K)``, filled rows first in place in the start of ``out``.
 
         The normals come from ``SeedSequence(rng_seed, spawn_key=(i,))`` alone,
         child ``i`` of ``SeedSequence(rng_seed).spawn``; path ``p`` takes the
-        ``K`` draws from ``p K`` on of the block's stream.  They are scaled,
-        summed along the grid one column at a time and multiplied by ``amp``,
-        the amplitudes of :attr:`_factors` unless given.  ``out`` is a new
-        array unless given.
+        ``K`` draws from ``p K`` on of the block's stream.  Column ``k`` becomes
+        ``|c| Z_{k-1} + sqrt(1 - c**2) xi_k`` one column at a time, the
+        unit-variance ``Z``, which ``raw`` multiplies by the signed ``sd`` of
+        :attr:`_sd`.  ``out`` is a new array unless given.
         """
-        scale, amplitudes, _ = self._factors
-        K, rows = len(scale), min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
+        K, rows = self.k_max + 1, min(BATCH_SIZE, self.n_paths - i * BATCH_SIZE)
         x = np.empty((rows, K)) if out is None else out[: rows * K].reshape(rows, K)
         np.random.default_rng(np.random.SeedSequence(self.rng_seed, spawn_key=(i,))).standard_normal(out=x)
-        x *= scale
-        for k in range(1, K):
-            x[:, k] += x[:, k - 1]
-        x *= amplitudes if amp is None else amp
+        c = np.abs(np.resize(self.chain.c, K - 1))  # |c[k - 1]| of the step to grid point k
+        x *= np.concatenate(([1.0], np.sqrt(np.maximum(1.0 - c * c, 0.0))))  # c**2 may pass 1 by rounding
+        # the column passes run over 2**17 values (1 MB) of rows at a time: over all 4096 rows of a
+        # block, the strided column reads took 1.6 to 2 times as long at K = 64 to 256
+        step = max(2**17 // K, 1)
+        for z in np.split(x, np.arange(step, rows, step)):
+            for k in range(1, K):
+                z[:, k] += c[k - 1] * z[:, k - 1]
+        if raw:
+            x *= self._sd
         return x
 
     @cached_property
@@ -177,39 +185,32 @@ class Ensemble:
     def moments(self) -> np.ndarray:
         """Read-only ``(2, K, K)`` path sums of ``X_a X_b`` and ``X_a**2 X_b**2``, ``K = k_max + 1``.
 
-        :attr:`_scaled_moments` times the exact powers of two it was scaled by;
-        a sum out of float range is ``inf``.
+        :attr:`_unit_moments` scaled by ``s_a sd_a s_b sd_b`` and its square; a
+        sum out of float range is ``inf``.
         """
-        sums, shift = self._scaled_moments
-        e = shift[:, np.newaxis] + shift
-        with np.errstate(over="ignore"):
-            sums = np.ldexp(sums, np.stack([e, 2 * e]))
+        with np.errstate(over="ignore"):  # the pass runs first, before any scale is held
+            sums = self._unit_moments * [scale := np.outer(self._sd, self._sd), scale * scale]
         sums.setflags(write=False)
         return sums
 
     @cached_property
-    def _scaled_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`moments` of the paths scaled by ``2**-shift`` (``shift`` of :attr:`_factors`), and ``shift``.
+    def _unit_moments(self) -> np.ndarray:
+        """:attr:`moments` of the unit-variance paths ``Z``, whose fourth moments stay in range.
 
-        The scale folds into the amplitudes, so the paths are about 1 at every
-        grid point and their fourth moments stay in range wherever the
-        covariances do; a power of two scales every sum exactly.  One pass on
-        first access; :func:`empirical_cov` reads it, so repeated estimates do
-        not regenerate the paths.  This thread and up to ``_FILL_THREADS - 1``
-        helpers each fill the next block and reduce it to its two ``K x K``
-        products, which are added into the sums in block order, so no bit
-        depends on the thread count; from ``K = 128`` this thread works alone
-        (see the module docstring).  Each thread holds one block buffer: it
-        fills a block ``x`` there rows first, forms ``x.T @ x``, squares ``x``
-        in place and forms ``x.T @ x`` again, the symmetric products of the
-        module docstring.  At most two blocks per thread are taken and not yet
-        added, so the pass holds a few products besides, whatever ``n_paths``
-        is.  Block ``i``'s seed is made when the block is filled, so no list of
-        seeds grows with ``n_paths`` either.  An error in any thread stops the
-        pass and is raised here once the helpers are joined.
+        One pass on first access; :func:`empirical_cov` reads it, so repeated
+        estimates do not regenerate the paths.  This thread and up to
+        ``_FILL_THREADS - 1`` helpers each fill the next block and reduce it to
+        its two ``K x K`` products, which are added into the sums in block
+        order, so no bit depends on the thread count; from ``K = 128`` this
+        thread works alone (see the module docstring).  Each thread holds one
+        block buffer: it fills a block ``z`` there rows first, forms ``z.T @ z``,
+        squares ``z`` in place and forms ``z.T @ z`` again, the symmetric
+        products of the module docstring.  At most two blocks per thread are
+        taken and not yet added, so the pass holds a few products besides,
+        whatever ``n_paths`` is.  Block ``i``'s seed is made when the block is
+        filled, so no list of seeds grows with ``n_paths`` either.  An error in
+        any thread stops the pass and is raised here once the helpers are joined.
         """
-        _, amp, shift = self._factors
-        amp = np.ldexp(amp, -shift)
         K = self.k_max + 1
         n_batches = self._n_batches
         n_workers = max(min(_FILL_THREADS if K < _BLAS_THREADS_K else 0, n_batches), 1)
@@ -234,10 +235,10 @@ class Ensemble:
                             return
                         i, taken = taken, taken + 1
                     product = products[i % window]  # free: block i - window is added
-                    x = self._batch(i, buffer, amp)
-                    np.matmul(x.T, x, out=product[0])
-                    np.multiply(x, x, out=x)
-                    np.matmul(x.T, x, out=product[1])
+                    z = self._batch(i, buffer, False)
+                    np.matmul(z.T, z, out=product[0])
+                    np.multiply(z, z, out=z)
+                    np.matmul(z.T, z, out=product[1])
                     with state:
                         finished.add(i)
                         while added in finished:
@@ -262,7 +263,7 @@ class Ensemble:
         if errors:
             raise errors[0]
         sums.setflags(write=False)
-        return sums, shift
+        return sums
 
     def columns(self) -> Sequence[dict[str, np.ndarray]]:
         """Table parts ``path, k, t, value`` for ``table.write_table``: part ``i`` is block ``i``, built when read.
@@ -310,21 +311,20 @@ def empirical_cov(ensemble: Ensemble, n, tau) -> CovEstimate:
     subtracted.  The standard error is the sample standard deviation of the
     per-path products over sqrt(n_paths); it is reported as 0 for a single
     path.  ``n`` and ``tau`` may be broadcast integer arrays.  Both come
-    from :attr:`Ensemble.moments`, the path sums of ``X_a X_b`` and
-    ``X_a**2 X_b**2`` over all grid columns, so no entry depends on which
-    others were asked for; as ``Var(XY) >= E[XY]**2`` for zero-mean
-    Gaussian pairs, the one-pass variance loses at most about one bit.
+    from the path sums of ``Z_a Z_b`` and ``Z_a**2 Z_b**2`` of the
+    unit-variance paths over all grid columns, scaled by ``s_a sd_a s_b sd_b``
+    (see :attr:`Ensemble.moments`), so no entry depends on which others were
+    asked for; as ``Var(XY) >= E[XY]**2`` for zero-mean Gaussian pairs, the
+    one-pass variance loses at most about one bit.
     """
     n, m = np.asarray(n), np.asarray(n) + tau
     bad = (np.minimum(n, m) < 0) | (np.maximum(n, m) > ensemble.k_max)
     if np.any(bad):
         a, b = (int(x[bad].flat[0]) for x in np.broadcast_arrays(n, m))
         raise IndexError(f"(n, n + tau) = ({a}, {b}) outside grid indices 0..{ensemble.k_max}")
-    sums, shift = ensemble._scaled_moments
-    count = ensemble.n_paths
+    sums, sd, count = ensemble._unit_moments, ensemble._sd, ensemble.n_paths
     value = sums[0, m, n] / count
     var = np.maximum(sums[1, m, n] - count * value * value, 0.0) / max(count - 1, 1)
     se = np.sqrt(var / count) * (count > 1)  # 0 for a single path
-    e = shift[m] + shift[n]  # undoes the scaling exactly: both estimates scale as the sums of X_a X_b
-    with np.errstate(over="ignore"):
-        return CovEstimate(value=np.ldexp(value, e), std_error=np.ldexp(se, e), n_paths=count)
+    with np.errstate(over="ignore"):  # both estimates scale as the sums of X_a X_b
+        return CovEstimate(value=value * sd[m] * sd[n], std_error=np.abs(se * sd[m] * sd[n]), n_paths=count)

@@ -29,19 +29,16 @@ def lattice_params(request) -> DsiParams:
 
 
 def correlated_seed(params: DsiParams, corrs) -> CovarianceSeed:
-    """Seed with r0 from the simple-BM chain but r1 scaled by the given correlations.
+    """Seed with r0 from the simple-BM chain and one-step correlations ``corrs`` (repeated to length T).
 
-    Each corr must lie in (-1, 1); the result always satisfies the
-    Cauchy-Schwarz admissibility bound by construction.
+    ``r1[j] = corrs[j] * sqrt(r0[j] r0[j+1] ext_j)``, the bound of
+    :class:`HChain`, so each corr in [-1, 1] gives an admissible seed whose
+    chain correlations ``c`` are ``corrs`` to rounding.
     """
-    base = simple_bm_seed(params)
-    r0 = np.asarray(base.r0)
-    r1 = np.empty_like(r0)
-    for j in range(params.T):
-        ext = params.alpha ** (2 * params.T * params.H) if j == params.T - 1 else 1.0
-        bound = math.sqrt(r0[j] * r0[(j + 1) % params.T] * ext)
-        r1[j] = corrs[j % len(corrs)] * bound
-    return CovarianceSeed(r0=r0, r1=r1)
+    r0 = simple_bm_seed(params).r0
+    ext = np.ones(params.T)
+    ext[-1] = params.alpha ** (2 * params.T * params.H)
+    return CovarianceSeed(r0=r0, r1=np.resize(corrs, params.T) * np.sqrt(r0 * np.roll(r0, -1) * ext))
 
 
 def seed_shape(T: int, rho: float, alpha: float = 2.0, H: float = 0.75) -> CovarianceSeed:

@@ -143,7 +143,8 @@ def test_negative_rng_seed_exit_2(capsys, tmp_path, argv):
     CovarianceSeed(r0=[1.0, 2.0], r1=[0.5, 1.0]),
     CovarianceSeed(r0=[1.0, 2.0], r1=[-0.5, 1.0]),
     correlated_seed(make_params(0.75, 2.0, 4), NEG_CORRS),
-], ids=["non-bm", "negative-ratio", "T4"])
+    CovarianceSeed(r0=[1e160, 1e160], r1=[5e159, 5e159]),
+], ids=["non-bm", "negative-ratio", "T4", "variances-1e160"])
 def test_cov_seed_file_monte_carlo_simulates_the_seed(capsys, tmp_path, seed):
     """Monte Carlo paths of a seed file have that seed's covariance: every row within 5 SE of the closed form."""
     seed.to_csv(tmp_path / "seed.csv")
@@ -157,16 +158,38 @@ def test_cov_seed_file_monte_carlo_simulates_the_seed(capsys, tmp_path, seed):
         assert z <= 5, row
 
 
-def test_cov_split_chain_monte_carlo_exit_2(capsys, tmp_path):
-    """``r1[T-1] = 0`` has a closed form but no paths: exit 2 before the output file is opened."""
+def test_cov_monte_carlo_at_a_seam_bound_past_float_range(capsys):
+    """At T = 8, H = 22, alpha = 2 the simple-BM seam bound squared is 2**1047: the rows across the seam
+    (n = 7, tau = 1 among them) lie within 5 SE of the closed form."""
+    code, out = run_cli(capsys, "cov", "--T", "8", "--H", "22", "--alpha", "2", "--n-max", "8", "--tau-max", "8",
+                        "--mc-paths", "20000", "--mc-seed", "5")
+    assert code == 0
+    rows = parse_csv(out)
+    assert any(row["n"] == "7" and row["tau"] == "1" for row in rows)
+    for row in rows:
+        assert abs(float(row["mc_estimate"]) - float(row["closed_form"])) <= 5 * float(row["mc_stderr"]), row
+
+
+def test_cov_split_chain_monte_carlo_exit_0(capsys, tmp_path):
+    """``r1[T-1] = 0`` splits the chain at each period seam, and its paths do too: exit 0, with every row
+    within 5 SE of the closed form, which is 0 across a seam."""
     CovarianceSeed(r0=[1.0, 2.0], r1=[0.5, 0.0]).to_csv(tmp_path / "seed.csv")
-    argv = ["cov", "--seed-file", str(tmp_path / "seed.csv")]
-    assert main(argv + ["--out", str(tmp_path / "closed.csv")]) == 0
+    code, out = run_cli(capsys, "cov", "--seed-file", str(tmp_path / "seed.csv"), "--mc-paths", "20000")
+    assert code == 0
+    rows = parse_csv(out)
+    assert sum(float(row["closed_form"]) == 0 for row in rows) >= 10
+    for row in rows:
+        assert abs(float(row["mc_estimate"]) - float(row["closed_form"])) <= 5 * float(row["mc_stderr"]), row
+
+
+@pytest.mark.parametrize("command", ["cov", "spectra", "simulate"])
+def test_builtin_seed_out_of_float_range_exit_2(capsys, tmp_path, command):
+    """At T = 64, H = 12, alpha = 4 the simple-BM seed's powers leave float range: one ``error:`` line and
+    exit 2, with no numpy warning (an error under this suite's filter) and no output file."""
     out = tmp_path / "out.csv"
-    code = main(argv + ["--mc-paths", "100", "--out", str(out)])
-    captured = capsys.readouterr()
+    code = main([command, "--T", "64", "--H", "12", "--alpha", "4", "--out", str(out)])
     assert code == 2
-    assert "one-step covariance 0 at k = 1 " in captured.err
+    assert capsys.readouterr().err == "error: seed values must be finite\n"
     assert not out.exists()
 
 
@@ -322,9 +345,9 @@ def test_embed_far_positive_lag_has_no_inf(capsys, tmp_path):
 
 
 def test_cov_monte_carlo_past_1e154_is_finite(capsys):
-    """Covariances of about 1.3e154 have fourth moments out of float range: the moments pass scales each
-    grid point's paths by a power of two, so ``mc_estimate`` and ``mc_stderr`` stay finite, with no numpy
-    warning, and the estimates lie within 5 standard errors of the closed form."""
+    """Covariances of about 1.3e154 have fourth moments out of float range: the moments pass reduces the
+    unit-variance paths, so ``mc_estimate`` and ``mc_stderr`` stay finite, with no numpy warning, and the
+    estimates lie within 5 standard errors of the closed form."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli(capsys, "cov", "--T", "4", "--mc-paths", "3000", "--n-min", "340", "--n-max", "340",

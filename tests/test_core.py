@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from dtsim import (
     simple_bm_seed,
 )
 
-from conftest import assert_exact, chain_variants, correlated_seed
+from conftest import NEG_CORRS, assert_exact, chain_variants, correlated_seed
 
 
 def test_params_validation():
@@ -221,6 +222,30 @@ def test_directly_built_chain_checks_the_cauchy_schwarz_bound():
     for build in (HChain, make_chain):
         with pytest.raises(DomainError, match=r"^\|r1\[0\]\| = 5\.0 exceeds the Cauchy-Schwarz bound 1\.0$"):
             build(p, seed)
+
+
+@pytest.mark.parametrize("corrs", [(0.6,), (0.6, -0.35), (0.6, 0.35, -0.8), NEG_CORRS, (1.0, -1.0, 1.0, -1.0)],
+                         ids=["T1", "T2", "T3", "neg-T4", "boundary-T4"])
+def test_correlations_round_trip(corrs):
+    """The chain's one-step correlations ``c`` are the ``corrs`` a seed was built from, to rounding, on the
+    Cauchy-Schwarz boundary too: ``correlated_seed`` and ``HChain`` state one rule."""
+    for alpha, H in ((2.0, 0.75), (1.5, 0.3), (3.0, 1.0)):
+        p = make_params(H, alpha, len(corrs))
+        np.testing.assert_allclose(make_chain(p, correlated_seed(p, corrs)).c, corrs, rtol=3e-16, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_correlations_of_variances_whose_products_leave_float_range(scale):
+    """Variances of 1e-170 or 1e160 put ``r0[0] r0[1]`` out of float range: ``c`` is still the seed's ratio to
+    rounding, and an ``r1`` past the bound is rejected against its finite value, with no numpy warning."""
+    p = make_params(0.75, 2.0, 2)
+    r0 = np.array([scale, scale])
+    seam = math.sqrt(p.alpha ** (2 * p.T * p.H))
+    c = make_chain(p, CovarianceSeed(r0=r0, r1=[0.5 * scale, -0.25 * scale * seam])).c
+    np.testing.assert_allclose(c, [0.5, -0.25], rtol=3e-16, atol=0)
+    message = rf"^\|r1\[0\]\| = {re.escape(repr(2 * scale))} exceeds the Cauchy-Schwarz bound {re.escape(repr(scale))}$"
+    with pytest.raises(DomainError, match=message):
+        make_chain(p, CovarianceSeed(r0=r0, r1=[2 * scale, 0.0]))
 
 
 def test_chain_period_mismatch():

@@ -25,7 +25,7 @@ from dtsim.cli import main
 from dtsim.simulate import BATCH_SIZE
 from dtsim.table import BLOCK_ROWS
 
-from conftest import correlated_seed, simulate_brownian
+from conftest import NEG_CORRS, correlated_seed, simulate_brownian
 
 
 def test_reproducible_bit_for_bit():
@@ -71,38 +71,81 @@ def test_argument_validation():
         simulate_simple_bm(p, n_paths=2, k_max=3, rng_seed=-1)
 
 
-@pytest.mark.parametrize("T", [1, 2, 3])
-def test_split_chain_is_rejected(T):
-    """``r1[T - 1] = 0`` passes ``make_chain`` but zeroes ``R_k(1)`` at ``k = T - 1``: no path factors.
+def _split_seed(p, base, j: int) -> CovarianceSeed:
+    """``base`` (the simple-BM seed, or the negative-ratio one) with ``r1[j] = 0``: ``c_j = 0`` splits the chain."""
+    seed = simple_bm_seed(p) if base == "simple-bm" else correlated_seed(p, NEG_CORRS)
+    r1 = np.array(seed.r1)
+    r1[j] = 0.0
+    return CovarianceSeed(r0=seed.r0, r1=r1)
 
-    The error names that step, not the factors from ``k = T`` on that it sends out of range.
-    """
+
+def _z_scores(ens: Ensemble, want: np.ndarray) -> np.ndarray:
+    """``(estimate - want) / std_error`` of ``empirical_cov`` over every pair ``(n, n + tau)`` of grid points."""
+    n, m = np.meshgrid(np.arange(ens.k_max + 1), np.arange(ens.k_max + 1), indexing="ij")
+    est = empirical_cov(ens, n, m - n)
+    return (est.value - want) / est.std_error
+
+
+@pytest.mark.parametrize("base", ["simple-bm", "negative-ratio"])
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_split_chain_simulates(T, base):
+    """``r1[T - 1] = 0`` splits the chain at every period seam: the paths reach any ``k_max`` whose scale is in
+    float range, and the estimates lie within 5 SE of ``cov_table``, which is 0 across each seam."""
     p = make_params(0.75, 2.0, T)
-    r1 = np.array(simple_bm_seed(p).r1)
-    r1[T - 1] = 0.0
-    chain = make_chain(p, CovarianceSeed(r0=simple_bm_seed(p).r0, r1=r1))
-    assert Ensemble(chain, k_max=T - 1, n_paths=2, rng_seed=0).paths.shape == (2, T)
-    with pytest.raises(DomainError, match=rf"one-step covariance 0 at k = {T - 1} .*: paths reach k = {T - 1} at most$"):
-        Ensemble(chain, k_max=T, n_paths=2, rng_seed=0)
+    chain = make_chain(p, _split_seed(p, base, T - 1))
+    assert np.all(np.isfinite(Ensemble(chain, k_max=1000, n_paths=2, rng_seed=0).paths))
+    ens = Ensemble(chain, k_max=3 * T + 2, n_paths=20_000, rng_seed=6)
+    ks = np.arange(ens.k_max + 1)
+    want = cov_table(chain, np.minimum.outer(ks, ks), np.abs(np.subtract.outer(ks, ks)))
+    assert np.sum(want == 0) >= 2 * (3 * T + 3) and np.all(np.abs(_z_scores(ens, want)) <= 5)
+
+
+@pytest.mark.parametrize("base", ["simple-bm", "negative-ratio"])
+def test_chain_split_inside_the_period_simulates(base):
+    """``r1[0] = 0`` at T = 3 splits the chain between ``k = 3b`` and ``3b + 1``, where ``cov_table`` has no
+    entry: the estimates across each split lie within 5 SE of 0, and the variances within 5 SE of the seed's."""
+    p = make_params(0.75, 2.0, 3)
+    seed = _split_seed(p, base, 0)
+    ens = Ensemble(make_chain(p, seed), k_max=10, n_paths=20_000, rng_seed=8)
+    ks = np.arange(ens.k_max + 1)
+    stretch = (ks + 2) // 3  # k = 3b + 1 .. 3b + 3 share a stretch; k = 0 is alone
+    z = _z_scores(ens, np.diag(seed.r0[ks % 3] * p.alpha ** (2 * p.T * p.H * (ks // 3))))
+    across = stretch[:, np.newaxis] != stretch
+    assert np.all(np.abs(z[across]) <= 5) and np.all(np.abs(np.diag(z)) <= 5)
+
+
+@pytest.mark.parametrize("p, seed", [
+    (make_params(22.0, 2.0, 8), simple_bm_seed(make_params(22.0, 2.0, 8))),
+    (make_params(0.75, 2.0, 2), CovarianceSeed(r0=[1e160, 1e160], r1=[5e159, 5e159])),
+], ids=["H22-T8", "variances-1e160"])
+def test_correlations_whose_bound_squared_leaves_float_range_simulate(p, seed):
+    """The squared bound ``r0[j] r0[j+1] ext_j`` is 2**1047 at the seam of simple BM at T = 8, H = 22,
+    alpha = 2, and 1e320 for variances of 1e160: the seam correlation ``c[T-1]`` is formed without it, and
+    the estimates lie within 5 SE of ``cov_table`` across the seam too."""
+    chain = make_chain(p, seed)
+    ens = Ensemble(chain, k_max=p.T + 1, n_paths=20_000, rng_seed=9)
+    ks = np.arange(ens.k_max + 1)
+    want = cov_table(chain, np.minimum.outer(ks, ks), np.abs(np.subtract.outer(ks, ks)))
+    assert chain.c[-1] > 0.17 and np.all(np.abs(_z_scores(ens, want)) <= 5)
 
 
 def test_factors_out_of_float_range_are_rejected():
     p = make_params(0.75, 2.0, 2)
-    assert np.all(np.isfinite(simulate_simple_bm(p, n_paths=2, k_max=600).paths))
+    assert np.all(np.isfinite(simulate_simple_bm(p, n_paths=2, k_max=1300).paths))
     with pytest.raises(DomainError, match="overflow"):
-        simulate_simple_bm(p, n_paths=2, k_max=1100)
-    # finite variances, but amp_1 = 9e154 and amp_1**2 overflows: the clock var / amp**2 would read 0
+        simulate_simple_bm(p, n_paths=2, k_max=2000)
+    # variances twenty decades apart, correlated 0.9
     chain = make_chain(p, CovarianceSeed(r0=[1e-300, 1e10], r1=[0.9 * math.sqrt(1e-290), 1e-146]))
-    with pytest.raises(DomainError, match="overflow"):
-        Ensemble(chain, k_max=1, n_paths=2, rng_seed=0)
+    assert np.all(np.isfinite(Ensemble(chain, k_max=9, n_paths=2, rng_seed=0).paths))
 
 
 def test_factor_overflow_names_its_first_grid_index():
-    """Simple BM at H = 0.75, alpha = 2: the path factors first leave float range at k = 682."""
+    """Simple BM at H = 0.75, alpha = 2: ``64 sd_k`` first leaves float range at k = 1357, where ``sd_k`` is
+    about 2**1018; the paths at the largest grid it admits are all finite."""
     p = make_params(0.75, 2.0, 2)
-    with pytest.raises(DomainError, match=r"path factor overflow at k = 682: paths reach k = 681 at most$"):
-        simulate_simple_bm(p, n_paths=2, k_max=700)
-    assert np.all(np.isfinite(simulate_simple_bm(p, n_paths=2, k_max=681).paths))
+    with pytest.raises(DomainError, match=r"path factor overflow at k = 1357: paths reach k = 1356 at most$"):
+        simulate_simple_bm(p, n_paths=2, k_max=1400)
+    assert np.all(np.isfinite(simulate_simple_bm(p, n_paths=BATCH_SIZE, k_max=1356).paths))
 
 
 @pytest.mark.parametrize("corr", [1.0, -1.0])
@@ -214,33 +257,48 @@ def test_ensemble_csv_is_the_cli_table(tmp_path, process, sim):
 
 
 # -- the streamed estimator against the matrix it no longer builds -----------
-def _ref_paths(ens: Ensemble) -> np.ndarray:
-    """Path matrix as one array: ``cumsum(normals * scale) * amp`` with the factors of ``X_k = amp_k W(clock_k)``.
-
-    ``var_k = R_k(0)``, ``amp_k = prod_{i<k} R_i(1) / var_i`` and the clock
-    ``var_k / amp_k**2`` come from ``cov_table`` on the ensemble's chain.
-    """
-    ks = np.arange(ens.k_max + 1)
-    var = cov_table(ens.chain, ks, 0)
-    amp = np.concatenate(([1.0], np.cumprod(cov_table(ens.chain, ks[:-1], 1) / var[:-1])))
-    scale = np.sqrt(np.maximum(np.diff(var / amp**2, prepend=0.0), 0.0))
-    return _ref_matrix(ens, scale) * amp
+def _ar1(normals: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The periodic AR(1) ``Z_0 = xi_0``, ``Z_{k+1} = |c_{k mod T}| Z_k + sqrt(1 - c**2) xi_{k+1}`` over whole columns."""
+    z = np.empty_like(normals)
+    z[:, 0] = normals[:, 0]
+    for k in range(1, normals.shape[1]):
+        cj = c[(k - 1) % len(c)]
+        z[:, k] = abs(cj) * z[:, k - 1] + np.sqrt(np.maximum(1.0 - cj * cj, 0.0)) * normals[:, k]
+    return z
 
 
-def _ref_matrix(ens: Ensemble, scale: np.ndarray) -> np.ndarray:
-    """``cumsum(normals * scale)`` over all paths, block ``i`` of normals from child ``i``."""
+def _ref_sd(ens: Ensemble) -> np.ndarray:
+    """``s_k sd_k``: ``sd_k = sqrt(r0[k mod T]) alpha**((k div T) T H)`` from the ensemble's seed, and ``s_k`` the
+    sign of ``c_0 ... c_{k-1}``."""
+    p, c = ens.chain.params, ens.chain.c
+    b, j = np.divmod(np.arange(ens.k_max + 1), p.T)
+    sign = [math.prod(-1.0 if c[i % p.T] < 0 else 1.0 for i in range(k)) for k in range(ens.k_max + 1)]
+    return sign * np.sqrt(ens.chain.seed.r0[j]) * np.float_power(p.alpha, b * (p.T * p.H))
+
+
+def _ref_normals(ens: Ensemble) -> np.ndarray:
+    """The normals of every path as one array, block ``i`` from child ``i`` of ``SeedSequence(rng_seed)``."""
     out = np.empty((ens.n_paths, ens.k_max + 1))
     n_batches = (ens.n_paths + BATCH_SIZE - 1) // BATCH_SIZE
     for i, child in enumerate(np.random.SeedSequence(ens.rng_seed).spawn(n_batches)):
         lo, hi = i * BATCH_SIZE, min((i + 1) * BATCH_SIZE, ens.n_paths)
-        z = np.random.default_rng(child).standard_normal((hi - lo, ens.k_max + 1))
-        np.cumsum(z * scale, axis=1, out=out[lo:hi])
+        out[lo:hi] = np.random.default_rng(child).standard_normal((hi - lo, ens.k_max + 1))
     return out
+
+
+def _ref_unit(ens: Ensemble) -> np.ndarray:
+    """Unit-variance paths ``Z`` as one array: the periodic AR(1) of the chain's correlations ``c``."""
+    return _ar1(_ref_normals(ens), ens.chain.c)
+
+
+def _ref_paths(ens: Ensemble) -> np.ndarray:
+    """Path matrix as one array: ``X_k = s_k sd_k Z_k``."""
+    return _ref_unit(ens) * _ref_sd(ens)
 
 
 @pytest.mark.parametrize("H, alpha, T", [(0.75, 2.0, 4), (0.5, 2.0, 2), (0.8, 1.5, 3), (0.3, 3.0, 1), (1.0, 1.5, 4)])
 def test_builtin_and_brownian_paths_match_their_closed_forms(H, alpha, T):
-    """On the same normals, the chain's factors give the hand-written simple-BM and Brownian paths to rounding.
+    """On the same normals, the recursion gives the hand-written simple-BM and Brownian paths to rounding.
 
     Brownian motion has increment variances 1, then ``alpha**k - alpha**(k-1)``;
     simple BM multiplies column ``k`` by ``lam**((k // T + 1) (H - 1/2))``.
@@ -250,28 +308,30 @@ def test_builtin_and_brownian_paths_match_their_closed_forms(H, alpha, T):
     scale = np.sqrt(np.concatenate(([1.0], alpha ** ks[1:] - alpha ** (ks[1:] - 1))))
     for sim, amp in ((simulate_brownian, 1.0), (simulate_simple_bm, p.l ** ((ks // T + 1) * (H - 0.5)))):
         ens = sim(p, n_paths=BATCH_SIZE + 5, k_max=16, rng_seed=11)
-        want = _ref_matrix(ens, scale) * amp
+        want = np.cumsum(_ref_normals(ens) * scale, axis=1) * amp
         assert np.all(np.abs(ens.paths - want) <= 2e-15 * np.max(np.abs(want), axis=0)), sim.__name__
 
 
-def _ref_empirical_cov(paths: np.ndarray, n, tau, general: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``empirical_cov`` as it read the whole path matrix: value and standard error.
+def _ref_empirical_cov(ens: Ensemble, n, tau, general: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``empirical_cov`` as it read the whole matrix of unit-variance paths: value and standard error.
 
-    Each product is on one buffer, which numpy sends to a symmetric kernel as
-    ``moments`` does; ``general`` takes the fourth moments from two buffers,
-    a general product, instead.
+    The estimates of ``Z`` are scaled by ``s_a sd_a s_b sd_b``.  Each product is on
+    one buffer, which numpy sends to a symmetric kernel as ``moments`` does;
+    ``general`` takes the fourth moments from two buffers, a general product,
+    instead.
     """
     n, m = np.asarray(n), np.asarray(n) + tau
-    k = paths.shape[1]
+    z, sd = _ref_unit(ens), _ref_sd(ens)
+    k = z.shape[1]
     sums = np.zeros((2, k, k))
-    for lo in range(0, len(paths), BATCH_SIZE):
-        block = paths[lo : lo + BATCH_SIZE]
+    for lo in range(0, len(z), BATCH_SIZE):
+        block = z[lo : lo + BATCH_SIZE]
         sq = block * block
         sums += [block.T @ block, sq.T @ (sq.copy() if general else sq)]
-    count = len(paths)
+    count = len(z)
     value = sums[0, m, n] / count
     var = np.maximum(sums[1, m, n] - count * value * value, 0.0) / max(count - 1, 1)
-    return value, np.sqrt(var / count) * (count > 1)
+    return value * sd[m] * sd[n], np.abs(np.sqrt(var / count) * (count > 1) * sd[m] * sd[n])
 
 
 def _assert_matches_reference(ens: Ensemble) -> None:
@@ -282,13 +342,18 @@ def _assert_matches_reference(ens: Ensemble) -> None:
     assert np.array_equal(np.concatenate(list(ens.blocks())), ref)
     n, m = np.meshgrid(np.arange(ens.k_max + 1), np.arange(ens.k_max + 1), indexing="ij")
     est = empirical_cov(ens, n, m - n)
-    value, se = _ref_empirical_cov(ref, n, m - n)
+    value, se = _ref_empirical_cov(ens, n, m - n)
     assert np.array_equal(est.value, value)
     assert np.array_equal(est.std_error, se)
 
 
+def _simulate_negative_ratio(params, n_paths: int, k_max: int, rng_seed: int) -> Ensemble:
+    """The negative-ratio seed's ensemble, whose signs ``s_k`` of ``c_0 ... c_{k-1}`` alternate."""
+    return Ensemble(make_chain(params, correlated_seed(params, NEG_CORRS)), k_max, n_paths, rng_seed)
+
+
 @pytest.mark.parametrize("n_paths", [1, BATCH_SIZE, 2 * BATCH_SIZE + 7])
-@pytest.mark.parametrize("sim", [simulate_simple_bm, simulate_brownian])
+@pytest.mark.parametrize("sim", [simulate_simple_bm, simulate_brownian, _simulate_negative_ratio])
 def test_streamed_estimator_matches_matrix_reference(n_paths, sim):
     _assert_matches_reference(sim(make_params(0.8, 1.5, 3), n_paths=n_paths, k_max=10, rng_seed=17))
 
@@ -359,7 +424,7 @@ def test_std_error_is_the_general_products_to_rounding(k_max):
     """The symmetric fourth-moment product moves ``std_error`` from a general product's by rounding only."""
     ens = simulate_simple_bm(make_params(0.75, 2.0, 4), n_paths=3 * BATCH_SIZE + 5, k_max=k_max, rng_seed=12)
     n, m = np.meshgrid(np.arange(k_max + 1), np.arange(k_max + 1), indexing="ij")
-    _, se = _ref_empirical_cov(_ref_paths(ens), n, m - n, general=True)
+    _, se = _ref_empirical_cov(ens, n, m - n, general=True)
     np.testing.assert_allclose(empirical_cov(ens, n, m - n).std_error, se, rtol=4e-15, atol=0)
 
 
@@ -466,9 +531,8 @@ def test_batch_seeds_are_made_per_batch(monkeypatch):
     """A 1e9-path ensemble spawns no list of 244,141 seeds: its first block and part 12345 of its table
     are drawn from ``SeedSequence(rng_seed, spawn_key=(i,))``, which is child ``i`` of ``spawn``."""
     ens = simulate_simple_bm(make_params(0.75, 2.0, 2), n_paths=10**9, k_max=16, rng_seed=31)
-    scale, amp, _ = ens._factors
     first, part = np.random.SeedSequence(31).spawn(12346)[::12345]
-    want = [np.cumsum(np.random.default_rng(child).standard_normal((BATCH_SIZE, 17)) * scale, axis=1) * amp
+    want = [_ar1(np.random.default_rng(child).standard_normal((BATCH_SIZE, 17)), ens.chain.c) * _ref_sd(ens)
             for child in (first, part)]
     monkeypatch.setattr(np.random, "SeedSequence", _NoSpawn)
     assert np.array_equal(next(ens.blocks()), want[0])
